@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import covering, falsify as fz, scenario, supervisor, wire
@@ -127,48 +126,26 @@ def cmd_run_ca(args: argparse.Namespace) -> CommandOutcome:
     except (OSError, covering.CsvFormatError) as exc:
         raise CommandError(f"cannot load test CSV: {exc}")
 
+    def runner(doc: dict) -> supervisor.SimulationResult:
+        row_env = scenario.environment_from_json(doc["environment"])
+        row_config = scenario.config_from_json(doc["config"])
+        return supervisor.run_embedded(row_env, row_config, seed=args.seed)
+
     os.makedirs(args.out_dir, exist_ok=True)
     outcome = CommandOutcome()
-    sim_results: dict[int, supervisor.SimulationResult] = {}
-
-    def runner_for(index: int):
-        def runner(doc: dict):
-            row_env = scenario.environment_from_json(doc["environment"])
-            row_config = scenario.config_from_json(doc["config"])
-            result = supervisor.run_embedded(row_env, row_config, seed=args.seed)
-            sim_results[index] = result
-            return result.trajectory
-
-        return runner
-
-    result = covering.SuiteResult()
-    indices = list(range(len(table.rows)))
-
-    def run_row(index: int):
-        one_row = covering.TestTable(table.parameter_names, [table.rows[index]])
-        row_result = covering.run_test_suite(one_row, template, binding, runner_for(index))
-        return index, row_result
-
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        for index, row_result in pool.map(run_row, indices):
-            if 0 in row_result.trajectories:
-                result.trajectories[index] = row_result.trajectories[0]
-            if 0 in row_result.failures:
-                result.failures[index] = row_result.failures[0]
-
+    result = covering.run_test_suite(table, template, binding, runner)
     summary = {"rows": []}
-    for index in indices:
+    for index in range(len(table.rows)):
         entry: dict = {"index": index, "case": covering.get_experiment_all_fields(table, index)}
         if index in result.failures:
             entry["status"] = "failed"
             entry["error"] = result.failures[index]
         else:
-            trajectory = result.trajectories[index]
+            sim = result.outputs[index]
             trace_path = os.path.join(args.out_dir, f"trace_{index:03d}.csv")
             with open(trace_path, "w", encoding="utf-8") as fh:
-                fh.write(supervisor.trajectory_to_csv(trajectory))
+                fh.write(supervisor.trajectory_to_csv(sim.trajectory))
             outcome.artifacts.append(trace_path)
-            sim = sim_results[index]
             entry["status"] = "ok"
             entry["trace"] = os.path.basename(trace_path)
             entry["min_vehicle_gap_m"] = (
@@ -183,7 +160,7 @@ def cmd_run_ca(args: argparse.Namespace) -> CommandOutcome:
         fh.write("\n")
     outcome.artifacts.append(summary_path)
     ok = sum(1 for e in summary["rows"] if e["status"] == "ok")
-    print(f"{ok}/{len(indices)} test cases succeeded; summary at {summary_path}")
+    print(f"{ok}/{len(table.rows)} test cases succeeded; summary at {summary_path}")
     return outcome
 
 
@@ -353,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bindings", help="JSON mapping of parameter name to scenario path")
     p.add_argument("--out-dir", default="ca_out", help="directory for traces and summary")
     p.add_argument("--header-lines", type=int, default=6, help="comment lines before the name row")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent test executions")
     p.add_argument("--seed", type=int, default=0, help="kernel seed")
     p.set_defaults(func=cmd_run_ca)
 

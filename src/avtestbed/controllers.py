@@ -4,7 +4,7 @@ Controllers are constructed once per vehicle from the scenario's controller
 name, argument strings, and any runtime parameters delivered before t=0
 (waypoints arrive as repeated "target_position" parameters).  A control step
 is a pure function of the pre-step vehicle state, the radar detections, and
-dt; any controller memory lives in the vehicle state's explicit memory dict.
+dt.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def saturate(out: ControlOutput) -> ControlOutput:
     )
 
 
-def _wrap_angle(a: float) -> float:
+def wrap_angle(a: float) -> float:
     """Normalize to (-pi, pi]."""
     a = math.fmod(a + math.pi, 2.0 * math.pi)
     if a <= 0.0:
@@ -120,7 +120,7 @@ def pure_pursuit_steering(
     dx, dy = tx - x, ty - y
     if dx == 0.0 and dy == 0.0:
         return 0.0
-    alpha = _wrap_angle(math.atan2(dy, dx) - heading)
+    alpha = wrap_angle(math.atan2(dy, dx) - heading)
     return math.atan2(2.0 * WHEELBASE_M * math.sin(alpha), lookahead)
 
 
@@ -245,14 +245,12 @@ def pedestrian_step(
 def radar_sense(world, self_id: int, max_range: float = RADAR_RANGE_M) -> list[RadarDetection]:
     """Ground-truth detections of other vehicles and pedestrians, nearest first.
 
-    Targets beyond max_range (fog-limited when the world enables it) or
-    outside the +-45 degree field of view are dropped.
+    Targets beyond max_range or outside the +-45 degree field of view are
+    dropped.
     """
     me = world.vehicle_by_id(self_id)
     if me is None:
         raise ValueError(f"no vehicle with id {self_id}")
-    if world.fog_limits_radar and world.fog_visibility_range is not None:
-        max_range = min(max_range, world.fog_visibility_range)
 
     mvx = me.speed * math.cos(me.heading)
     mvy = me.speed * math.sin(me.heading)
@@ -263,7 +261,7 @@ def radar_sense(world, self_id: int, max_range: float = RADAR_RANGE_M) -> list[R
         rng = math.hypot(dx, dy)
         if rng == 0.0 or rng > max_range:
             return
-        bearing = _wrap_angle(math.atan2(dy, dx) - me.heading)
+        bearing = wrap_angle(math.atan2(dy, dx) - me.heading)
         if abs(bearing) > RADAR_FOV_RAD:
             return
         # closing speed: negative range rate

@@ -14,9 +14,7 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional
-
-from .scenario import Trajectory
+from typing import Any, Callable, Optional
 
 
 @dataclass
@@ -277,7 +275,9 @@ def set_scenario_value(doc: dict, path: str, value: float) -> None:
 
 @dataclass
 class SuiteResult:
-    trajectories: dict[int, Trajectory] = field(default_factory=dict)
+    """What the runner returned for each row that ran, and each row's failure."""
+
+    outputs: dict[int, Any] = field(default_factory=dict)
     failures: dict[int, str] = field(default_factory=dict)
 
 
@@ -285,9 +285,9 @@ def run_test_suite(
     table: TestTable,
     scenario_template: dict,
     binding: dict[str, str],
-    runner: Callable[[dict], Trajectory],
+    runner: Callable[[dict], Any],
 ) -> SuiteResult:
-    """Execute one simulation per table row.
+    """Execute one simulation per table row, in row order.
 
     Each bound cell is parsed as a number and written into a fresh copy of
     the template document; don't-care cells keep the template value.  A row
@@ -313,7 +313,7 @@ def run_test_suite(
                         f"parameter {name!r} cell {cell!r} is not numeric"
                     ) from None
                 set_scenario_value(doc, path, numeric)
-            result.trajectories[index] = runner(doc)
+            result.outputs[index] = runner(doc)
         except Exception as exc:
             result.failures[index] = str(exc)
     return result

@@ -97,12 +97,18 @@ def _evaluate(
     predicates: list[LinearPredicate],
     sample: np.ndarray,
 ) -> float:
-    """Robustness of one sample; +inf when the simulation or monitor fails."""
+    """Robustness of one sample; +inf when setup, simulation or monitor fails.
+
+    Failures are the declared setup and simulation errors (ValueError and
+    RuntimeError subclasses) and a NaN robustness.  Anything else is a
+    programming error and propagates.
+    """
     try:
         trace = system(tuple(float(v) for v in sample))
-        return rb.robustness(formula, predicates, trace)
-    except Exception:
+        value = rb.robustness(formula, predicates, trace)
+    except (ValueError, RuntimeError):
         return math.inf
+    return math.inf if math.isnan(value) else value
 
 
 def _finish(
@@ -297,7 +303,6 @@ class Study:
     requirement: rb.Requirement
     space: SearchSpace
     config: FalsifyConfig
-    seed_override: Optional[int] = None
 
 
 def load_study(path: str) -> Study:

@@ -334,18 +334,6 @@ def _wrap(formula: MtlFormula) -> str:
     return f"({format_formula(formula)})"
 
 
-def formula_atoms(formula: MtlFormula) -> set[str]:
-    if isinstance(formula, Atom):
-        return {formula.name}
-    if isinstance(formula, Not):
-        return formula_atoms(formula.operand)
-    if isinstance(formula, (And, Or, Implies, Until)):
-        return formula_atoms(formula.left) | formula_atoms(formula.right)
-    if isinstance(formula, (Always, Eventually)):
-        return formula_atoms(formula.operand)
-    raise TypeError(f"not a formula: {formula!r}")
-
-
 # --------------------------------------------------------------------------
 # Robustness evaluation
 

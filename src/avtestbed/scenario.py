@@ -18,10 +18,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-VEHICLE_CONTROLLER_NAMES = frozenset(
-    {"void", "path_and_speed_follower", "automated_driving_with_fusion2"}
-)
-PEDESTRIAN_CONTROLLER_NAMES = frozenset({"void", "pedestrian_control"})
+from .controllers import PEDESTRIAN_CONTROLLERS, registered_vehicle_controllers
 
 KNOWN_VEHICLE_MODELS = frozenset(
     {
@@ -333,7 +330,7 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
             )
         else:
             seen_ped[ped.ped_id] = path
-        if ped.controller not in PEDESTRIAN_CONTROLLER_NAMES:
+        if ped.controller not in PEDESTRIAN_CONTROLLERS:
             report.append(Violation(path, f"unknown pedestrian controller {ped.controller!r}"))
         if len(ped.trajectory) % 2 != 0:
             report.append(Violation(path, "trajectory must list x,y pairs (even length)"))
@@ -422,7 +419,7 @@ def _validate_vehicle(
     _check_rgb(report, path + ".color", vhc.color)
     _check_vec(report, path + ".current_position", vhc.current_position, 3)
     _check_vec(report, path + ".rotation", vhc.rotation, 4)
-    if vhc.controller not in VEHICLE_CONTROLLER_NAMES:
+    if vhc.controller not in registered_vehicle_controllers():
         report.append(Violation(path, f"unknown vehicle controller {vhc.controller!r}"))
     for j, sensor in enumerate(vhc.sensors):
         if not sensor.sensor_type:

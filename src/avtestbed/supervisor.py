@@ -23,14 +23,11 @@ from typing import Optional
 import numpy as np
 
 from . import controllers, geometry, wire
-from .controllers import ControllerConfigError, VehicleController, saturate
+from .controllers import ControllerConfigError, VehicleController, saturate, wrap_angle
 from .scenario import (
-    Fog,
-    GenericObject,
     ItemType,
     KNOWN_VEHICLE_MODELS,
     LogItemDescription,
-    Road,
     RoadDisturbance,
     RunMode,
     SimEnvironment,
@@ -70,7 +67,6 @@ class VehicleState:
     heading: float
     speed: float
     controller: VehicleController
-    memory: dict = field(default_factory=dict)
 
     def footprint(self) -> tuple[float, float, float, float, float]:
         return (self.x, self.y, self.heading, VEHICLE_LENGTH_M, VEHICLE_WIDTH_M)
@@ -108,23 +104,10 @@ class WorldState:
     sim_time_ms: int = 0
     vehicles: list[VehicleState] = field(default_factory=list)
     pedestrians: list[PedestrianState] = field(default_factory=list)
-    roads: list[Road] = field(default_factory=list)
     disturbances: list[RoadDisturbance] = field(default_factory=list)
-    generic_objects: list[GenericObject] = field(default_factory=list)
-    # oriented rectangles (cx, cy, heading, length, width) declared by generic
-    # objects via a "collision_box" parameter; inert to the built-in dynamics
-    static_obstacles: list[tuple[float, float, float, float, float]] = field(
-        default_factory=list
-    )
-    fog: Optional[Fog] = None
-    fog_limits_radar: bool = False
     rng_seed: int = 0
     contacts: list[Contact] = field(default_factory=list)
     min_vehicle_gap: float = math.inf
-
-    @property
-    def fog_visibility_range(self) -> Optional[float]:
-        return None if self.fog is None else self.fog.visibility_range
 
     def vehicle_by_id(self, vhc_id: int) -> Optional[VehicleState]:
         for vhc in self.vehicles:
@@ -141,44 +124,14 @@ class SyncTimeoutError(RuntimeError):
     """No continue message arrived in time; protocol error 101."""
 
 
-def _wrap_angle(a: float) -> float:
-    a = math.fmod(a + math.pi, 2.0 * math.pi)
-    if a <= 0.0:
-        a += 2.0 * math.pi
-    return a - math.pi
-
-
 # --------------------------------------------------------------------------
 # World construction
-
-
-def _collision_boxes(objects) -> list[tuple[float, float, float, float, float]]:
-    """Oriented rectangles from "collision_box" parameters.
-
-    The value is "cx cy heading length width" in planar coordinates.  Generic
-    object parameters carry no validity guarantees, so anything that does not
-    parse is treated as absent and the object stays inert.
-    """
-    boxes = []
-    for obj in objects:
-        for name, value in obj.object_parameters:
-            if name != "collision_box":
-                continue
-            parts = value.split()
-            if len(parts) != 5:
-                continue
-            try:
-                boxes.append(tuple(float(p) for p in parts))
-            except ValueError:
-                continue
-    return boxes
 
 
 def build_world(
     env: SimEnvironment,
     config: SimulationConfig,
     seed: int = 0,
-    fog_limits_radar: bool = False,
 ) -> WorldState:
     """Instantiate world state and controllers from a validated environment."""
     violations = validate_environment(env) + validate_config(config)
@@ -186,15 +139,7 @@ def build_world(
         listing = "; ".join(str(v) for v in violations[:5])
         raise SetupError(f"invalid scenario: {listing}")
 
-    world = WorldState(
-        roads=list(env.roads),
-        disturbances=list(env.road_disturbances),
-        generic_objects=list(env.generic_objects),
-        static_obstacles=_collision_boxes(env.generic_objects),
-        fog=env.fog,
-        fog_limits_radar=fog_limits_radar,
-        rng_seed=seed,
-    )
+    world = WorldState(disturbances=list(env.road_disturbances), rng_seed=seed)
 
     for vhc in env.all_vehicles():
         if vhc.vehicle_model not in KNOWN_VEHICLE_MODELS:
@@ -202,32 +147,29 @@ def build_world(
                 f"unknown vehicle model {vhc.vehicle_model!r}; using the default dynamics profile",
                 stacklevel=2,
             )
-        path: list[tuple[float, float]] = []
-        extra_params: dict[str, list[list[float]]] = {}
-        for par in env.controller_params:
-            if par.vehicle_id is not None and par.vehicle_id != vhc.vhc_id:
-                continue
-            if par.parameter_name == "target_position" and len(par.parameter_data) >= 2:
-                path.append((par.parameter_data[0], par.parameter_data[1]))
-            else:
-                extra_params.setdefault(par.parameter_name, []).append(list(par.parameter_data))
+        path = [
+            (par.parameter_data[0], par.parameter_data[1])
+            for par in env.controller_params
+            if par.vehicle_id in (None, vhc.vhc_id)
+            and par.parameter_name == "target_position"
+            and len(par.parameter_data) >= 2
+        ]
         try:
             controller = controllers.make_vehicle_controller(
                 vhc.controller, list(vhc.controller_arguments), path
             )
         except ControllerConfigError as exc:
             raise SetupError(str(exc)) from None
-        state = VehicleState(
-            id=vhc.vhc_id,
-            x=vhc.current_position[0],
-            y=vhc.current_position[2],
-            heading=vhc.current_orientation,
-            speed=0.0,
-            controller=controller,
+        world.vehicles.append(
+            VehicleState(
+                id=vhc.vhc_id,
+                x=vhc.current_position[0],
+                y=vhc.current_position[2],
+                heading=vhc.current_orientation,
+                speed=0.0,
+                controller=controller,
+            )
         )
-        if extra_params:
-            state.memory["params"] = extra_params
-        world.vehicles.append(state)
 
     for ped in env.pedestrians:
         waypoints = [
@@ -375,7 +317,7 @@ def sample_log_row(world: WorldState, descriptions: list[LogItemDescription]) ->
         elif state is StateId.POSITION_Y:
             row.append(y + bump)
         elif state is StateId.ORIENTATION:
-            row.append(_wrap_angle(heading))
+            row.append(wrap_angle(heading))
         elif state is StateId.SPEED:
             row.append(speed)
         elif state is StateId.VELOCITY_X:

@@ -125,6 +125,8 @@ def encode_message(msg: WireMessage) -> bytes:
         payload = _canonical_json(scenario.environment_to_json(msg.env))
     elif isinstance(msg, StartSim):
         tag = TAG_START_SIM
+        if not 0 <= msg.run_index <= 255:
+            raise WireFormatError(f"run index {msg.run_index} does not fit in one byte")
         payload = struct.pack(">B", msg.run_index) + _canonical_json(
             scenario.config_to_json(msg.config)
         )

@@ -174,20 +174,15 @@ class TestRunCa:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["rows"] == []
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
+    def test_repeated_runs_are_byte_identical(self, tmp_path):
         csv_path, scenario_path, bindings = self.make_inputs(
             tmp_path, ["0,20,2", "5,25,3", "10,15,4", "15,20,5"]
         )
-        serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
-        assert main(["run-ca", csv_path, scenario_path, bindings, "--out-dir", str(serial_dir)]) == 0
-        assert main(["run-ca", csv_path, scenario_path, bindings,
-                     "--out-dir", str(parallel_dir), "--jobs", "4"]) == 0
-        for i in range(4):
-            name = f"trace_{i:03d}.csv"
-            assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes()
-        assert (serial_dir / "summary.json").read_bytes() == (
-            parallel_dir / "summary.json"
-        ).read_bytes()
+        first_dir, second_dir = tmp_path / "first", tmp_path / "second"
+        assert main(["run-ca", csv_path, scenario_path, bindings, "--out-dir", str(first_dir)]) == 0
+        assert main(["run-ca", csv_path, scenario_path, bindings, "--out-dir", str(second_dir)]) == 0
+        for name in [f"trace_{i:03d}.csv" for i in range(4)] + ["summary.json"]:
+            assert (first_dir / name).read_bytes() == (second_dir / name).read_bytes()
 
 
 class TestFalsifyCommand:

@@ -267,15 +267,6 @@ class TestRadar:
         assert ranges == sorted(ranges)
         assert len(ranges) == 2
 
-    def test_fog_limits_range_when_enabled(self):
-        from avtestbed.scenario import Fog
-
-        world = two_vehicle_world(dict(x=0.0), dict(x=50.0))
-        world.fog = Fog(visibility_range=30.0)
-        assert len(radar_sense(world, 1)) == 1  # off by default
-        world.fog_limits_radar = True
-        assert radar_sense(world, 1) == []
-
 
 def test_registry_contents():
     assert registered_vehicle_controllers() == {

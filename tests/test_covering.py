@@ -222,17 +222,17 @@ class TestRunSuite:
     def test_all_rows_executed(self, ca_csv_path):
         table = load_experiment_data(ca_csv_path)
         result = run_test_suite(table, demo_template(), DEMO_BINDING, embedded_runner)
-        assert sorted(result.trajectories) == list(range(16))
+        assert sorted(result.outputs) == list(range(16))
         assert result.failures == {}
         # bound values actually land in the runs: ego x differs per row
-        first_x = {idx: result.trajectories[idx].rows[0][1] for idx in (0, 2)}
+        first_x = {idx: result.outputs[idx].rows[0][1] for idx in (0, 2)}
         assert first_x[0] == 20.0
         assert first_x[2] == 15.0
 
     def test_empty_table(self):
         table = TestTable(["a"], [])
         result = run_test_suite(table, demo_template(), {}, embedded_runner)
-        assert result.trajectories == {}
+        assert result.outputs == {}
         assert result.failures == {}
 
     def test_bad_row_is_isolated(self):
@@ -241,7 +241,7 @@ class TestRunSuite:
             [["10", "20", "3"], ["fast", "20", "3"], ["0", "25", "2"]],
         )
         result = run_test_suite(table, demo_template(), DEMO_BINDING, embedded_runner)
-        assert sorted(result.trajectories) == [0, 2]
+        assert sorted(result.outputs) == [0, 2]
         assert list(result.failures) == [1]
         assert "not numeric" in result.failures[1]
 
@@ -251,7 +251,7 @@ class TestRunSuite:
             [["*", "*", "*"]],
         )
         result = run_test_suite(table, demo_template(), DEMO_BINDING, embedded_runner)
-        trajectory = result.trajectories[0]
+        trajectory = result.outputs[0]
         assert trajectory.rows[0][1] == 20.0  # template ego x
         assert trajectory.rows[0][4] == 10.0  # template initial speed
 

@@ -109,6 +109,29 @@ class TestFalsify:
         with pytest.raises(AllEvaluationsFailedError):
             falsify(broken, PHI_P, X1_MINUS_5_PREDS, BOX3, config)
 
+    def test_programming_error_propagates(self):
+        def buggy(sample):
+            return 1 / 0
+
+        config = FalsifyConfig(n_tests=5, seed=0, falsification_mode=False)
+        with pytest.raises(ZeroDivisionError):
+            falsify(buggy, PHI_P, X1_MINUS_5_PREDS, BOX3, config)
+
+    def test_nan_robustness_is_a_failure_and_never_best(self):
+        calls = {"n": 0}
+
+        def nan_first(sample):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                return Trace(times=np.array([0.0]), states=np.full((1, 3), np.nan))
+            return x1_system(sample)
+
+        config = FalsifyConfig(n_tests=5, seed=0, falsification_mode=False)
+        result = uniform_random_search(nan_first, PHI_P, X1_MINUS_5_PREDS, BOX3, config)
+        assert result.history[0][1] == math.inf
+        assert result.best_sample != result.history[0][0]
+        assert result.best_robustness == min(rob for _, rob in result.history[1:])
+
     def test_point_space_single_evaluation_allowed(self):
         space = SearchSpace([SearchDim("x1", 7.0, 7.0)])
         preds = [LinearPredicate("p", np.array([-1.0]), -5.0)]

@@ -83,19 +83,6 @@ class TestBuildWorld:
         assert len(world.vehicles) == 1
         assert any("HoverPod9000" in str(w.message) for w in caught)
 
-    def test_extra_controller_params_delivered(self):
-        from avtestbed.scenario import ControllerParameter
-
-        env = SimEnvironment(ego_vehicles=[Vehicle(vhc_id=1)])
-        env.controller_params = [
-            ControllerParameter(1, "gain_schedule", [1.0, 2.0]),
-            ControllerParameter(None, "broadcast_knob", [7.0]),
-        ]
-        world = build_world(env, simple_config())
-        params = world.vehicles[0].memory["params"]
-        assert params["gain_schedule"] == [[1.0, 2.0]]
-        assert params["broadcast_knob"] == [[7.0]]
-
 
 class TestInitialStates:
     def test_velocity_x_sets_speed(self):
@@ -443,34 +430,6 @@ class TestGenericObjects:
         env2.generic_objects = []
         without_objects = run_embedded(env2, config2).trajectory
         assert with_objects == without_objects
-
-    def test_collision_box_parameter_becomes_static_geometry(self):
-        from avtestbed.scenario import GenericObject
-
-        env = SimEnvironment(
-            generic_objects=[
-                GenericObject(
-                    object_name="Barrier",
-                    object_parameters=[
-                        ("translation", "40 0 6"),
-                        ("collision_box", "40.0 6.0 0.0 2.0 2.0"),
-                    ],
-                ),
-                GenericObject(object_name="Tree", object_parameters=[("mangled", "x")]),
-                GenericObject(
-                    object_name="Blob", object_parameters=[("collision_box", "not numbers")]
-                ),
-            ]
-        )
-        world = build_world(env, simple_config())
-        assert world.static_obstacles == [(40.0, 6.0, 0.0, 2.0, 2.0)]
-
-
-def test_controller_registry_matches_data_model():
-    from avtestbed import controllers, scenario
-
-    assert scenario.VEHICLE_CONTROLLER_NAMES == controllers.registered_vehicle_controllers()
-    assert scenario.PEDESTRIAN_CONTROLLER_NAMES == controllers.PEDESTRIAN_CONTROLLERS
 
 
 class TestPedestrianAdherence:

@@ -68,6 +68,11 @@ class TestFraming:
             assert msg_a == msg_b
             assert wire.encode_message(msg_a) == wire.encode_message(msg_b)
 
+    @pytest.mark.parametrize("run_index", [256, -1])
+    def test_run_index_outside_one_byte_rejected(self, run_index):
+        with pytest.raises(wire.WireFormatError, match="run index"):
+            wire.encode_message(wire.StartSim(run_index=run_index))
+
     def test_protocol_error_message_utf8(self):
         msg = wire.ProtocolErrorMsg(code=100, message="entité inconnue")
         assert wire.decode_message(wire.encode_message(msg)) == msg
