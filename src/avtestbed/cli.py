@@ -131,9 +131,12 @@ def cmd_run_ca(args: argparse.Namespace) -> CommandOutcome:
         row_config = scenario.config_from_json(doc["config"])
         return supervisor.run_embedded(row_env, row_config, seed=args.seed)
 
+    try:
+        result = covering.run_test_suite(table, template, binding, runner)
+    except ValueError as exc:
+        raise CommandError(str(exc))
     os.makedirs(args.out_dir, exist_ok=True)
     outcome = CommandOutcome()
-    result = covering.run_test_suite(table, template, binding, runner)
     summary = {"rows": []}
     for index in range(len(table.rows)):
         entry: dict = {"index": index, "case": covering.get_experiment_all_fields(table, index)}

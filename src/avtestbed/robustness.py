@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -130,6 +129,8 @@ class Trace:
             raise ValueError("times and states disagree on sample count")
         if len(self.times) < 1:
             raise ValueError("a trace needs at least one sample")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.states))):
+            raise ValueError("times and states must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 
@@ -342,52 +343,74 @@ def predicate_robustness(pred: LinearPredicate, x: np.ndarray) -> float:
     return pred.robustness(np.asarray(x, dtype=np.float64))
 
 
-def _window_bounds(times: np.ndarray, interval: Interval) -> tuple[list[int], list[int]]:
-    """Per-sample index windows [start, stop) with lo <= t_j - t_i <= hi.
+def _interval_windows(times: np.ndarray, interval: Interval) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample index windows [start, stop) holding the j with lo <= t_j - t_i <= hi.
 
     Membership is decided on the time difference so that a brute-force
-    evaluator using the same comparison agrees bit-for-bit.
+    evaluator using the same comparison agrees bit-for-bit.  searchsorted on
+    t_i + lo and t_i + hi rounds differently from t_j - t_i, so each bound is
+    then stepped to where the difference test changes; fl(t_j - t_i) is
+    monotone in j, which makes that point unique and no bound move both ways.
     """
     n = len(times)
-    starts = [0] * n
-    stops = [0] * n
-    start = stop = 0
-    for i in range(n):
-        if start < i:
-            start = i
-        while start < n and times[start] - times[i] < interval.lo:
-            start += 1
-        if stop < start:
-            stop = start
-        while stop < n and times[stop] - times[i] <= interval.hi:
-            stop += 1
-        starts[i], stops[i] = start, stop
-    return starts, stops
+
+    def settle(bounds: np.ndarray, before) -> np.ndarray:
+        # step each bound to the first j whose offset t_j - t_i is not before it
+        while True:
+            up = (bounds < n) & before(times[np.minimum(bounds, n - 1)] - times)
+            down = (bounds > 0) & ~before(times[bounds - 1] - times)
+            if not (up.any() or down.any()):
+                return bounds
+            bounds += up
+            bounds -= down
+
+    starts = settle(
+        np.searchsorted(times, times + interval.lo, side="left"), lambda d: d < interval.lo
+    )
+    stops = settle(
+        np.searchsorted(times, times + interval.hi, side="right"), lambda d: d <= interval.hi
+    )
+    return starts, np.maximum(stops, starts)
 
 
-def _sliding_extreme(
-    values: np.ndarray, starts: list[int], stops: list[int], take_max: bool, empty: float
+def _window_extreme(
+    values: np.ndarray, starts: np.ndarray, stops: np.ndarray, reduce: np.ufunc, empty: float
 ) -> np.ndarray:
-    """Min or max over per-sample windows via a monotonic deque."""
-    n = len(values)
-    out = np.empty(n, dtype=np.float64)
-    dq: deque[int] = deque()
-    hi = 0
+    """reduce (np.minimum or np.maximum) over values[starts[i]:stops[i]] for every i.
 
-    def better(a: float, b: float) -> bool:
-        return a >= b if take_max else a <= b
-
-    for i in range(n):
-        start, stop = starts[i], stops[i]
-        while hi < stop:
-            while dq and better(values[hi], values[dq[-1]]):
-                dq.pop()
-            dq.append(hi)
-            hi += 1
-        while dq and dq[0] < start:
-            dq.popleft()
-        out[i] = values[dq[0]] if dq and start < stop else empty
+    A sparse table built one level at a time: level k holds the extreme of
+    each run of 2**k samples, and a window of length L in [2**k, 2**(k+1))
+    is the extreme of the two runs that start at its two ends.  Only the
+    current level is kept, so memory stays O(n) and time O(n log w).
+    """
+    lengths = stops - starts
+    out = np.full(len(values), empty)
+    level, width = values, 1
+    longest = int(lengths.max())
+    while width <= longest:
+        pick = (lengths >= width) & (lengths < 2 * width)
+        if pick.any():
+            out[pick] = reduce(level[starts[pick]], level[stops[pick] - width])
+        level = reduce(level[:-width], level[width:])
+        width *= 2
     return out
+
+
+def _until(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Unbounded until at every sample, by the backward recurrence, with a
+    trailing -inf entry for the empty suffix past the last sample."""
+    acc = -math.inf
+    out = [acc]
+    append = out.append
+    for lv, rv in zip(reversed(left.tolist()), reversed(right.tolist())):
+        # acc = max(rv, min(lv, acc)) without the call overhead, same tie picks
+        if acc >= lv:
+            acc = lv
+        if rv >= acc:
+            acc = rv
+        append(acc)
+    out.reverse()
+    return np.array(out)
 
 
 def _eval(formula: MtlFormula, pred_map: dict[str, LinearPredicate], trace: Trace) -> np.ndarray:
@@ -423,34 +446,27 @@ def _eval(formula: MtlFormula, pred_map: dict[str, LinearPredicate], trace: Trac
         inner = _eval(formula.operand, pred_map, trace)
         if formula.interval is None:
             return np.minimum.accumulate(inner[::-1])[::-1]
-        starts, stops = _window_bounds(times, formula.interval)
-        return _sliding_extreme(inner, starts, stops, take_max=False, empty=math.inf)
+        starts, stops = _interval_windows(times, formula.interval)
+        return _window_extreme(inner, starts, stops, np.minimum, math.inf)
     if isinstance(formula, Eventually):
         inner = _eval(formula.operand, pred_map, trace)
         if formula.interval is None:
             return np.maximum.accumulate(inner[::-1])[::-1]
-        starts, stops = _window_bounds(times, formula.interval)
-        return _sliding_extreme(inner, starts, stops, take_max=True, empty=-math.inf)
+        starts, stops = _interval_windows(times, formula.interval)
+        return _window_extreme(inner, starts, stops, np.maximum, -math.inf)
     if isinstance(formula, Until):
         left = _eval(formula.left, pred_map, trace)
         right = _eval(formula.right, pred_map, trace)
-        out = np.empty(n, dtype=np.float64)
+        unbounded = _until(left, right)
         if formula.interval is None:
-            acc = -math.inf
-            for i in range(n - 1, -1, -1):
-                acc = max(right[i], min(left[i], acc))
-                out[i] = acc
-        else:
-            starts, stops = _window_bounds(times, formula.interval)
-            for i in range(n):
-                best = -math.inf
-                guard = math.inf
-                for j in range(i, stops[i]):
-                    if j >= starts[i]:
-                        best = max(best, min(right[j], guard))
-                    guard = min(guard, left[j])
-                out[i] = best
-        return out
+            return unbounded[:n]
+        # Donze, Ferrere & Maler (CAV 2013): with window [s_i, e_i),
+        # rho(l U_I r, i) = min(min l[i:s_i], max r[s_i:e_i], rho(l U r, s_i)).
+        # Only min and max are taken, so this equals the definition exactly.
+        starts, stops = _interval_windows(times, formula.interval)
+        guard = _window_extreme(left, np.arange(n), starts, np.minimum, math.inf)
+        reach = _window_extreme(right, starts, stops, np.maximum, -math.inf)
+        return np.minimum(np.minimum(guard, reach), unbounded[starts])
     raise TypeError(f"not a formula: {formula!r}")
 
 

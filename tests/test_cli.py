@@ -174,6 +174,23 @@ class TestRunCa:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["rows"] == []
 
+    def test_binding_to_unknown_parameter_exits_2(self, tmp_path, fixtures_dir, capsys):
+        bindings_path = tmp_path / "bindings.json"
+        bindings_path.write_text(json.dumps({"nope": "config.server_port"}))
+        out_dir = tmp_path / "out"
+        code = main([
+            "run-ca",
+            os.path.join(fixtures_dir, "ca_2way.csv"),
+            os.path.join(fixtures_dir, "demo_scenario.json"),
+            str(bindings_path),
+            "--out-dir",
+            str(out_dir),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown parameter 'nope'" in err
+        assert not out_dir.exists()
+
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         csv_path, scenario_path, bindings = self.make_inputs(
             tmp_path, ["0,20,2", "5,25,3", "10,15,4", "15,20,5"]

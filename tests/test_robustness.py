@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avtestbed import presets, supervisor
 from avtestbed import robustness as rb
@@ -70,6 +72,18 @@ def single_sample_trace(ego_x, ego_y, agent_x, agent_y):
     state[0, AGENT_X] = agent_x
     state[0, AGENT_Y] = agent_y
     return Trace(times=np.array([0.0]), states=state)
+
+
+class TestTrace:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_states_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Trace(times=np.array([0.0, 0.1, 0.2]), states=np.array([[1.0], [bad], [-2.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_times_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Trace(times=np.array([0.0, 0.1, bad]), states=np.zeros((3, 1)))
 
 
 class TestConvertTrajectory:
@@ -311,6 +325,114 @@ class TestRobustnessSignal:
         assert np.all(signal == 3.0)
 
 
+def coordinate_predicates(dims):
+    """p<k> has margin x_k, which numpy and the oracle both compute without rounding."""
+    return [LinearPredicate(f"p{k}", -np.eye(dims)[k], 0.0) for k in range(dims)]
+
+
+def assert_signal_is_naive(formula, preds, trace):
+    signal = robustness_signal(formula, preds, trace)
+    want = [naive_robustness(formula, preds, trace, i=i) for i in range(len(trace.times))]
+    assert np.array_equal(signal, want), format_formula(formula)
+
+
+BOUNDED_TEMPLATES = [
+    "[]{iv} p0",
+    "<>{iv} p0",
+    "p0 U{iv} p1",
+    "!(p1 U{iv} (<>{iv} p0))",
+    "([]{iv} (p0 \\/ p1)) U{iv} (p1 /\\ p0)",
+]
+
+
+def bounded_formula(template, interval):
+    return parse_formula(template.format(iv=rb._format_interval(interval)))
+
+
+def non_uniform_trace(rng, n, dims):
+    gaps = [rng.choice([0.001, 0.01, 0.03, 0.1, 0.37]) * rng.uniform(0.5, 1.5) for _ in range(n)]
+    times = rng.uniform(0.0, 50.0) + np.cumsum(gaps)
+    states = [[rng.choice([-1.0, 0.0, 2.0, rng.uniform(-5, 5)]) for _ in range(dims)] for _ in range(n)]
+    return Trace(times=times, states=np.array(states))
+
+
+class TestBoundedOperatorsExact:
+    """Bounded operators equal the definition-based oracle bit for bit at every offset."""
+
+    def test_non_uniform_grids(self):
+        rng = random.Random(909)
+        preds = coordinate_predicates(2)
+        for _ in range(100):
+            trace = non_uniform_trace(rng, rng.randint(1, 24), 2)
+            lo = rng.choice([0.0, 0.01, 0.03, 0.1, rng.uniform(0.0, 0.5)])
+            hi = lo + rng.choice([0.0, 0.01, 0.1, 0.4, math.inf, rng.uniform(0.0, 0.5)])
+            formula = bounded_formula(rng.choice(BOUNDED_TEMPLATES), Interval(lo, hi))
+            assert_signal_is_naive(formula, preds, trace)
+            assert_signal_is_naive(random_formula(rng, ["p0", "p1"], depth=3), preds, trace)
+
+    @pytest.mark.parametrize(
+        "interval",
+        [
+            Interval(0.0, math.inf),
+            Interval(0.2, math.inf),
+            Interval(0.0, 0.0),
+            Interval(0.05, 0.05),
+            Interval(0.1, 0.1),
+            Interval(0.015, 0.015),  # between grid points: every window is empty
+            Interval(5.0, 6.0),  # past the end of the trace: every window is empty
+        ],
+    )
+    @pytest.mark.parametrize("template", BOUNDED_TEMPLATES)
+    def test_interval_edge_cases(self, interval, template):
+        rng = random.Random(31337)
+        preds = coordinate_predicates(2)
+        formula = bounded_formula(template, interval)
+        grid = Trace(
+            times=np.arange(30) * 0.01,
+            states=np.array([[rng.uniform(-3, 3), rng.uniform(-3, 3)] for _ in range(30)]),
+        )
+        assert_signal_is_naive(formula, preds, grid)
+        assert_signal_is_naive(formula, preds, non_uniform_trace(rng, 25, 2))
+
+    def test_window_end_follows_the_time_difference_on_the_10ms_grid(self):
+        times = np.arange(20) * 0.01
+        # the float edge: t_14 - t_9 exceeds 0.05 although t_14 <= t_9 + 0.05
+        assert times[14] - times[9] > 0.05
+        assert times[14] <= times[9] + 0.05
+        states = np.zeros((20, 2))
+        states[:, 0] = np.arange(20) * 0.1
+        states[14, 0] = 100.0
+        states[:, 1] = 200.0
+        trace = Trace(times=times, states=states)
+        preds = coordinate_predicates(2)
+        for text in ("<>_[0,0.05] p0", "p1 U_[0,0.05] p0", "!([]_[0,0.05] !p0)"):
+            formula = parse_formula(text)
+            assert robustness_signal(formula, preds, trace)[9] == states[13, 0]
+            assert_signal_is_naive(formula, preds, trace)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        gaps=st.lists(
+            st.sampled_from([0.001, 0.01, 0.02, 0.05, 0.1]) | st.floats(1e-3, 0.5),
+            min_size=1,
+            max_size=25,
+        ),
+        start=st.sampled_from([0.0, 0.01, 7.3]) | st.floats(0.0, 100.0),
+        lo=st.sampled_from([0.0, 0.01, 0.05, 0.1]) | st.floats(0.0, 1.0),
+        width=st.sampled_from([0.0, 0.01, 0.05, 1.0, math.inf]) | st.floats(0.0, 1.0),
+        template=st.sampled_from(BOUNDED_TEMPLATES),
+    )
+    def test_property_equals_oracle(self, data, gaps, start, lo, width, template):
+        times = start + np.cumsum(gaps)
+        values = data.draw(
+            st.lists(st.floats(-10.0, 10.0), min_size=2 * len(gaps), max_size=2 * len(gaps))
+        )
+        trace = Trace(times=times, states=np.array(values).reshape(-1, 2))
+        formula = bounded_formula(template, Interval(lo, lo + width))
+        assert_signal_is_naive(formula, coordinate_predicates(2), trace)
+
+
 class TestPerformance:
     def test_interval_free_dp_is_fast_at_a_million_samples(self):
         n = 1_000_000
@@ -321,6 +443,20 @@ class TestPerformance:
             LinearPredicate("q", np.array([0.0, 1.0]), 0.5),
         ]
         formula = parse_formula("(([](p /\\ q)) \\/ (<> (p -> q))) /\\ (p U q)")
+        trace = Trace(times=times, states=states)
+        start = time.monotonic()
+        robustness(formula, preds, trace)
+        assert time.monotonic() - start < 1.0
+
+    def test_bounded_until_is_fast_at_a_hundred_thousand_samples(self):
+        n = 100_000
+        times = np.arange(n) * 0.01
+        states = np.random.default_rng(0).uniform(-1, 1, size=(n, 2))
+        preds = [
+            LinearPredicate("p", np.array([1.0, 0.0]), 0.5),
+            LinearPredicate("q", np.array([0.0, 1.0]), 0.5),
+        ]
+        formula = parse_formula("p U_[0,1] q")
         trace = Trace(times=times, states=states)
         start = time.monotonic()
         robustness(formula, preds, trace)
