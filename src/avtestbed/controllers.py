@@ -141,6 +141,13 @@ class VoidController(VehicleController):
     pass
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 class PathSpeedFollower(VehicleController):
     """Tracks delivered waypoints with pure pursuit at a fixed target speed (m/s)."""
 
@@ -148,10 +155,10 @@ class PathSpeedFollower(VehicleController):
         if not args:
             raise ControllerConfigError("path_and_speed_follower requires a target speed argument")
         try:
-            self.target_speed = float(args[0])
+            self.target_speed = _finite_float(args[0])
         except ValueError:
             raise ControllerConfigError(
-                f"path_and_speed_follower target speed {args[0]!r} is not numeric"
+                f"path_and_speed_follower target speed {args[0]!r} is not a finite number"
             ) from None
         self.path = list(path)
 
@@ -178,8 +185,8 @@ class FusionDrivingController(VehicleController):
                 "automated_driving_with_fusion2 requires car_model, target_speed_kmh, target_lat_pos"
             )
         try:
-            self.target_speed = float(args[1]) / 3.6
-            self.target_lat_pos = float(args[2])
+            self.target_speed = _finite_float(args[1]) / 3.6
+            self.target_lat_pos = _finite_float(args[2])
         except ValueError:
             raise ControllerConfigError(
                 f"automated_driving_with_fusion2 numeric argument is malformed: {args[1:3]!r}"

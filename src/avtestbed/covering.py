@@ -27,14 +27,37 @@ class TestTable:
 
 @dataclass
 class ParamSpec:
+    """One parameter of a system; name and values must survive a round trip
+    through write_experiment_data and load_experiment_data unchanged."""
+
     name: str
     values: list[str]
 
     def __post_init__(self) -> None:
+        problem = _cell_problem(self.name)
+        if problem:
+            raise ValueError(f"parameter name {self.name!r} {problem}")
         if not self.values:
             raise ValueError(f"parameter {self.name!r} needs at least one value")
+        for value in self.values:
+            problem = "is the don't-care marker" if value == DONT_CARE else _cell_problem(value)
+            if problem:
+                raise ValueError(f"parameter {self.name!r}: value {value!r} {problem}")
         if len(set(self.values)) != len(self.values):
             raise ValueError(f"parameter {self.name!r} has duplicate values")
+
+
+def _cell_problem(text: str) -> Optional[str]:
+    """Why text would not read back as the same CSV cell, or None."""
+    if not text:
+        return "is empty"
+    if "," in text:
+        return "contains ','"
+    if text.splitlines() != [text]:
+        return "contains a line break"
+    if text != text.strip():
+        return "has leading or trailing whitespace"
+    return None
 
 
 class CsvFormatError(ValueError):
@@ -133,80 +156,95 @@ CANDIDATES_PER_ROW = 50
 def generate_covering_array(
     params: list[ParamSpec], strength: int, seed: int = 0
 ) -> TestTable:
-    """Greedy strength-t covering array: repeatedly keep the best of 50
-    candidate rows by newly covered t-tuples, with a seeded tie-break."""
+    """Greedy (AETG-style) strength-t covering array.
+
+    Each row is the best of CANDIDATES_PER_ROW candidates by newly covered
+    t-tuples; the first best candidate wins.  A candidate starts from a
+    (parameter, value) that appears in the most uncovered tuples, then sets
+    the other parameters in a shuffled order, each to the value that covers
+    the most uncovered tuples among the parameters already set.  Ties are
+    broken by a draw from random.Random(seed), so the table depends only on
+    the parameter system, strength and seed.
+    """
     k = len(params)
     if not 1 <= strength <= k:
         raise ValueError(f"strength {strength} out of range [1, {k}]")
     rng = random.Random(seed)
+    sizes = [len(p.values) for p in params]
 
+    # Values are indices into ParamSpec.values.  Each t-combination keeps one
+    # flag per value tuple, 1 while that tuple is uncovered, at the tuple's
+    # mixed-radix code sum(row[j] * stride[j]) over the combination's members.
     combos = list(itertools.combinations(range(k), strength))
-    uncovered: set[tuple] = set()
+    uncovered: list[bytearray] = []
+    strides: list[list[tuple[int, int]]] = []  # (member, stride) per combination
+    # as_member[i]: for each combination containing i, the bit mask of its
+    # other members, their (member, stride) pairs, its flags and i's stride
+    as_member: list[list[tuple]] = [[] for _ in range(k)]
+    # counts[i][v]: uncovered tuples that give parameter i value v
+    counts = [[0] * n for n in sizes]
     for combo in combos:
-        for values in itertools.product(*(params[i].values for i in combo)):
-            uncovered.add((combo, values))
+        combo_strides, size = [], 1
+        for j in combo:
+            combo_strides.append((j, size))
+            size *= sizes[j]
+        flags = bytearray(b"\x01") * size
+        uncovered.append(flags)
+        strides.append(combo_strides)
+        for j, stride in combo_strides:
+            others = [(o, s) for o, s in combo_strides if o != j]
+            as_member[j].append((sum(1 << o for o, _ in others), others, flags, stride))
+            for v in range(sizes[j]):
+                counts[j][v] += size // sizes[j]
+    remaining = sum(len(flags) for flags in uncovered)
 
     rows: list[list[str]] = []
-    while uncovered:
-        best_row: Optional[list[str]] = None
+    while remaining:
+        best_count = max(max(c) for c in counts)
+        top = [(i, v) for i in range(k) for v in range(sizes[i]) if counts[i][v] == best_count]
+        best_row: list[int] = []
         best_gain = -1
         for _ in range(CANDIDATES_PER_ROW):
-            candidate = _build_candidate(params, combos, uncovered, rng)
-            gain = _coverage_gain(candidate, combos, uncovered)
+            seed_param, seed_value = top[rng.randrange(len(top))] if len(top) > 1 else top[0]
+            row = [0] * k
+            row[seed_param] = seed_value
+            assigned = 1 << seed_param
+            # A combination's tuple is fixed once its last member is set, so
+            # each combination is scored once, at that member, and the
+            # candidate's gain is the sum of its chosen values' gains.  With
+            # t=1 the seed's own tuple is left out: it is uncovered for every
+            # candidate (its count is the maximum, so at least 1), and adding
+            # the same 1 to every gain would not change which candidate wins.
+            gain = 0
+            order = [i for i in range(k) if i != seed_param]
+            rng.shuffle(order)
+            for i in order:
+                value_gains = [0] * sizes[i]
+                for others_mask, others, flags, stride in as_member[i]:
+                    if others_mask & assigned == others_mask:
+                        base = 0
+                        for o, s in others:
+                            base += row[o] * s
+                        column = flags[base : base + sizes[i] * stride : stride]
+                        for v, flag in enumerate(column):
+                            value_gains[v] += flag
+                best_value_gain = max(value_gains)
+                ties = [v for v, g in enumerate(value_gains) if g == best_value_gain]
+                row[i] = ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
+                gain += best_value_gain
+                assigned |= 1 << i
             if gain > best_gain:
-                best_row, best_gain = candidate, gain
-        rows.append(best_row)
-        for combo in combos:
-            uncovered.discard((combo, tuple(best_row[i] for i in combo)))
+                best_row, best_gain = row, gain
+        rows.append([p.values[v] for p, v in zip(params, best_row)])
+        for flags, combo_strides in zip(uncovered, strides):
+            code = sum(best_row[j] * s for j, s in combo_strides)
+            if flags[code]:
+                flags[code] = 0
+                remaining -= 1
+                for j, _ in combo_strides:
+                    counts[j][best_row[j]] -= 1
 
     return TestTable(parameter_names=[p.name for p in params], rows=rows)
-
-
-def _coverage_gain(row: list[str], combos, uncovered: set) -> int:
-    return sum(1 for combo in combos if (combo, tuple(row[i] for i in combo)) in uncovered)
-
-
-def _build_candidate(
-    params: list[ParamSpec], combos, uncovered: set, rng: random.Random
-) -> list[str]:
-    """AETG-style candidate: seed with the value appearing in the most
-    uncovered tuples, then fill the other parameters greedily in random order."""
-    k = len(params)
-
-    # frequency of each (param, value) among uncovered tuples
-    counts: dict[tuple[int, str], int] = {
-        (i, v): 0 for i in range(k) for v in params[i].values
-    }
-    for combo, values in uncovered:
-        for i, v in zip(combo, values):
-            counts[(i, v)] += 1
-    best_count = max(counts.values())
-    top = [key for key in counts if counts[key] == best_count]
-    seed_param, seed_value = top[rng.randrange(len(top))] if len(top) > 1 else top[0]
-
-    row: list[Optional[str]] = [None] * k
-    row[seed_param] = seed_value
-    order = [i for i in range(k) if i != seed_param]
-    rng.shuffle(order)
-
-    for i in order:
-        best_values: list[str] = []
-        best_gain = -1
-        for v in params[i].values:
-            row[i] = v
-            gain = sum(
-                1
-                for combo in combos
-                if i in combo
-                and all(row[j] is not None for j in combo)
-                and (combo, tuple(row[j] for j in combo)) in uncovered
-            )
-            if gain > best_gain:
-                best_gain, best_values = gain, [v]
-            elif gain == best_gain:
-                best_values.append(v)
-        row[i] = best_values[rng.randrange(len(best_values))] if len(best_values) > 1 else best_values[0]
-    return row  # type: ignore[return-value]
 
 
 def verify_coverage(table: TestTable, params: list[ParamSpec], strength: int) -> list[tuple]:
@@ -331,7 +369,12 @@ def load_param_specs(file_name: str) -> list[ParamSpec]:
         raise ValueError("parameter file must contain a 'parameters' array")
     specs = []
     for i, entry in enumerate(data["parameters"]):
-        if not isinstance(entry, dict) or "name" not in entry or "values" not in entry:
-            raise ValueError(f"parameters[{i}] must have 'name' and 'values'")
-        specs.append(ParamSpec(str(entry["name"]), [str(v) for v in entry["values"]]))
+        if not isinstance(entry, dict) or "name" not in entry:
+            raise ValueError(f"parameters[{i}] must have 'name' and a 'values' array")
+        if not isinstance(entry.get("values"), list):
+            raise ValueError(f"parameters[{i}] must have 'name' and a 'values' array")
+        spec = ParamSpec(str(entry["name"]), [str(v) for v in entry["values"]])
+        if any(spec.name == other.name for other in specs):
+            raise ValueError(f"duplicate parameter name {spec.name!r}")
+        specs.append(spec)
     return specs

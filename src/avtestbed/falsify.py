@@ -30,6 +30,10 @@ class SearchDim:
     binding: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(
+                f"dimension {self.name!r}: bounds [{self.lo}, {self.hi}] must be finite"
+            )
         if not self.lo <= self.hi:
             raise ValueError(f"dimension {self.name!r}: lo {self.lo} > hi {self.hi}")
 

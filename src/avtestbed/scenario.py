@@ -308,6 +308,12 @@ def _check_rgb(report: list[Violation], path: str, rgb: list[float]) -> None:
 def _check_vec(report: list[Violation], path: str, vec: list[float], n: int) -> None:
     if len(vec) != n:
         report.append(Violation(path, f"expected {n} components, got {len(vec)}"))
+    _check_finite(report, path, vec)
+
+
+def _check_finite(report: list[Violation], path: str, values: list[float]) -> None:
+    if not all(math.isfinite(v) for v in values):
+        report.append(Violation(path, f"must be finite, got {values}"))
 
 
 def validate_environment(env: SimEnvironment) -> list[Violation]:
@@ -336,6 +342,8 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
             report.append(Violation(path, "trajectory must list x,y pairs (even length)"))
         if ped.target_speed < 0:
             report.append(Violation(path, "target_speed must be >= 0"))
+        _check_finite(report, path + ".target_speed", [ped.target_speed])
+        _check_finite(report, path + ".trajectory", ped.trajectory)
         _check_rgb(report, path + ".shirt_color", ped.shirt_color)
         _check_rgb(report, path + ".pants_color", ped.pants_color)
         _check_rgb(report, path + ".shoes_color", ped.shoes_color)
@@ -356,8 +364,10 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
     for i, dist in enumerate(env.road_disturbances):
         path = f"road_disturbances[{i}]"
         for attr in ("length", "width", "inter_object_spacing", "height"):
-            if getattr(dist, attr) <= 0:
+            value = getattr(dist, attr)
+            if value <= 0:
                 report.append(Violation(path, f"{attr} must be > 0"))
+            _check_finite(report, f"{path}.{attr}", [value])
         _check_vec(report, path + ".position", dist.position, 3)
 
     if env.fog is not None and env.fog.visibility_range <= 0:
@@ -371,6 +381,7 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
     for i, par in enumerate(env.controller_params):
         if not par.parameter_name:
             report.append(Violation(f"controller_params[{i}]", "parameter_name must be non-empty"))
+        _check_finite(report, f"controller_params[{i}].parameter_data", par.parameter_data)
 
     n_vhc = len(vehicles)
     n_ped = len(env.pedestrians)
@@ -391,6 +402,7 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
             report.append(Violation(path, "initial state cannot target TIME"))
         else:
             check_item(path, isc.item)
+        _check_finite(report, path + ".value", [isc.value])
 
     for i, desc in enumerate(env.data_log_descriptions):
         if desc.item_type is not ItemType.TIME:
@@ -419,6 +431,7 @@ def _validate_vehicle(
     _check_rgb(report, path + ".color", vhc.color)
     _check_vec(report, path + ".current_position", vhc.current_position, 3)
     _check_vec(report, path + ".rotation", vhc.rotation, 4)
+    _check_finite(report, path + ".current_orientation", [vhc.current_orientation])
     if vhc.controller not in registered_vehicle_controllers():
         report.append(Violation(path, f"unknown vehicle controller {vhc.controller!r}"))
     for j, sensor in enumerate(vhc.sensors):
@@ -915,10 +928,14 @@ def trajectory_from_json(data: Any, path: str = "trajectory") -> Trajectory:
     return Trajectory(column_labels=labels, rows=rows)
 
 
+def _reject_non_finite(literal: str) -> float:
+    raise ScenarioFormatError("document", f"non-finite number {literal} is not allowed")
+
+
 def parse_scenario(text: str) -> tuple[SimEnvironment, SimulationConfig]:
     """Parse a scenario document; inverse of serialize_scenario on valid input."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_non_finite)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
     if not isinstance(data, dict):

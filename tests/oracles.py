@@ -7,9 +7,12 @@ compare two unrelated implementations.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from typing import Optional
 
+from avtestbed import covering
 from avtestbed import robustness as rb
 from avtestbed import scenario as sc
 from avtestbed import wire
@@ -118,6 +121,89 @@ def _naive_bool(f, preds, times, states, i: int) -> bool:
                     return True
         return False
     raise TypeError(f"not a formula: {f!r}")
+
+
+# --------------------------------------------------------------------------
+# Reference greedy covering-array generator (set-based bookkeeping)
+
+
+def reference_covering_array(
+    params: list[covering.ParamSpec], strength: int, seed: int = 0
+) -> covering.TestTable:
+    """Greedy strength-t covering array: repeatedly keep the best of 50
+    candidate rows by newly covered t-tuples, with a seeded tie-break."""
+    k = len(params)
+    if not 1 <= strength <= k:
+        raise ValueError(f"strength {strength} out of range [1, {k}]")
+    rng = random.Random(seed)
+
+    combos = list(itertools.combinations(range(k), strength))
+    uncovered: set[tuple] = set()
+    for combo in combos:
+        for values in itertools.product(*(params[i].values for i in combo)):
+            uncovered.add((combo, values))
+
+    rows: list[list[str]] = []
+    while uncovered:
+        best_row: Optional[list[str]] = None
+        best_gain = -1
+        for _ in range(covering.CANDIDATES_PER_ROW):
+            candidate = _build_candidate(params, combos, uncovered, rng)
+            gain = _coverage_gain(candidate, combos, uncovered)
+            if gain > best_gain:
+                best_row, best_gain = candidate, gain
+        rows.append(best_row)
+        for combo in combos:
+            uncovered.discard((combo, tuple(best_row[i] for i in combo)))
+
+    return covering.TestTable(parameter_names=[p.name for p in params], rows=rows)
+
+
+def _coverage_gain(row: list[str], combos, uncovered: set) -> int:
+    return sum(1 for combo in combos if (combo, tuple(row[i] for i in combo)) in uncovered)
+
+
+def _build_candidate(
+    params: list[covering.ParamSpec], combos, uncovered: set, rng: random.Random
+) -> list[str]:
+    """AETG-style candidate: seed with the value appearing in the most
+    uncovered tuples, then fill the other parameters greedily in random order."""
+    k = len(params)
+
+    # frequency of each (param, value) among uncovered tuples
+    counts: dict[tuple[int, str], int] = {
+        (i, v): 0 for i in range(k) for v in params[i].values
+    }
+    for combo, values in uncovered:
+        for i, v in zip(combo, values):
+            counts[(i, v)] += 1
+    best_count = max(counts.values())
+    top = [key for key in counts if counts[key] == best_count]
+    seed_param, seed_value = top[rng.randrange(len(top))] if len(top) > 1 else top[0]
+
+    row: list[Optional[str]] = [None] * k
+    row[seed_param] = seed_value
+    order = [i for i in range(k) if i != seed_param]
+    rng.shuffle(order)
+
+    for i in order:
+        best_values: list[str] = []
+        best_gain = -1
+        for v in params[i].values:
+            row[i] = v
+            gain = sum(
+                1
+                for combo in combos
+                if i in combo
+                and all(row[j] is not None for j in combo)
+                and (combo, tuple(row[j] for j in combo)) in uncovered
+            )
+            if gain > best_gain:
+                best_gain, best_values = gain, [v]
+            elif gain == best_gain:
+                best_values.append(v)
+        row[i] = best_values[rng.randrange(len(best_values))] if len(best_values) > 1 else best_values[0]
+    return row  # type: ignore[return-value]
 
 
 # --------------------------------------------------------------------------

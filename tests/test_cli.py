@@ -122,6 +122,29 @@ class TestGenCa:
         code = main(["gen-ca", params_file, "--strength", "0", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "parameters, named",
+        [
+            ([("a", ["1", "2"]), ("a", ["1", "2"]), ("b", ["1", "2"])], "'a'"),
+            ([("a", ["1,5", "2"]), ("b", ["1", "2"])], "'a'"),
+            ([("a", ["1", "2"]), ("b", ["*", "2"])], "'b'"),
+            ([("a", ["1", "2"]), ("b", ["1", " 2"])], "'b'"),
+            ([("a", ["1", "2"]), ("b\nc", ["1", "2"])], "'b\\nc'"),
+        ],
+        ids=["duplicate-name", "comma-value", "dont-care-value", "padded-value", "newline-name"],
+    )
+    def test_system_that_cannot_round_trip_exits_2(self, tmp_path, capsys, parameters, named):
+        params_file = tmp_path / "params.json"
+        params_file.write_text(
+            json.dumps({"parameters": [{"name": n, "values": v} for n, v in parameters]})
+        )
+        out = tmp_path / "ca.csv"
+        code = main(["gen-ca", str(params_file), "--strength", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and named in err
+        assert not out.exists()
+
 
 class TestRunCa:
     def make_inputs(self, tmp_path, rows):

@@ -109,6 +109,11 @@ class TestPathSpeedFollower:
         with pytest.raises(ControllerConfigError):
             PathSpeedFollower(["fast"], [])
 
+    @pytest.mark.parametrize("speed", ["nan", "inf", "-Infinity"])
+    def test_non_finite_target_speed_is_config_error(self, speed):
+        with pytest.raises(ControllerConfigError, match="finite"):
+            PathSpeedFollower([speed], [])
+
     def test_cross_track_error_decays(self):
         # 1 m initial offset on a straight path at fixed speed 10 m/s.  Pure
         # pursuit with lookahead max(5, 1.5 v) is underdamped (zeta = 1/sqrt 2),
@@ -192,6 +197,11 @@ class TestFusionController:
             FusionDrivingController(["Toyota", "seventy", "0.0"], [])
         with pytest.raises(ControllerConfigError):
             FusionDrivingController(["Toyota"], [])
+
+    @pytest.mark.parametrize("speed, lat", [("nan", "0.0"), ("70", "inf")])
+    def test_non_finite_numeric_argument(self, speed, lat):
+        with pytest.raises(ControllerConfigError):
+            FusionDrivingController(["Toyota", speed, lat], [])
 
 
 class TestPedestrianStep:

@@ -1,7 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avtestbed import presets, scenario, supervisor
 from avtestbed.covering import (
@@ -12,11 +15,13 @@ from avtestbed.covering import (
     get_experiment_all_fields,
     get_field_value,
     load_experiment_data,
+    load_param_specs,
     run_test_suite,
     set_scenario_value,
     verify_coverage,
     write_experiment_data,
 )
+from oracles import reference_covering_array
 
 DEMO_PARAMS = [
     ParamSpec("ego_init_speed", ["0", "5", "10", "15"]),
@@ -170,6 +175,103 @@ class TestGenerate:
             for s in sizes[:strength]:
                 bound *= s
             assert len(table.rows) <= bound
+
+
+    def test_ten_by_four_strength_three_is_fast(self):
+        params = [ParamSpec(f"p{i}", [str(v) for v in range(4)]) for i in range(10)]
+        start = time.perf_counter()
+        table = generate_covering_array(params, 3, seed=0)
+        elapsed = time.perf_counter() - start
+        assert verify_coverage(table, params, 3) == []
+        assert elapsed < 10.0
+
+
+def _criterion_2_systems():
+    """The 50 randomized systems of acceptance criterion 2, in its order."""
+    rng = random.Random(20260809)
+    systems = []
+    for trial in range(50):
+        k = rng.randint(2, 6)
+        params = [
+            ParamSpec(f"p{i}", [str(v) for v in range(rng.randint(2, 5))]) for i in range(k)
+        ]
+        systems.append(pytest.param(params, min(rng.choice([2, 3]), k), trial, id=f"trial{trial}"))
+    return systems
+
+
+class TestMatchesReference:
+    """The generator returns exactly the reference greedy's rows."""
+
+    @pytest.mark.parametrize("params, strength, seed", _criterion_2_systems())
+    def test_criterion_2_systems(self, params, strength, seed):
+        assert generate_covering_array(params, strength, seed) == reference_covering_array(
+            params, strength, seed
+        )
+
+    @pytest.mark.parametrize("strength", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_demo_system(self, strength, seed):
+        assert generate_covering_array(DEMO_PARAMS, strength, seed) == reference_covering_array(
+            DEMO_PARAMS, strength, seed
+        )
+
+    @pytest.mark.parametrize(
+        "sizes, strength",
+        [([3], 1), ([1], 1), ([1, 1, 1], 2), ([1, 3, 1, 2], 2), ([2, 1, 4, 1], 3), ([4, 2, 3], 1)],
+    )
+    def test_strength_one_and_single_value_systems(self, sizes, strength):
+        params = [ParamSpec(f"p{i}", [f"v{v}" for v in range(n)]) for i, n in enumerate(sizes)]
+        for seed in range(5):
+            assert generate_covering_array(params, strength, seed) == reference_covering_array(
+                params, strength, seed
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+        strength=st.integers(1, 3),
+        seed=st.integers(0, 2**31),
+    )
+    def test_small_systems(self, sizes, strength, seed):
+        strength = min(strength, len(sizes))
+        params = [ParamSpec(f"p{i}", [f"v{v}" for v in range(n)]) for i, n in enumerate(sizes)]
+        assert generate_covering_array(params, strength, seed) == reference_covering_array(
+            params, strength, seed
+        )
+
+
+class TestParamSpec:
+    @pytest.mark.parametrize("name", ["", "a,b", "a\nb", "a\rb", " a", "a\t"])
+    def test_name_that_does_not_read_back_rejected(self, name):
+        with pytest.raises(ValueError, match="parameter name"):
+            ParamSpec(name, ["1", "2"])
+
+    @pytest.mark.parametrize("value", ["", "1,5", "1\n5", "5\u2028", " 5", "5 ", "*"])
+    def test_value_that_does_not_read_back_rejected(self, value):
+        with pytest.raises(ValueError, match="parameter 'speed': value"):
+            ParamSpec("speed", ["1", value])
+
+    def test_accepted_system_round_trips_through_csv(self, tmp_path):
+        params = [ParamSpec("speed m/s", ["-1.5", "2e3", "a b"]), ParamSpec("mode", ["x", "y"])]
+        table = generate_covering_array(params, 2, seed=0)
+        path = tmp_path / "ca.csv"
+        write_experiment_data(table, str(path))
+        assert load_experiment_data(str(path)) == table
+
+    def test_duplicate_parameter_names_rejected(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text(
+            '{"parameters": [{"name": "a", "values": ["1", "2"]},'
+            ' {"name": "b", "values": ["1"]}, {"name": "a", "values": ["3"]}]}'
+        )
+        with pytest.raises(ValueError, match="duplicate parameter name 'a'"):
+            load_param_specs(str(path))
+
+    def test_values_must_be_an_array(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text('{"parameters": [{"name": "a", "values": "abc"}]}')
+        with pytest.raises(ValueError, match=r"parameters\[0\].*'values' array"):
+            load_param_specs(str(path))
 
 
 class TestScenarioBinding:

@@ -141,6 +141,15 @@ class TestFalsify:
         assert result.best_robustness == 2.0
 
 
+class TestSearchSpace:
+    @pytest.mark.parametrize(
+        "lo, hi", [(-math.inf, math.inf), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)]
+    )
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            SearchDim("x", lo, hi)
+
+
 class TestUniformRandom:
     def test_constant_system_uses_full_budget(self):
         system, phi, preds = constant_system(1.0)

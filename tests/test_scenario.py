@@ -5,6 +5,7 @@ import random
 import pytest
 
 from avtestbed import presets
+from avtestbed.covering import set_scenario_value
 from avtestbed.scenario import (
     ControllerParameter,
     DisturbanceType,
@@ -206,6 +207,31 @@ class TestValidation:
         env = presets.demo_environment()
         assert validate_environment(env) == []
 
+    @pytest.mark.parametrize("attr", ["length", "width", "inter_object_spacing", "height"])
+    def test_non_finite_disturbance_size_reported(self, attr):
+        env = SimEnvironment(road_disturbances=[RoadDisturbance(**{attr: math.inf})])
+        report = validate_environment(env)
+        assert [v.path for v in report] == [f"road_disturbances[0].{attr}"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "doc_path, violation_path",
+        [
+            ("ego_vehicles_list[0].current_position[0]", "ego_vehicles[0].current_position"),
+            ("ego_vehicles_list[0].current_orientation", "ego_vehicles[0].current_orientation"),
+            ("pedestrians_list[0].current_position[2]", "pedestrians[0].current_position"),
+            ("pedestrians_list[0].target_speed", "pedestrians[0].target_speed"),
+            ("pedestrians_list[0].trajectory[1]", "pedestrians[0].trajectory"),
+            ("control_params_list[0].parameter_data[0]", "controller_params[0].parameter_data"),
+            ("initial_state_config_list[0].value", "initial_state_configs[0].value"),
+        ],
+    )
+    def test_non_finite_kernel_input_reported(self, doc_path, violation_path, bad):
+        doc = environment_to_json(presets.demo_environment())
+        set_scenario_value(doc, doc_path, bad)
+        report = validate_environment(environment_from_json(doc))
+        assert [v.path for v in report if "finite" in v.message] == [violation_path]
+
 
 class TestTraceDict:
     def test_demo_log_layout(self):
@@ -303,6 +329,15 @@ class TestDocuments:
         with pytest.raises(ScenarioFormatError) as err:
             parse_scenario(json.dumps(doc))
         assert "ego_vehicles_list[0]" in str(err.value)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_rejected(self, literal):
+        text = serialize_scenario(*presets.demo_scenario()).replace(
+            '"target_speed": 3.0', f'"target_speed": {literal}', 1
+        )
+        assert literal in text
+        with pytest.raises(ScenarioFormatError, match=literal):
+            parse_scenario(text)
 
     def test_parse_error_carries_position(self):
         with pytest.raises(ScenarioFormatError, match="line"):

@@ -1,10 +1,12 @@
+import json
+import math
 import random
 import struct
 import threading
 
 import pytest
 
-from avtestbed import presets, supervisor, wire
+from avtestbed import presets, scenario, supervisor, wire
 from avtestbed.scenario import HeartbeatConfig, SyncType
 
 from oracles import random_message
@@ -139,6 +141,25 @@ class TestClientSession:
         with pytest.raises(wire.ProtocolSessionError) as err:
             wire.client_session(("127.0.0.1", server.port), env, config)
         assert err.value.code == wire.ERR_SETUP
+
+    def test_non_finite_environment_reports_error_100(self, server):
+        import socket as socket_module
+
+        env, _ = presets.demo_scenario()
+        doc = scenario.environment_to_json(env)
+        doc["ego_vehicles_list"][0]["current_position"][0] = math.nan
+        body = bytes([wire.TAG_SETUP_ENVIRONMENT]) + json.dumps(doc).encode("utf-8")
+        assert b"NaN" in body
+        sock = socket_module.create_connection(("127.0.0.1", server.port), timeout=5.0)
+        try:
+            wire.send_message(sock, wire.Hello())
+            assert isinstance(wire.recv_message(sock), wire.Ack)
+            sock.sendall(struct.pack(">I", len(body)) + body)
+            reply = wire.recv_message(sock)
+            assert isinstance(reply, wire.ProtocolErrorMsg)
+            assert reply.code == wire.ERR_SETUP and "finite" in reply.message
+        finally:
+            sock.close()
 
     def test_socket_trace_equals_embedded(self, server):
         env, config = presets.demo_scenario()
