@@ -45,6 +45,19 @@ class ParamSpec:
                 raise ValueError(f"parameter {self.name!r}: value {value!r} {problem}")
         if len(set(self.values)) != len(self.values):
             raise ValueError(f"parameter {self.name!r} has duplicate values")
+        # run-ca binds cells by float(), so "1" and "1.0" would be one case
+        numbers: dict[float, str] = {}
+        for value in self.values:
+            try:
+                number = float(value)
+            except ValueError:
+                continue
+            if number in numbers:
+                raise ValueError(
+                    f"parameter {self.name!r}: values {numbers[number]!r} and {value!r} "
+                    "are the same number"
+                )
+            numbers[number] = value
 
 
 def _cell_problem(text: str) -> Optional[str]:

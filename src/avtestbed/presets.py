@@ -15,34 +15,22 @@ import math
 
 from .scenario import (
     ControllerParameter,
-    Fog,
-    GenericObject,
     HeartbeatConfig,
     InitialStateConfig,
     ItemType,
     LogItemDescription,
     Pedestrian,
-    Road,
     RoadDisturbance,
     RunConfig,
-    SensorField,
-    SensorSpec,
-    SensorLocation,
     SimEnvironment,
     SimulationConfig,
     StateId,
     SyncType,
     Vehicle,
-    ViewFollowConfig,
 )
 
 EGO_VHC_ID = 1
 AGENT_VHC_ID = 2
-
-
-def _sensor(sensor_type: str, location: SensorLocation, name: str | None = None) -> SensorSpec:
-    fields = [] if name is None else [SensorField("name", f'"{name}"')]
-    return SensorSpec(sensor_type=sensor_type, sensor_location=location, fields=fields)
 
 
 def demo_environment(
@@ -57,73 +45,37 @@ def demo_environment(
         sync_type=SyncType.NO_HEART_BEAT
     )
 
-    road = Road(number_of_lanes=3)
-    road.rotation = [0.0, 1.0, 0.0, -math.pi / 2]
-    road.position = [1000.0, 0.02, 0.0]
-    road.length = 2000.0
-    env.roads.append(road)
-
     ego = Vehicle()
-    ego.def_name = "EGO"
     ego.vhc_id = EGO_VHC_ID
-    ego.vehicle_model = "ToyotaPrius"
     ego.current_position = [ego_x_pos, 0.35, 0.0]
     ego.current_orientation = 0.0  # facing +x
-    ego.rotation = [0.0, 1.0, 0.0, 0.0]
-    ego.color = [1.0, 1.0, 0.0]
     ego.controller = "automated_driving_with_fusion2"
-    ego.is_controller_name_absolute = True
     ego.controller_arguments = ["Toyota", "70.0", "0.0", "1", "True", "False", "0"]
-    ego.sensors = [
-        _sensor("Receiver", SensorLocation.CENTER, "receiver"),
-        _sensor("Compass", SensorLocation.CENTER, "compass"),
-        _sensor("GPS", SensorLocation.CENTER),
-        _sensor("Radar", SensorLocation.FRONT, "radar"),
-    ]
     env.ego_vehicles.append(ego)
 
     agent = Vehicle()
-    agent.def_name = "AGENT"
     agent.vhc_id = AGENT_VHC_ID
-    agent.vehicle_model = "TeslaModel3"
     agent.current_position = [300.0, 0.35, 3.5]
     agent.current_orientation = math.pi  # facing -x, toward the ego
-    agent.rotation = [0.0, 1.0, 0.0, math.pi]
-    agent.color = [1.0, 0.0, 0.0]
     agent.controller = "path_and_speed_follower"
     agent.controller_arguments = ["20.0", "True", "3.5", "2", "False", "False"]
-    agent.sensors = [
-        _sensor("Receiver", SensorLocation.CENTER, "receiver"),
-        _sensor("Compass", SensorLocation.CENTER, "compass"),
-        _sensor("GPS", SensorLocation.CENTER),
-    ]
     env.agent_vehicles.append(agent)
 
     pedestrian = Pedestrian()
     pedestrian.ped_id = 1
     pedestrian.current_position = [50.0, 1.3, 0.0]
-    pedestrian.shirt_color = [0.0, 0.0, 0.0]
-    pedestrian.pants_color = [0.0, 0.0, 1.0]
     pedestrian.target_speed = pedestrian_speed
     pedestrian.trajectory = [50.0, 0.0, 80.0, -3.0, 200.0, 0.0]
     pedestrian.controller = "pedestrian_control"
     env.pedestrians.append(pedestrian)
 
     disturbance = RoadDisturbance()
-    disturbance.rotation = [0.0, 1.0, 0.0, -math.pi / 2]
     disturbance.position = [40.0, 0.0, 0.0]
     disturbance.width = 3.5
     disturbance.length = 3.0
     disturbance.height = 0.04
     disturbance.inter_object_spacing = 0.5
     env.road_disturbances.append(disturbance)
-
-    stop_sign = GenericObject()
-    stop_sign.object_name = "StopSign"
-    stop_sign.object_parameters = [("translation", "40 0 6"), ("rotation", "0 1 0 1.5708")]
-    env.generic_objects.append(stop_sign)
-
-    env.fog = Fog(visibility_range=700.0)
 
     for x, y in [(-1000.0, 0.0), (1000.0, 0.0)]:
         env.controller_params.append(
@@ -143,13 +95,6 @@ def demo_environment(
             item=LogItemDescription(ItemType.VEHICLE, 0, StateId.VELOCITY_X),
             value=ego_init_speed_m_s,
         )
-    )
-
-    env.view_follow_config = ViewFollowConfig(
-        item_type=ItemType.VEHICLE,
-        item_index=0,
-        position=[ego_x_pos - 15.0, 3.35, 0.0],
-        rotation=[0.0, 1.0, 0.0, 0.0],
     )
 
     env.data_log_descriptions.append(LogItemDescription(ItemType.TIME, 0, StateId.POSITION_X))

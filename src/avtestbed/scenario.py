@@ -5,7 +5,9 @@ A scenario document is UTF-8 JSON with top-level keys ``"environment"`` and
 simulation kernel works in the ground plane, so component 0 is planar x and
 component 2 is planar y (component 1 is stored but inert).  Orientations used
 by the kernel (``current_orientation``) are planar headings in radians,
-measured counterclockwise from the +x axis.
+measured counterclockwise from the +x axis.  The model holds only what the
+kernel reads; any other key, including the scenery, sensor and camera fields
+of the Webots format, is rejected as an unknown field.
 """
 
 from __future__ import annotations
@@ -19,41 +21,6 @@ from typing import Any, Optional
 import numpy as np
 
 from .controllers import PEDESTRIAN_CONTROLLERS, registered_vehicle_controllers
-
-KNOWN_VEHICLE_MODELS = frozenset(
-    {
-        "AckermannVehicle",
-        "ToyotaPrius",
-        "CitroenCZero",
-        "BmwX5",
-        "RangeRoverSportSVR",
-        "LincolnMKZ",
-        "TeslaModel3",
-    }
-)
-
-
-class RoadType(Enum):
-    STRAIGHT_ROAD_SEGMENT = "StraightRoadSegment"
-
-
-class FogType(Enum):
-    LINEAR = "LINEAR"
-
-
-class DisturbanceType(Enum):
-    INTERLEAVED = "INTERLEAVED"
-    FULL_LANE_LENGTH = "FULL_LANE_LENGTH"
-    ONLY_LEFT = "ONLY_LEFT"
-    ONLY_RIGHT = "ONLY_RIGHT"
-
-
-class SensorLocation(Enum):
-    FRONT = "FRONT"
-    CENTER = "CENTER"
-    LEFT = "LEFT"
-    RIGHT = "RIGHT"
-    TOP = "TOP"
 
 
 class SyncType(Enum):
@@ -86,92 +53,32 @@ class StateId(IntEnum):
 
 
 @dataclass
-class SensorField:
-    field_name: str = ""
-    field_val: str = ""
-
-
-@dataclass
-class SensorSpec:
-    sensor_type: str = ""
-    sensor_location: SensorLocation = SensorLocation.FRONT
-    fields: list[SensorField] = field(default_factory=list)
-
-
-@dataclass
-class Road:
-    def_name: str = "STRROAD"
-    road_type: RoadType = RoadType.STRAIGHT_ROAD_SEGMENT
-    rotation: list[float] = field(default_factory=lambda: [0.0, 1.0, 0.0, math.pi / 2])
-    position: list[float] = field(default_factory=lambda: [0.0, 0.02, 0.0])
-    number_of_lanes: int = 2
-    width: Optional[float] = None
-    length: float = 1000.0
-
-    def __post_init__(self) -> None:
-        if self.width is None:
-            self.width = self.number_of_lanes * 3.5
-
-
-@dataclass
 class Vehicle:
-    def_name: str = ""
     vhc_id: int = 0
-    vehicle_model: str = "AckermannVehicle"
-    rotation: list[float] = field(default_factory=lambda: [0.0, 1.0, 0.0, 0.0])
     current_position: list[float] = field(default_factory=lambda: [0.0, 0.3, 0.0])
     current_orientation: float = 0.0
-    color: list[float] = field(default_factory=lambda: [1.0, 1.0, 1.0])
     controller: str = "void"
-    is_controller_name_absolute: bool = False
-    vehicle_parameters: list[str] = field(default_factory=list)
-    controller_parameters: list[str] = field(default_factory=list)
     controller_arguments: list[str] = field(default_factory=list)
-    sensors: list[SensorSpec] = field(default_factory=list)
 
 
 @dataclass
 class Pedestrian:
-    def_name: str = "PEDESTRIAN"
     ped_id: int = 0
-    rotation: list[float] = field(default_factory=lambda: [0.0, 1.0, 0.0, math.pi / 2])
     current_position: list[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
-    shirt_color: list[float] = field(default_factory=lambda: [0.25, 0.55, 0.2])
-    pants_color: list[float] = field(default_factory=lambda: [0.24, 0.25, 0.5])
-    shoes_color: list[float] = field(default_factory=lambda: [0.28, 0.15, 0.06])
     controller: str = "void"
     target_speed: float = 0.0
     trajectory: list[float] = field(default_factory=list)
 
 
 @dataclass
-class Fog:
-    def_name: str = "FOG"
-    fog_type: FogType = FogType.LINEAR
-    color: list[float] = field(default_factory=lambda: [0.93, 0.96, 1.0])
-    visibility_range: float = 1000.0
-
-
-@dataclass
 class RoadDisturbance:
     """Repeated bumps on a lane stretch; observable as a lateral log offset."""
 
-    disturbance_id: int = 1
-    disturbance_type: DisturbanceType = DisturbanceType.INTERLEAVED
-    rotation: list[float] = field(default_factory=lambda: [0.0, 1.0, 0.0, 0.0])
     position: list[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
     length: float = 100.0
     width: float = 3.5
     height: float = 0.06
-    surface_height: float = 0.02  # stored, no observable effect in the 2D kernel
     inter_object_spacing: float = 1.0
-
-
-@dataclass
-class GenericObject:
-    def_name: str = ""
-    object_name: str = "Tree"
-    object_parameters: list[tuple[str, str]] = field(default_factory=list)
 
 
 @dataclass
@@ -212,24 +119,12 @@ class InitialStateConfig:
 
 
 @dataclass
-class ViewFollowConfig:
-    item_type: ItemType = ItemType.VEHICLE
-    item_index: int = 0
-    position: list[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
-    rotation: list[float] = field(default_factory=lambda: [0.0, 1.0, 0.0, 0.0])
-
-
-@dataclass
 class SimEnvironment:
-    fog: Optional[Fog] = None
     heartbeat_config: Optional[HeartbeatConfig] = None
-    view_follow_config: Optional[ViewFollowConfig] = None
     ego_vehicles: list[Vehicle] = field(default_factory=list)
     agent_vehicles: list[Vehicle] = field(default_factory=list)
     pedestrians: list[Pedestrian] = field(default_factory=list)
-    roads: list[Road] = field(default_factory=list)
     road_disturbances: list[RoadDisturbance] = field(default_factory=list)
-    generic_objects: list[GenericObject] = field(default_factory=list)
     controller_params: list[ControllerParameter] = field(default_factory=list)
     initial_state_configs: list[InitialStateConfig] = field(default_factory=list)
     data_log_descriptions: list[LogItemDescription] = field(default_factory=list)
@@ -247,7 +142,6 @@ class RunConfig:
 
 @dataclass
 class SimulationConfig:
-    world_file: str = "../Webots_Projects/worlds/test_world_1.wbt"
     server_port: int = 10021
     server_ip: str = "127.0.0.1"
     sim_duration_ms: int = 50000
@@ -297,17 +191,9 @@ class ScenarioFormatError(ValueError):
 # Validation
 
 
-def _check_rgb(report: list[Violation], path: str, rgb: list[float]) -> None:
-    if len(rgb) != 3:
-        report.append(Violation(path, "color must have 3 components"))
-        return
-    if not all(0.0 <= c <= 1.0 for c in rgb):
-        report.append(Violation(path, f"color components must lie in [0, 1], got {rgb}"))
-
-
-def _check_vec(report: list[Violation], path: str, vec: list[float], n: int) -> None:
-    if len(vec) != n:
-        report.append(Violation(path, f"expected {n} components, got {len(vec)}"))
+def _check_vec3(report: list[Violation], path: str, vec: list[float]) -> None:
+    if len(vec) != 3:
+        report.append(Violation(path, f"expected 3 components, got {len(vec)}"))
     _check_finite(report, path, vec)
 
 
@@ -344,22 +230,7 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
             report.append(Violation(path, "target_speed must be >= 0"))
         _check_finite(report, path + ".target_speed", [ped.target_speed])
         _check_finite(report, path + ".trajectory", ped.trajectory)
-        _check_rgb(report, path + ".shirt_color", ped.shirt_color)
-        _check_rgb(report, path + ".pants_color", ped.pants_color)
-        _check_rgb(report, path + ".shoes_color", ped.shoes_color)
-        _check_vec(report, path + ".current_position", ped.current_position, 3)
-        _check_vec(report, path + ".rotation", ped.rotation, 4)
-
-    for i, road in enumerate(env.roads):
-        path = f"roads[{i}]"
-        if road.width is None or road.width <= 0:
-            report.append(Violation(path, "width must be > 0"))
-        if road.length <= 0:
-            report.append(Violation(path, "length must be > 0"))
-        if road.number_of_lanes < 1:
-            report.append(Violation(path, "number_of_lanes must be >= 1"))
-        _check_vec(report, path + ".position", road.position, 3)
-        _check_vec(report, path + ".rotation", road.rotation, 4)
+        _check_vec3(report, path + ".current_position", ped.current_position)
 
     for i, dist in enumerate(env.road_disturbances):
         path = f"road_disturbances[{i}]"
@@ -368,20 +239,22 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
             if value <= 0:
                 report.append(Violation(path, f"{attr} must be > 0"))
             _check_finite(report, f"{path}.{attr}", [value])
-        _check_vec(report, path + ".position", dist.position, 3)
-
-    if env.fog is not None and env.fog.visibility_range <= 0:
-        report.append(Violation("fog", "visibility_range must be > 0"))
-    if env.fog is not None:
-        _check_rgb(report, "fog.color", env.fog.color)
+        _check_vec3(report, path + ".position", dist.position)
 
     if env.heartbeat_config is not None and env.heartbeat_config.period_ms < 1:
         report.append(Violation("heartbeat_config", "period_ms must be >= 1"))
 
     for i, par in enumerate(env.controller_params):
-        if not par.parameter_name:
-            report.append(Violation(f"controller_params[{i}]", "parameter_name must be non-empty"))
-        _check_finite(report, f"controller_params[{i}].parameter_data", par.parameter_data)
+        path = f"controller_params[{i}]"
+        if par.parameter_name != "target_position":
+            message = f"parameter_name must be 'target_position', got {par.parameter_name!r}"
+            report.append(Violation(path, message))
+        if len(par.parameter_data) != 2:
+            message = f"parameter_data must be one x,y pair, got {len(par.parameter_data)} numbers"
+            report.append(Violation(path, message))
+        if par.vehicle_id is not None and par.vehicle_id not in seen_vhc:
+            report.append(Violation(path, f"vehicle_id {par.vehicle_id} names no vehicle"))
+        _check_finite(report, path + ".parameter_data", par.parameter_data)
 
     n_vhc = len(vehicles)
     n_ped = len(env.pedestrians)
@@ -408,13 +281,6 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
         if desc.item_type is not ItemType.TIME:
             check_item(f"data_log_descriptions[{i}]", desc)
 
-    if env.view_follow_config is not None:
-        vfc = env.view_follow_config
-        if vfc.item_type is ItemType.TIME:
-            report.append(Violation("view_follow_config", "cannot follow TIME"))
-        else:
-            check_item("view_follow_config", LogItemDescription(vfc.item_type, vfc.item_index))
-
     if env.data_log_period_ms is not None and env.data_log_period_ms < 1:
         report.append(Violation("data_log_period_ms", "must be a positive integer"))
 
@@ -428,15 +294,10 @@ def _validate_vehicle(
         report.append(Violation(path, f"duplicate vehicle id {vhc.vhc_id} (also {seen[vhc.vhc_id]})"))
     else:
         seen[vhc.vhc_id] = path
-    _check_rgb(report, path + ".color", vhc.color)
-    _check_vec(report, path + ".current_position", vhc.current_position, 3)
-    _check_vec(report, path + ".rotation", vhc.rotation, 4)
+    _check_vec3(report, path + ".current_position", vhc.current_position)
     _check_finite(report, path + ".current_orientation", [vhc.current_orientation])
     if vhc.controller not in registered_vehicle_controllers():
         report.append(Violation(path, f"unknown vehicle controller {vhc.controller!r}"))
-    for j, sensor in enumerate(vhc.sensors):
-        if not sensor.sensor_type:
-            report.append(Violation(f"{path}.sensors[{j}]", "sensor_type must be non-empty"))
 
 
 def validate_config(config: SimulationConfig) -> list[Violation]:
@@ -510,61 +371,27 @@ def parse_column_name(name: str) -> LogItemDescription:
 # Each _T_SPEC lists (json_key, attr, kind); kind drives conversion and
 # unknown-key rejection works off the json_key set.
 
-_ROAD_SPEC = [
-    ("def_name", "def_name", str),
-    ("road_type", "road_type", RoadType),
-    ("rotation", "rotation", "vec4"),
-    ("position", "position", "vec3"),
-    ("number_of_lanes", "number_of_lanes", int),
-    ("width", "width", float),
-    ("length", "length", float),
-]
-
 _VEHICLE_SPEC = [
-    ("def_name", "def_name", str),
     ("vhc_id", "vhc_id", int),
-    ("vehicle_model", "vehicle_model", str),
-    ("rotation", "rotation", "vec4"),
     ("current_position", "current_position", "vec3"),
     ("current_orientation", "current_orientation", float),
-    ("color", "color", "vec3"),
     ("controller", "controller", str),
-    ("is_controller_name_absolute", "is_controller_name_absolute", bool),
-    ("vehicle_parameters", "vehicle_parameters", "strlist"),
-    ("controller_parameters", "controller_parameters", "strlist"),
     ("controller_arguments", "controller_arguments", "strlist"),
-    ("sensor_array", "sensors", "sensors"),
 ]
 
 _PEDESTRIAN_SPEC = [
-    ("def_name", "def_name", str),
     ("ped_id", "ped_id", int),
-    ("rotation", "rotation", "vec4"),
     ("current_position", "current_position", "vec3"),
-    ("shirt_color", "shirt_color", "vec3"),
-    ("pants_color", "pants_color", "vec3"),
-    ("shoes_color", "shoes_color", "vec3"),
     ("controller", "controller", str),
     ("target_speed", "target_speed", float),
     ("trajectory", "trajectory", "floatlist"),
 ]
 
-_FOG_SPEC = [
-    ("def_name", "def_name", str),
-    ("fog_type", "fog_type", FogType),
-    ("color", "color", "vec3"),
-    ("visibility_range", "visibility_range", float),
-]
-
 _DISTURBANCE_SPEC = [
-    ("disturbance_id", "disturbance_id", int),
-    ("disturbance_type", "disturbance_type", DisturbanceType),
-    ("rotation", "rotation", "vec4"),
     ("position", "position", "vec3"),
     ("length", "length", float),
     ("width", "width", float),
     ("height", "height", float),
-    ("surface_height", "surface_height", float),
     ("inter_object_spacing", "inter_object_spacing", float),
 ]
 
@@ -585,15 +412,7 @@ _ITEM_SPEC = [
     ("item_state_index", "item_state_index", StateId),
 ]
 
-_VIEW_SPEC = [
-    ("item_type", "item_type", ItemType),
-    ("item_index", "item_index", int),
-    ("position", "position", "vec3"),
-    ("rotation", "rotation", "vec4"),
-]
-
 _CONFIG_SPEC = [
-    ("world_file", "world_file", str),
     ("server_port", "server_port", int),
     ("server_ip", "server_ip", str),
     ("sim_duration_ms", "sim_duration_ms", int),
@@ -603,16 +422,14 @@ _CONFIG_SPEC = [
 
 
 def _value_to_json(value: Any, kind: Any) -> Any:
-    if kind in (str, int, float, bool, "optint"):
+    if kind in (str, int, float, "optint"):
         return value
-    if kind in ("vec3", "vec4", "floatlist"):
+    if kind in ("vec3", "floatlist"):
         return [float(v) for v in value]
     if kind == "strlist":
         return list(value)
     if isinstance(kind, type) and issubclass(kind, (Enum, IntEnum)):
         return value.name
-    if kind == "sensors":
-        return [_sensor_to_json(s) for s in value]
     if kind == "runconfigs":
         return [{"simulation_run_mode": rc.run_mode.name} for rc in value]
     raise AssertionError(f"unhandled kind {kind!r}")
@@ -622,43 +439,18 @@ def _obj_to_json(obj: Any, spec: list) -> dict:
     return {key: _value_to_json(getattr(obj, attr), kind) for key, attr, kind in spec}
 
 
-def _sensor_to_json(sensor: SensorSpec) -> dict:
-    return {
-        "sensor_type": sensor.sensor_type,
-        "sensor_location": sensor.sensor_location.name,
-        "sensor_fields": [
-            {"field_name": f.field_name, "field_val": f.field_val} for f in sensor.fields
-        ],
-    }
-
-
 def environment_to_json(env: SimEnvironment) -> dict:
     return {
-        "fog": None if env.fog is None else _obj_to_json(env.fog, _FOG_SPEC),
         "heart_beat_config": (
             None
             if env.heartbeat_config is None
             else _obj_to_json(env.heartbeat_config, _HEARTBEAT_SPEC)
         ),
-        "view_follow_config": (
-            None
-            if env.view_follow_config is None
-            else _obj_to_json(env.view_follow_config, _VIEW_SPEC)
-        ),
         "ego_vehicles_list": [_obj_to_json(v, _VEHICLE_SPEC) for v in env.ego_vehicles],
         "agent_vehicles_list": [_obj_to_json(v, _VEHICLE_SPEC) for v in env.agent_vehicles],
         "pedestrians_list": [_obj_to_json(p, _PEDESTRIAN_SPEC) for p in env.pedestrians],
-        "road_list": [_obj_to_json(r, _ROAD_SPEC) for r in env.roads],
         "road_disturbances_list": [
             _obj_to_json(d, _DISTURBANCE_SPEC) for d in env.road_disturbances
-        ],
-        "generic_sim_objects_list": [
-            {
-                "def_name": g.def_name,
-                "object_name": g.object_name,
-                "object_parameters": [[n, v] for n, v in g.object_parameters],
-            }
-            for g in env.generic_objects
         ],
         "control_params_list": [_obj_to_json(c, _CTRL_PARAM_SPEC) for c in env.controller_params],
         "initial_state_config_list": [
@@ -695,17 +487,13 @@ def serialize_scenario(env: SimEnvironment, config: SimulationConfig) -> str:
 def _require_keys(data: dict, spec_keys: set[str], path: str) -> None:
     unknown = [k for k in data if k not in spec_keys]
     if unknown:
-        raise ScenarioFormatError(path, f"unknown field {unknown[0]!r}")
+        raise ScenarioFormatError(f"{path}.{unknown[0]}", "unknown field")
 
 
 def _value_from_json(raw: Any, kind: Any, path: str) -> Any:
     if kind is str:
         if not isinstance(raw, str):
             raise ScenarioFormatError(path, f"expected string, got {type(raw).__name__}")
-        return raw
-    if kind is bool:
-        if not isinstance(raw, bool):
-            raise ScenarioFormatError(path, f"expected boolean, got {type(raw).__name__}")
         return raw
     if kind is int:
         if not isinstance(raw, int) or isinstance(raw, bool):
@@ -719,10 +507,9 @@ def _value_from_json(raw: Any, kind: Any, path: str) -> Any:
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ScenarioFormatError(path, f"expected number, got {type(raw).__name__}")
         return float(raw)
-    if kind in ("vec3", "vec4"):
-        n = 3 if kind == "vec3" else 4
-        if not isinstance(raw, list) or len(raw) != n:
-            raise ScenarioFormatError(path, f"expected a {n}-element number array")
+    if kind == "vec3":
+        if not isinstance(raw, list) or len(raw) != 3:
+            raise ScenarioFormatError(path, "expected a 3-element number array")
         return [_value_from_json(v, float, f"{path}[{i}]") for i, v in enumerate(raw)]
     if kind == "floatlist":
         if not isinstance(raw, list):
@@ -740,10 +527,6 @@ def _value_from_json(raw: Any, kind: Any, path: str) -> Any:
         except KeyError:
             valid = ", ".join(m.name for m in kind)
             raise ScenarioFormatError(path, f"unknown value {raw!r} (expected one of {valid})")
-    if kind == "sensors":
-        if not isinstance(raw, list):
-            raise ScenarioFormatError(path, "expected an array of sensors")
-        return [_sensor_from_json(s, f"{path}[{i}]") for i, s in enumerate(raw)]
     if kind == "runconfigs":
         if not isinstance(raw, list):
             raise ScenarioFormatError(path, "expected an array of run configs")
@@ -774,43 +557,12 @@ def _obj_from_json(data: Any, spec: list, cls: type, path: str) -> Any:
     return cls(**kwargs)
 
 
-def _sensor_from_json(data: Any, path: str) -> SensorSpec:
-    if not isinstance(data, dict):
-        raise ScenarioFormatError(path, "expected an object")
-    _require_keys(data, {"sensor_type", "sensor_location", "sensor_fields"}, path)
-    fields = []
-    for i, f in enumerate(data.get("sensor_fields", [])):
-        f_path = f"{path}.sensor_fields[{i}]"
-        if not isinstance(f, dict):
-            raise ScenarioFormatError(f_path, "expected an object")
-        _require_keys(f, {"field_name", "field_val"}, f_path)
-        fields.append(
-            SensorField(
-                field_name=_value_from_json(f.get("field_name", ""), str, f_path + ".field_name"),
-                field_val=_value_from_json(f.get("field_val", ""), str, f_path + ".field_val"),
-            )
-        )
-    return SensorSpec(
-        sensor_type=_value_from_json(data.get("sensor_type", ""), str, path + ".sensor_type"),
-        sensor_location=_value_from_json(
-            data.get("sensor_location", SensorLocation.FRONT.name),
-            SensorLocation,
-            path + ".sensor_location",
-        ),
-        fields=fields,
-    )
-
-
 _ENV_KEYS = {
-    "fog",
     "heart_beat_config",
-    "view_follow_config",
     "ego_vehicles_list",
     "agent_vehicles_list",
     "pedestrians_list",
-    "road_list",
     "road_disturbances_list",
-    "generic_sim_objects_list",
     "control_params_list",
     "initial_state_config_list",
     "data_log_description_list",
@@ -831,46 +583,16 @@ def environment_from_json(data: Any, path: str = "environment") -> SimEnvironmen
     _require_keys(data, _ENV_KEYS, path)
 
     env = SimEnvironment()
-    if data.get("fog") is not None:
-        env.fog = _obj_from_json(data["fog"], _FOG_SPEC, Fog, f"{path}.fog")
     if data.get("heart_beat_config") is not None:
         env.heartbeat_config = _obj_from_json(
             data["heart_beat_config"], _HEARTBEAT_SPEC, HeartbeatConfig, f"{path}.heart_beat_config"
         )
-    if data.get("view_follow_config") is not None:
-        env.view_follow_config = _obj_from_json(
-            data["view_follow_config"], _VIEW_SPEC, ViewFollowConfig, f"{path}.view_follow_config"
-        )
     env.ego_vehicles = _obj_list(data, "ego_vehicles_list", _VEHICLE_SPEC, Vehicle, path)
     env.agent_vehicles = _obj_list(data, "agent_vehicles_list", _VEHICLE_SPEC, Vehicle, path)
     env.pedestrians = _obj_list(data, "pedestrians_list", _PEDESTRIAN_SPEC, Pedestrian, path)
-    env.roads = _obj_list(data, "road_list", _ROAD_SPEC, Road, path)
     env.road_disturbances = _obj_list(
         data, "road_disturbances_list", _DISTURBANCE_SPEC, RoadDisturbance, path
     )
-
-    generic = []
-    for i, g in enumerate(data.get("generic_sim_objects_list", [])):
-        g_path = f"{path}.generic_sim_objects_list[{i}]"
-        if not isinstance(g, dict):
-            raise ScenarioFormatError(g_path, "expected an object")
-        _require_keys(g, {"def_name", "object_name", "object_parameters"}, g_path)
-        params = []
-        for j, pair in enumerate(g.get("object_parameters", [])):
-            if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(s, str) for s in pair)):
-                raise ScenarioFormatError(
-                    f"{g_path}.object_parameters[{j}]", "expected a [name, value] string pair"
-                )
-            params.append((pair[0], pair[1]))
-        generic.append(
-            GenericObject(
-                def_name=_value_from_json(g.get("def_name", ""), str, g_path + ".def_name"),
-                object_name=_value_from_json(g.get("object_name", "Tree"), str, g_path + ".object_name"),
-                object_parameters=params,
-            )
-        )
-    env.generic_objects = generic
-
     env.controller_params = _obj_list(
         data, "control_params_list", _CTRL_PARAM_SPEC, ControllerParameter, path
     )

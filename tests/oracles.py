@@ -321,29 +321,18 @@ def rects_overlap_oracle(rect_a, rect_b) -> bool:
 def random_environment(rng: random.Random) -> sc.SimEnvironment:
     env = sc.SimEnvironment()
     for i in range(rng.randint(0, 2)):
-        vhc = sc.Vehicle(def_name=f"V{i}", vhc_id=i)
+        vhc = sc.Vehicle(vhc_id=i)
         vhc.current_position = [rng.uniform(-100, 100), 0.3, rng.uniform(-5, 5)]
         vhc.current_orientation = rng.uniform(-math.pi, math.pi)
-        vhc.color = [rng.random(), rng.random(), rng.random()]
         vhc.controller = rng.choice(["void", "path_and_speed_follower"])
         if vhc.controller == "path_and_speed_follower":
             vhc.controller_arguments = [str(rng.uniform(1, 30))]
-        if rng.random() < 0.5:
-            vhc.sensors = [
-                sc.SensorSpec(
-                    "Radar", sc.SensorLocation.FRONT, [sc.SensorField("name", '"radar"')]
-                )
-            ]
         (env.ego_vehicles if i == 0 else env.agent_vehicles).append(vhc)
     for i in range(rng.randint(0, 2)):
         ped = sc.Pedestrian(ped_id=i, target_speed=rng.uniform(0, 4))
         ped.trajectory = [rng.uniform(0, 50) for _ in range(2 * rng.randint(0, 3))]
         ped.controller = "pedestrian_control"
         env.pedestrians.append(ped)
-    if rng.random() < 0.5:
-        env.roads.append(sc.Road(number_of_lanes=rng.randint(1, 4)))
-    if rng.random() < 0.3:
-        env.fog = sc.Fog(visibility_range=rng.uniform(10, 1000))
     if rng.random() < 0.5:
         env.heartbeat_config = sc.HeartbeatConfig(
             sync_type=rng.choice(list(sc.SyncType)), period_ms=rng.randint(1, 100)

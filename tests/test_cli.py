@@ -130,8 +130,16 @@ class TestGenCa:
             ([("a", ["1", "2"]), ("b", ["*", "2"])], "'b'"),
             ([("a", ["1", "2"]), ("b", ["1", " 2"])], "'b'"),
             ([("a", ["1", "2"]), ("b\nc", ["1", "2"])], "'b\\nc'"),
+            ([("a", [1, 1.0, 2]), ("b", [5, 6])], "'a'"),
         ],
-        ids=["duplicate-name", "comma-value", "dont-care-value", "padded-value", "newline-name"],
+        ids=[
+            "duplicate-name",
+            "comma-value",
+            "dont-care-value",
+            "padded-value",
+            "newline-name",
+            "numerically-equal-values",
+        ],
     )
     def test_system_that_cannot_round_trip_exits_2(self, tmp_path, capsys, parameters, named):
         params_file = tmp_path / "params.json"

@@ -8,28 +8,20 @@ from avtestbed import presets
 from avtestbed.covering import set_scenario_value
 from avtestbed.scenario import (
     ControllerParameter,
-    DisturbanceType,
-    Fog,
-    FogType,
     HeartbeatConfig,
     InitialStateConfig,
     ItemType,
     LogItemDescription,
     Pedestrian,
-    Road,
     RoadDisturbance,
-    RoadType,
     RunConfig,
     RunMode,
     ScenarioFormatError,
-    SensorLocation,
-    SensorSpec,
     SimEnvironment,
     SimulationConfig,
     StateId,
     SyncType,
     Vehicle,
-    ViewFollowConfig,
     column_names,
     environment_from_json,
     environment_to_json,
@@ -44,63 +36,26 @@ from oracles import random_config, random_environment
 
 
 class TestDefaults:
-    def test_road_defaults(self):
-        road = Road()
-        assert road.def_name == "STRROAD"
-        assert road.road_type is RoadType.STRAIGHT_ROAD_SEGMENT
-        assert road.rotation == [0.0, 1.0, 0.0, math.pi / 2]
-        assert road.position == [0.0, 0.02, 0.0]
-        assert road.number_of_lanes == 2
-        assert road.width == 2 * 3.5
-        assert road.length == 1000.0
-
-    def test_road_width_follows_lane_count(self):
-        assert Road(number_of_lanes=3).width == 10.5
-        assert Road(number_of_lanes=3, width=9.0).width == 9.0
-
     def test_vehicle_defaults(self):
         vhc = Vehicle()
-        assert vhc.def_name == ""
         assert vhc.vhc_id == 0
-        assert vhc.vehicle_model == "AckermannVehicle"
-        assert vhc.rotation == [0.0, 1.0, 0.0, 0.0]
         assert vhc.current_position == [0.0, 0.3, 0.0]
-        assert vhc.color == [1.0, 1.0, 1.0]
+        assert vhc.current_orientation == 0.0
         assert vhc.controller == "void"
-        assert vhc.is_controller_name_absolute is False
-        assert vhc.vehicle_parameters == []
-        assert vhc.controller_parameters == []
         assert vhc.controller_arguments == []
-        assert vhc.sensors == []
 
     def test_pedestrian_defaults(self):
         ped = Pedestrian()
-        assert ped.def_name == "PEDESTRIAN"
         assert ped.ped_id == 0
-        assert ped.rotation == [0.0, 1.0, 0.0, math.pi / 2]
         assert ped.current_position == [0.0, 0.0, 0.0]
-        assert ped.shirt_color == [0.25, 0.55, 0.2]
-        assert ped.pants_color == [0.24, 0.25, 0.5]
-        assert ped.shoes_color == [0.28, 0.15, 0.06]
         assert ped.controller == "void"
         assert ped.target_speed == 0.0
         assert ped.trajectory == []
 
-    def test_fog_defaults(self):
-        fog = Fog()
-        assert fog.def_name == "FOG"
-        assert fog.fog_type is FogType.LINEAR
-        assert fog.color == [0.93, 0.96, 1.0]
-        assert fog.visibility_range == 1000.0
-
     def test_disturbance_defaults(self):
         dist = RoadDisturbance()
-        assert dist.disturbance_id == 1
-        assert dist.disturbance_type is DisturbanceType.INTERLEAVED
-        assert dist.rotation == [0.0, 1.0, 0.0, 0.0]
         assert dist.position == [0.0, 0.0, 0.0]
         assert (dist.length, dist.width, dist.height) == (100.0, 3.5, 0.06)
-        assert dist.surface_height == 0.02
         assert dist.inter_object_spacing == 1.0
 
     def test_heartbeat_defaults(self):
@@ -108,15 +63,8 @@ class TestDefaults:
         assert hb.sync_type is SyncType.NO_HEART_BEAT
         assert hb.period_ms == 10
 
-    def test_sensor_defaults(self):
-        sensor = SensorSpec()
-        assert sensor.sensor_type == ""
-        assert sensor.sensor_location is SensorLocation.FRONT
-        assert sensor.fields == []
-
     def test_config_defaults(self):
         config = SimulationConfig()
-        assert config.world_file == "../Webots_Projects/worlds/test_world_1.wbt"
         assert config.server_port == 10021
         assert config.server_ip == "127.0.0.1"
         assert config.sim_duration_ms == 50000
@@ -126,16 +74,12 @@ class TestDefaults:
 
     def test_environment_defaults(self):
         env = SimEnvironment()
-        assert env.fog is None
         assert env.heartbeat_config is None
-        assert env.view_follow_config is None
         for attr in (
             "ego_vehicles",
             "agent_vehicles",
             "pedestrians",
-            "roads",
             "road_disturbances",
-            "generic_objects",
             "controller_params",
             "initial_state_configs",
             "data_log_descriptions",
@@ -173,10 +117,6 @@ class TestValidation:
         assert len(report) == 1
         assert "dangling vehicle index 5" in report[0].message
 
-    def test_color_range(self):
-        env = SimEnvironment(ego_vehicles=[Vehicle(color=[1.5, 0.0, 0.0])])
-        assert any("color" in v.message for v in validate_environment(env))
-
     def test_unknown_controller(self):
         env = SimEnvironment(ego_vehicles=[Vehicle(controller="no_such_ctrl")])
         assert any("unknown vehicle controller" in v.message for v in validate_environment(env))
@@ -193,15 +133,34 @@ class TestValidation:
         )
         assert any("TIME" in v.message for v in validate_environment(env))
 
-    def test_view_follow_reference_checked(self):
-        env = SimEnvironment(
-            view_follow_config=ViewFollowConfig(item_type=ItemType.VEHICLE, item_index=0)
-        )
-        assert any("dangling" in v.message for v in validate_environment(env))
-
     def test_empty_parameter_name(self):
         env = SimEnvironment(controller_params=[ControllerParameter(parameter_name="")])
         assert any("parameter_name" in v.message for v in validate_environment(env))
+
+    def test_controller_param_other_than_target_position_reported(self):
+        env = presets.demo_environment()
+        env.controller_params[1].parameter_name = "target_speed"
+        report = validate_environment(env)
+        assert [(v.path, "target_speed" in v.message) for v in report] == [
+            ("controller_params[1]", True)
+        ]
+
+    @pytest.mark.parametrize("data", [[], [5.0], [5.0, 1.0, 9.0]])
+    def test_controller_param_that_is_not_one_point_reported(self, data):
+        env = presets.demo_environment()
+        env.controller_params[2].parameter_data = data
+        report = validate_environment(env)
+        assert [(v.path, "x,y pair" in v.message) for v in report] == [
+            ("controller_params[2]", True)
+        ]
+
+    def test_controller_param_for_missing_vehicle_reported(self):
+        env = presets.demo_environment()
+        env.controller_params[0].vehicle_id = 9
+        report = validate_environment(env)
+        assert [(v.path, "vehicle_id 9" in v.message) for v in report] == [
+            ("controller_params[0]", True)
+        ]
 
     def test_demo_scenario_is_valid(self):
         env = presets.demo_environment()
@@ -293,7 +252,60 @@ class TestTraceDict:
             assert parsed.key() == desc.key()
 
 
+# Keys of the Webots scene format that the 2D kernel does not model, with a
+# value of the kind that format gives them.
+EGO = "environment.ego_vehicles_list[0]"
+PEDESTRIAN = "environment.pedestrians_list[0]"
+DISTURBANCE = "environment.road_disturbances_list[0]"
+WEBOTS_ONLY_KEYS = [
+    ("environment", "fog", {"fog_type": "LINEAR", "visibility_range": 700.0}),
+    ("environment", "view_follow_config", {"item_type": "VEHICLE", "item_index": 0}),
+    ("environment", "road_list", []),
+    ("environment", "generic_sim_objects_list", []),
+    (EGO, "def_name", "EGO"),
+    (EGO, "vehicle_model", "ToyotaPrius"),
+    (EGO, "rotation", [0.0, 1.0, 0.0, 0.0]),
+    (EGO, "color", [1.0, 1.0, 0.0]),
+    (EGO, "is_controller_name_absolute", True),
+    (EGO, "vehicle_parameters", []),
+    (EGO, "controller_parameters", []),
+    (EGO, "sensor_array", [{"sensor_type": "Radar", "sensor_location": "FRONT"}]),
+    (PEDESTRIAN, "def_name", "PEDESTRIAN"),
+    (PEDESTRIAN, "rotation", [0.0, 1.0, 0.0, 1.5708]),
+    (PEDESTRIAN, "shirt_color", [0.0, 0.0, 0.0]),
+    (PEDESTRIAN, "pants_color", [0.0, 0.0, 1.0]),
+    (PEDESTRIAN, "shoes_color", [0.28, 0.15, 0.06]),
+    (DISTURBANCE, "disturbance_id", 1),
+    (DISTURBANCE, "disturbance_type", "INTERLEAVED"),
+    (DISTURBANCE, "rotation", [0.0, 1.0, 0.0, -1.5708]),
+    (DISTURBANCE, "surface_height", 0.02),
+    ("config", "world_file", "../Webots_Projects/worlds/test_world_1.wbt"),
+]
+
+
 class TestDocuments:
+    def test_demo_fixture_is_the_serialized_demo(self, demo_scenario_path):
+        with open(demo_scenario_path, encoding="utf-8") as fh:
+            assert fh.read() == serialize_scenario(*presets.demo_scenario())
+
+    @pytest.mark.parametrize(
+        "where, key, value", WEBOTS_ONLY_KEYS, ids=[f"{w}.{k}" for w, k, _ in WEBOTS_ONLY_KEYS]
+    )
+    def test_field_the_kernel_does_not_model_rejected(self, where, key, value):
+        doc = json.loads(serialize_scenario(*presets.demo_scenario()))
+        env = doc["environment"]
+        objects = {
+            "environment": env,
+            EGO: env["ego_vehicles_list"][0],
+            PEDESTRIAN: env["pedestrians_list"][0],
+            DISTURBANCE: env["road_disturbances_list"][0],
+            "config": doc["config"],
+        }
+        objects[where][key] = value
+        with pytest.raises(ScenarioFormatError) as err:
+            parse_scenario(json.dumps(doc))
+        assert err.value.path == f"{where}.{key}"
+
     def test_default_config_document_values(self):
         text = serialize_scenario(SimEnvironment(), SimulationConfig(sim_duration_ms=50000))
         doc = json.loads(text)
@@ -344,8 +356,9 @@ class TestDocuments:
             parse_scenario('{"environment": {}, "config": \n !}')
 
     def test_bad_enum_value(self):
-        doc = json.loads(serialize_scenario(SimEnvironment(fog=Fog()), SimulationConfig()))
-        doc["environment"]["fog"]["fog_type"] = "SQUARE"
+        env = SimEnvironment(heartbeat_config=HeartbeatConfig())
+        doc = json.loads(serialize_scenario(env, SimulationConfig()))
+        doc["environment"]["heart_beat_config"]["sync_type"] = "SQUARE"
         with pytest.raises(ScenarioFormatError, match="SQUARE"):
             parse_scenario(json.dumps(doc))
 
@@ -367,7 +380,7 @@ class TestDocuments:
     def test_enum_values_serialized_as_names(self):
         env = presets.demo_environment()
         doc = environment_to_json(env)
-        assert doc["road_disturbances_list"][0]["disturbance_type"] == "INTERLEAVED"
+        assert doc["heart_beat_config"]["sync_type"] == "NO_HEART_BEAT"
         assert doc["data_log_description_list"][0]["item_type"] == "TIME"
         env2 = environment_from_json(doc)
         assert env2 == env

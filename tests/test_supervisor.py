@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -74,14 +73,6 @@ class TestBuildWorld:
         env = SimEnvironment(ego_vehicles=[Vehicle(vhc_id=1), Vehicle(vhc_id=1)])
         with pytest.raises(SetupError, match="duplicate"):
             build_world(env, simple_config())
-
-    def test_unknown_vehicle_model_warns_and_builds(self):
-        env = SimEnvironment(ego_vehicles=[Vehicle(vhc_id=1, vehicle_model="HoverPod9000")])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            world = build_world(env, simple_config())
-        assert len(world.vehicles) == 1
-        assert any("HoverPod9000" in str(w.message) for w in caught)
 
 
 class TestInitialStates:
@@ -420,16 +411,6 @@ class TestRun:
         env, config = presets.demo_scenario()
         world = build_world(env, config, seed=777)
         assert world.rng_seed == 777
-
-
-class TestGenericObjects:
-    def test_objects_without_collision_box_are_inert(self):
-        env, config = presets.demo_scenario(sim_duration_ms=1000)
-        with_objects = run_embedded(env, config).trajectory
-        env2, config2 = presets.demo_scenario(sim_duration_ms=1000)
-        env2.generic_objects = []
-        without_objects = run_embedded(env2, config2).trajectory
-        assert with_objects == without_objects
 
 
 class TestPedestrianAdherence:

@@ -161,6 +161,40 @@ class TestClientSession:
         finally:
             sock.close()
 
+    def test_field_the_kernel_does_not_model_reports_malformed(self, server):
+        import socket as socket_module
+
+        env, _ = presets.demo_scenario()
+        doc = scenario.environment_to_json(env)
+        doc["fog"] = {"fog_type": "LINEAR", "visibility_range": 700.0}
+        body = bytes([wire.TAG_SETUP_ENVIRONMENT]) + json.dumps(doc).encode("utf-8")
+        sock = socket_module.create_connection(("127.0.0.1", server.port), timeout=5.0)
+        try:
+            wire.send_message(sock, wire.Hello())
+            assert isinstance(wire.recv_message(sock), wire.Ack)
+            sock.sendall(struct.pack(">I", len(body)) + body)
+            reply = wire.recv_message(sock)
+            assert isinstance(reply, wire.ProtocolErrorMsg)
+            assert reply.code == wire.ERR_MALFORMED and "environment.fog" in reply.message
+        finally:
+            sock.close()
+
+    def test_failed_session_is_logged_and_server_stays_up(self, server, monkeypatch, caplog):
+        def broken_run(*args, **kwargs):
+            raise ZeroDivisionError("kernel fault")
+
+        env, config = presets.demo_scenario()
+        config.sim_duration_ms = 200
+        monkeypatch.setattr(supervisor, "run", broken_run)
+        with pytest.raises(wire.ProtocolSessionError, match="connection closed"):
+            wire.client_session(("127.0.0.1", server.port), env, config)
+        [record] = [r for r in caplog.records if r.name == "avtestbed.supervisor"]
+        assert record.levelname == "ERROR"
+        assert record.exc_info[0] is ZeroDivisionError
+        monkeypatch.undo()
+        trace = wire.client_session(("127.0.0.1", server.port), env, config)
+        assert trace == supervisor.run_embedded(env, config).trajectory
+
     def test_socket_trace_equals_embedded(self, server):
         env, config = presets.demo_scenario()
         config.sim_duration_ms = 2000
