@@ -70,41 +70,51 @@ def wrap_angle(a: float) -> float:
 # Pure pursuit path tracking
 
 
-def _project_onto_path(path: list[tuple[float, float]], x: float, y: float) -> float:
-    """Arc-length position of the closest path point (earliest segment wins ties)."""
-    best_dist = math.inf
-    best_arc = 0.0
+PathSegment = tuple[float, float, float, float, float, float, float]
+
+
+def _path_segments(path: list[tuple[float, float]]) -> list[PathSegment]:
+    """The non-degenerate segments of path, resolved once per path.
+
+    Each is (ax, ay, vx, vy, length, length*length, arc length at its start),
+    where (vx, vy) runs from the segment's first point to its second.
+    """
+    segments = []
     arc = 0.0
-    for i in range(len(path) - 1):
-        ax, ay = path[i]
-        bx, by = path[i + 1]
+    for (ax, ay), (bx, by) in zip(path, path[1:]):
         vx, vy = bx - ax, by - ay
         seg_len = math.hypot(vx, vy)
         if seg_len == 0.0:
             continue
-        t = ((x - ax) * vx + (y - ay) * vy) / (seg_len * seg_len)
+        segments.append((ax, ay, vx, vy, seg_len, seg_len * seg_len, arc))
+        arc += seg_len
+    return segments
+
+
+def _project_onto_path(segments: list[PathSegment], x: float, y: float) -> float:
+    """Arc-length position of the closest path point (earliest segment wins ties)."""
+    best_dist = math.inf
+    best_arc = 0.0
+    for ax, ay, vx, vy, seg_len, seg_len_sq, arc in segments:
+        t = ((x - ax) * vx + (y - ay) * vy) / seg_len_sq
         t = max(0.0, min(1.0, t))
         dist = math.hypot(x - (ax + t * vx), y - (ay + t * vy))
         if dist < best_dist - 1e-12:
             best_dist = dist
             best_arc = arc + t * seg_len
-        arc += seg_len
     return best_arc
 
 
-def _point_at_arc(path: list[tuple[float, float]], s: float) -> tuple[float, float]:
+def _point_at_arc(
+    path: list[tuple[float, float]], segments: list[PathSegment], s: float
+) -> tuple[float, float]:
     """Point at arc length s, clamped to the path ends."""
     if s <= 0.0:
         return path[0]
-    arc = 0.0
-    for i in range(len(path) - 1):
-        ax, ay = path[i]
-        bx, by = path[i + 1]
-        seg_len = math.hypot(bx - ax, by - ay)
-        if seg_len > 0.0 and s <= arc + seg_len:
+    for ax, ay, vx, vy, seg_len, _, arc in segments:
+        if s <= arc + seg_len:
             t = (s - arc) / seg_len
-            return (ax + t * (bx - ax), ay + t * (by - ay))
-        arc += seg_len
+            return (ax + t * vx, ay + t * vy)
     return path[-1]
 
 
@@ -112,11 +122,23 @@ def pure_pursuit_steering(
     x: float, y: float, heading: float, speed: float, path: list[tuple[float, float]]
 ) -> float:
     """Steering angle toward a lookahead point on the path (0 if no path)."""
+    return _pursue(x, y, heading, speed, path, _path_segments(path))
+
+
+def _pursue(
+    x: float,
+    y: float,
+    heading: float,
+    speed: float,
+    path: list[tuple[float, float]],
+    segments: list[PathSegment],
+) -> float:
+    """pure_pursuit_steering with the segments of path already resolved."""
     if len(path) < 2:
         return 0.0
     lookahead = max(LOOKAHEAD_MIN_M, LOOKAHEAD_TIME_S * speed)
-    s = _project_onto_path(path, x, y)
-    tx, ty = _point_at_arc(path, s + lookahead)
+    s = _project_onto_path(segments, x, y)
+    tx, ty = _point_at_arc(path, segments, s + lookahead)
     dx, dy = tx - x, ty - y
     if dx == 0.0 and dy == 0.0:
         return 0.0
@@ -161,9 +183,12 @@ class PathSpeedFollower(VehicleController):
                 f"path_and_speed_follower target speed {args[0]!r} is not a finite number"
             ) from None
         self.path = list(path)
+        self._segments = _path_segments(self.path)
 
     def control(self, state, radar, dt):
-        steering = pure_pursuit_steering(state.x, state.y, state.heading, state.speed, self.path)
+        steering = _pursue(
+            state.x, state.y, state.heading, state.speed, self.path, self._segments
+        )
         accel = SPEED_GAIN * (self.target_speed - state.speed)
         return saturate(ControlOutput(steering, accel))
 
@@ -204,9 +229,12 @@ class FusionDrivingController(VehicleController):
             (-1.0e6, self.target_lat_pos),
             (1.0e6, self.target_lat_pos),
         ]
+        self._segments = _path_segments(self.path)
 
     def control(self, state, radar, dt):
-        steering = pure_pursuit_steering(state.x, state.y, state.heading, state.speed, self.path)
+        steering = _pursue(
+            state.x, state.y, state.heading, state.speed, self.path, self._segments
+        )
         accel = SPEED_GAIN * (self.target_speed - state.speed)
         for det in radar:
             if abs(det.relative_bearing) >= BRAKE_BEARING_RAD:

@@ -275,6 +275,13 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
             report.append(Violation(path, "initial state cannot target TIME"))
         else:
             check_item(path, isc.item)
+        if (
+            isc.item.item_type is ItemType.PEDESTRIAN
+            and isc.item.item_state_index is StateId.ORIENTATION
+        ):
+            # a walking pedestrian faces its next waypoint; nothing stores a heading
+            message = "initial state cannot target a pedestrian's ORIENTATION"
+            report.append(Violation(path, message))
         _check_finite(report, path + ".value", [isc.value])
 
     for i, desc in enumerate(env.data_log_descriptions):
@@ -298,6 +305,10 @@ def _validate_vehicle(
     _check_finite(report, path + ".current_orientation", [vhc.current_orientation])
     if vhc.controller not in registered_vehicle_controllers():
         report.append(Violation(path, f"unknown vehicle controller {vhc.controller!r}"))
+    elif vhc.controller == "void" and vhc.controller_arguments:
+        report.append(
+            Violation(path + ".controller_arguments", "the void controller takes no arguments")
+        )
 
 
 def validate_config(config: SimulationConfig) -> list[Violation]:
@@ -471,7 +482,7 @@ def config_to_json(config: SimulationConfig) -> dict:
 def trajectory_to_json(traj: Trajectory) -> dict:
     return {
         "column_labels": [_obj_to_json(d, _ITEM_SPEC) for d in traj.column_labels],
-        "rows": [[float(v) for v in row] for row in traj.rows],
+        "rows": traj.rows.astype(np.float64, copy=False).tolist(),
     }
 
 

@@ -17,12 +17,20 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import controllers, geometry, wire
-from .controllers import ControllerConfigError, VehicleController, saturate, wrap_angle
+from .controllers import (
+    ACCEL_MAX,
+    ACCEL_MIN,
+    STEERING_LIMIT_RAD,
+    WHEELBASE_M,
+    ControllerConfigError,
+    VehicleController,
+    wrap_angle,
+)
 from .scenario import (
     ItemType,
     LogItemDescription,
@@ -42,6 +50,18 @@ from .scenario import (
 VEHICLE_LENGTH_M = 4.8
 VEHICLE_WIDTH_M = 1.8
 PEDESTRIAN_RADIUS_M = 0.25
+
+# Contact pre-test.  Shapes whose circumscribed circles are apart cannot
+# overlap, so detect_collisions runs the exact tests only for pairs whose
+# squared centre distance is within the sum of the circumradii, widened by a
+# relative margin.  The margin is far above the rounding error of the exact
+# tests, so a skipped pair is one they would also have found apart.
+_VEHICLE_CIRCUMRADIUS_M = math.hypot(VEHICLE_LENGTH_M / 2.0, VEHICLE_WIDTH_M / 2.0)
+_PRETEST_MARGIN = 1e-6
+_VEHICLE_PAIR_REACH_SQ = (2.0 * _VEHICLE_CIRCUMRADIUS_M * (1.0 + _PRETEST_MARGIN)) ** 2
+_PEDESTRIAN_PAIR_REACH_SQ = (
+    (_VEHICLE_CIRCUMRADIUS_M + PEDESTRIAN_RADIUS_M) * (1.0 + _PRETEST_MARGIN)
+) ** 2
 
 
 class ContactKind(Enum):
@@ -221,15 +241,20 @@ def step(world: WorldState, dt_ms: int) -> WorldState:
         radar = (
             controllers.radar_sense(world, vhc.id) if vhc.controller.uses_radar else []
         )
-        commands.append(saturate(vhc.controller.control(vhc, radar, dt)))
+        out = vhc.controller.control(vhc, radar, dt)
+        # the same clamps as controllers.saturate, on floats
+        commands.append((
+            max(-STEERING_LIMIT_RAD, min(STEERING_LIMIT_RAD, out.steering)),
+            max(ACCEL_MIN, min(ACCEL_MAX, out.acceleration)),
+        ))
 
-    for vhc, cmd in zip(world.vehicles, commands):
-        vhc.x += vhc.speed * math.cos(vhc.heading) * dt
-        vhc.y += vhc.speed * math.sin(vhc.heading) * dt
-        vhc.heading += (vhc.speed / controllers.WHEELBASE_M) * math.tan(cmd.steering) * dt
-        vhc.speed += cmd.acceleration * dt
-        if vhc.speed < 0.0:
-            vhc.speed = 0.0
+    for vhc, (steering, acceleration) in zip(world.vehicles, commands):
+        speed, heading = vhc.speed, vhc.heading
+        vhc.x += speed * math.cos(heading) * dt
+        vhc.y += speed * math.sin(heading) * dt
+        vhc.heading = heading + (speed / WHEELBASE_M) * math.tan(steering) * dt
+        speed += acceleration * dt
+        vhc.speed = 0.0 if speed < 0.0 else speed
 
     for ped in world.pedestrians:
         if ped.walking:
@@ -242,34 +267,38 @@ def step(world: WorldState, dt_ms: int) -> WorldState:
 
 
 def detect_collisions(world: WorldState) -> list[Contact]:
-    """Footprint overlaps among vehicle pairs and vehicle-pedestrian pairs."""
+    """Footprint overlaps among vehicle pairs and vehicle-pedestrian pairs.
+
+    Pairs whose centres are farther apart than the pre-test reach cannot
+    touch and skip the exact tests.
+    """
     contacts: list[Contact] = []
     vehicles = world.vehicles
-    for i in range(len(vehicles)):
-        for j in range(i + 1, len(vehicles)):
-            pen = geometry.rect_rect_penetration(vehicles[i].footprint(), vehicles[j].footprint())
+    pedestrians = world.pedestrians
+    time_ms = world.sim_time_ms
+    for i, a in enumerate(vehicles):
+        ax, ay = a.x, a.y
+        for b in vehicles[i + 1:]:
+            dx, dy = b.x - ax, b.y - ay
+            if dx * dx + dy * dy > _VEHICLE_PAIR_REACH_SQ:
+                continue
+            pen = geometry.rect_rect_penetration(a.footprint(), b.footprint())
             if pen is not None and pen > 0.0:
                 contacts.append(
-                    Contact(
-                        ContactKind.VEHICLE_VEHICLE,
-                        (vehicles[i].id, vehicles[j].id),
-                        world.sim_time_ms,
-                        pen,
-                    )
+                    Contact(ContactKind.VEHICLE_VEHICLE, (a.id, b.id), time_ms, pen)
                 )
     for vhc in vehicles:
-        for ped in world.pedestrians:
+        vx, vy = vhc.x, vhc.y
+        for ped in pedestrians:
+            dx, dy = ped.x - vx, ped.y - vy
+            if dx * dx + dy * dy > _PEDESTRIAN_PAIR_REACH_SQ:
+                continue
             pen = geometry.rect_disc_penetration(
                 vhc.footprint(), ped.x, ped.y, PEDESTRIAN_RADIUS_M
             )
             if pen is not None and pen > 0.0:
                 contacts.append(
-                    Contact(
-                        ContactKind.VEHICLE_PEDESTRIAN,
-                        (vhc.id, ped.id),
-                        world.sim_time_ms,
-                        pen,
-                    )
+                    Contact(ContactKind.VEHICLE_PEDESTRIAN, (vhc.id, ped.id), time_ms, pen)
                 )
     return contacts
 
@@ -288,34 +317,55 @@ def _disturbance_lateral_offset(world: WorldState, x: float, y: float) -> float:
     return offset
 
 
-def sample_log_row(world: WorldState, descriptions: list[LogItemDescription]) -> list[float]:
-    row: list[float] = []
-    for desc in descriptions:
-        if desc.item_type is ItemType.TIME:
-            row.append(float(world.sim_time_ms))
-            continue
-        if desc.item_type is ItemType.VEHICLE:
-            vhc = world.vehicles[desc.item_index]
-            x, y, heading, speed = vhc.x, vhc.y, vhc.heading, vhc.speed
-            bump = _disturbance_lateral_offset(world, x, y)
-        else:
-            ped = world.pedestrians[desc.item_index]
-            x, y, heading, speed = ped.x, ped.y, ped.heading(), ped.speed()
-            bump = 0.0
-        state = desc.item_state_index
+def _column_getter(world: WorldState, desc: LogItemDescription) -> Callable[[], float]:
+    """The value of one log column, with its entity and state resolved."""
+    if desc.item_type is ItemType.TIME:
+        return lambda: float(world.sim_time_ms)
+    state = desc.item_state_index
+    if desc.item_type is ItemType.VEHICLE:
+        vhc = world.vehicles[desc.item_index]
         if state is StateId.POSITION_X:
-            row.append(x)
-        elif state is StateId.POSITION_Y:
-            row.append(y + bump)
-        elif state is StateId.ORIENTATION:
-            row.append(wrap_angle(heading))
-        elif state is StateId.SPEED:
-            row.append(speed)
-        elif state is StateId.VELOCITY_X:
-            row.append(speed * math.cos(heading))
-        else:
-            row.append(speed * math.sin(heading))
-    return row
+            return lambda: vhc.x
+        if state is StateId.POSITION_Y:
+            return lambda: vhc.y + _disturbance_lateral_offset(world, vhc.x, vhc.y)
+        if state is StateId.ORIENTATION:
+            return lambda: wrap_angle(vhc.heading)
+        if state is StateId.SPEED:
+            return lambda: vhc.speed
+        if state is StateId.VELOCITY_X:
+            return lambda: vhc.speed * math.cos(vhc.heading)
+        return lambda: vhc.speed * math.sin(vhc.heading)
+    ped = world.pedestrians[desc.item_index]
+    if state is StateId.POSITION_X:
+        return lambda: ped.x
+    if state is StateId.POSITION_Y:
+        # pedestrians have no bump, but adding a zero one logs -0.0 as 0.0
+        # exactly as the vehicle columns do
+        return lambda: ped.y + 0.0
+    if state is StateId.ORIENTATION:
+        return lambda: wrap_angle(ped.heading())
+    if state is StateId.SPEED:
+        return lambda: ped.speed()
+    if state is StateId.VELOCITY_X:
+        return lambda: ped.speed() * math.cos(ped.heading())
+    return lambda: ped.speed() * math.sin(ped.heading())
+
+
+def compile_log_row(
+    world: WorldState, descriptions: list[LogItemDescription]
+) -> Callable[[], list[float]]:
+    """A sampler of the described log row of world, resolved once.
+
+    Each column becomes one getter over its entity, so every later call reads
+    the current state without dispatching on the descriptions again.
+    """
+    getters = [_column_getter(world, desc) for desc in descriptions]
+    return lambda: [get() for get in getters]
+
+
+def sample_log_row(world: WorldState, descriptions: list[LogItemDescription]) -> list[float]:
+    """One log row of world, as compile_log_row(world, descriptions)() gives it."""
+    return compile_log_row(world, descriptions)()
 
 
 # --------------------------------------------------------------------------
@@ -387,9 +437,10 @@ def run(
     rows: list[list[float]] = []
     seen_pairs: set = set()
 
+    sample = compile_log_row(world, descriptions)
     _track_contacts(world, seen_pairs)
     if descriptions:
-        rows.append(sample_log_row(world, descriptions))
+        rows.append(sample())
 
     while world.sim_time_ms < duration_ms:
         if mode is RunMode.REAL_TIME:
@@ -397,7 +448,7 @@ def run(
         step(world, step_ms)
         _track_contacts(world, seen_pairs)
         if descriptions and world.sim_time_ms % period_ms == 0:
-            rows.append(sample_log_row(world, descriptions))
+            rows.append(sample())
         if beat_enabled and world.sim_time_ms % heartbeat.period_ms == 0:
             channel.beat(world.sim_time_ms, finished=world.sim_time_ms >= duration_ms)
 
@@ -434,11 +485,15 @@ def run_embedded(
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
+    """Header, then each cell as repr(float(v)).
+
+    No cell needs CSV quoting: a float repr holds no comma, quote or newline.
+    """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(column_names(traj.column_labels))
-    for row in traj.rows:
-        writer.writerow([repr(float(v)) for v in row])
+    csv.writer(buf, lineterminator="\n").writerow(column_names(traj.column_labels))
+    for row in traj.rows.astype(np.float64, copy=False).tolist():
+        buf.write(",".join(map(repr, row)))
+        buf.write("\n")
     return buf.getvalue()
 
 

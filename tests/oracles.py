@@ -12,9 +12,11 @@ import math
 import random
 from typing import Optional
 
-from avtestbed import covering
+from avtestbed import controllers as ctl
+from avtestbed import covering, geometry
 from avtestbed import robustness as rb
 from avtestbed import scenario as sc
+from avtestbed import supervisor as sv
 from avtestbed import wire
 
 import numpy as np
@@ -354,6 +356,115 @@ def random_environment(rng: random.Random) -> sc.SimEnvironment:
     return env
 
 
+def random_kernel_scene(rng: random.Random) -> tuple[sc.SimEnvironment, sc.SimulationConfig]:
+    """A short scene that exercises every part of the kernel.
+
+    It logs every state of every vehicle and pedestrian, mixes the three
+    vehicle controllers (the fusion driver senses with the radar), lays bump
+    regions around the vehicles, and sets initial states, among them a -0.0
+    y position.  Most entities start within a few metres of the first
+    vehicle, so that the contact tests run near touching.
+    """
+    env = sc.SimEnvironment()
+    base_x, base_y = rng.uniform(-50.0, 50.0), rng.uniform(-5.0, 5.0)
+    base_heading = rng.uniform(-math.pi, math.pi)
+
+    def near(lo: float, hi: float) -> tuple[float, float]:
+        bearing = rng.uniform(-math.pi, math.pi)
+        dist = rng.uniform(lo, hi)
+        return base_x + dist * math.cos(bearing), base_y + dist * math.sin(bearing)
+
+    ids = rng.sample(range(1, 20), rng.randint(1, 3))
+    for i, vhc_id in enumerate(ids):
+        vhc = sc.Vehicle(vhc_id=vhc_id)
+        if i == 0:
+            x, y = base_x, base_y
+        elif rng.random() < 0.7:
+            x, y = near(3.5, 7.0)
+        else:
+            x, y = base_x + rng.uniform(-60.0, 60.0), base_y + rng.uniform(-10.0, 10.0)
+        vhc.current_position = [x, 0.3, -0.0 if rng.random() < 0.2 else y]
+        if rng.random() < 0.5:
+            vhc.current_orientation = base_heading + rng.uniform(-0.5, 0.5)
+        else:
+            vhc.current_orientation = rng.uniform(-math.pi, math.pi)
+        vhc.controller = rng.choice(
+            ["void", "path_and_speed_follower", "automated_driving_with_fusion2"]
+        )
+        if vhc.controller == "path_and_speed_follower":
+            vhc.controller_arguments = [repr(rng.uniform(0.0, 15.0))]
+        elif vhc.controller == "automated_driving_with_fusion2":
+            vhc.controller_arguments = [
+                "car", repr(rng.uniform(0.0, 60.0)), repr(rng.uniform(-4.0, 4.0))
+            ] + ([str(vhc_id)] if rng.random() < 0.5 else [])
+        (env.ego_vehicles if i == 0 else env.agent_vehicles).append(vhc)
+
+    for i in range(rng.randint(0, 2)):
+        ped = sc.Pedestrian(ped_id=i, target_speed=rng.uniform(0.0, 3.0))
+        x, y = near(1.5, 4.0) if rng.random() < 0.7 else near(4.0, 40.0)
+        ped.current_position = [x, 1.3, y]
+        for _ in range(rng.randint(0, 3)):
+            ped.trajectory += list(near(0.0, 10.0))
+        ped.controller = rng.choice(["void", "pedestrian_control", "pedestrian_control"])
+        env.pedestrians.append(ped)
+
+    for _ in range(rng.randint(0, 2)):
+        env.road_disturbances.append(
+            sc.RoadDisturbance(
+                position=[base_x + rng.uniform(-10.0, 5.0), 0.0, base_y + rng.uniform(-2.0, 2.0)],
+                length=rng.uniform(2.0, 20.0),
+                width=rng.uniform(1.0, 6.0),
+                height=rng.uniform(0.01, 0.1),
+                inter_object_spacing=rng.uniform(0.3, 2.0),
+            )
+        )
+
+    if rng.random() < 0.5:
+        vhc_id = rng.choice(ids + [None])
+        for _ in range(rng.randint(2, 4)):
+            env.controller_params.append(
+                sc.ControllerParameter(
+                    vehicle_id=vhc_id, parameter_name="target_position",
+                    parameter_data=list(near(0.0, 80.0)),
+                )
+            )
+
+    for _ in range(rng.randint(0, 4)):
+        if env.pedestrians and rng.random() < 0.3:
+            item_type, index = sc.ItemType.PEDESTRIAN, rng.randrange(len(env.pedestrians))
+            state = rng.choice([s for s in sc.StateId if s is not sc.StateId.ORIENTATION])
+        else:
+            item_type, index = sc.ItemType.VEHICLE, rng.randrange(len(ids))
+            state = rng.choice(list(sc.StateId))
+        if state is sc.StateId.POSITION_X:
+            value = base_x + rng.uniform(-6.0, 6.0)
+        elif state is sc.StateId.POSITION_Y:
+            value = -0.0 if rng.random() < 0.5 else base_y + rng.uniform(-3.0, 3.0)
+        elif state is sc.StateId.ORIENTATION:
+            value = rng.uniform(-4.0, 4.0)
+        else:
+            value = rng.uniform(-15.0, 15.0)
+        env.initial_state_configs.append(
+            sc.InitialStateConfig(sc.LogItemDescription(item_type, index, state), value)
+        )
+
+    columns = [sc.LogItemDescription(sc.ItemType.TIME)]
+    for item_type, count in ((sc.ItemType.VEHICLE, len(ids)), (sc.ItemType.PEDESTRIAN, len(env.pedestrians))):
+        for index in range(count):
+            columns += [sc.LogItemDescription(item_type, index, state) for state in sc.StateId]
+    rng.shuffle(columns)
+    env.data_log_descriptions = columns
+
+    step = rng.choice([5, 10, 20])
+    env.data_log_period_ms = step * rng.choice([1, 2, 5])
+    config = sc.SimulationConfig(
+        sim_duration_ms=env.data_log_period_ms * rng.randint(0, 30),
+        sim_step_size_ms=step,
+        run_configs=[sc.RunConfig()],
+    )
+    return env, config
+
+
 def random_config(rng: random.Random) -> sc.SimulationConfig:
     step = rng.choice([5, 10, 20])
     config = sc.SimulationConfig(
@@ -399,3 +510,261 @@ def random_message(rng: random.Random) -> wire.WireMessage:
     if choice == 6:
         return wire.TraceData(random_trajectory(rng))
     return wire.ProtocolErrorMsg(code=rng.randint(0, 65535), message="boom " * rng.randint(0, 3))
+
+
+# --------------------------------------------------------------------------
+# Reference scalar kernel: the per-object step, contact and sampling loop
+# that resolves every log column, footprint and path segment on every step.
+# The kernel in avtestbed.supervisor must give the same rows, contacts and
+# minimum gap bit for bit.
+
+
+def _reference_saturate(out: ctl.ControlOutput) -> ctl.ControlOutput:
+    return ctl.ControlOutput(
+        steering=max(-ctl.STEERING_LIMIT_RAD, min(ctl.STEERING_LIMIT_RAD, out.steering)),
+        acceleration=max(ctl.ACCEL_MIN, min(ctl.ACCEL_MAX, out.acceleration)),
+    )
+
+
+def _reference_project_onto_path(path, x: float, y: float) -> float:
+    best_dist = math.inf
+    best_arc = 0.0
+    arc = 0.0
+    for i in range(len(path) - 1):
+        ax, ay = path[i]
+        bx, by = path[i + 1]
+        vx, vy = bx - ax, by - ay
+        seg_len = math.hypot(vx, vy)
+        if seg_len == 0.0:
+            continue
+        t = ((x - ax) * vx + (y - ay) * vy) / (seg_len * seg_len)
+        t = max(0.0, min(1.0, t))
+        dist = math.hypot(x - (ax + t * vx), y - (ay + t * vy))
+        if dist < best_dist - 1e-12:
+            best_dist = dist
+            best_arc = arc + t * seg_len
+        arc += seg_len
+    return best_arc
+
+
+def _reference_point_at_arc(path, s: float):
+    if s <= 0.0:
+        return path[0]
+    arc = 0.0
+    for i in range(len(path) - 1):
+        ax, ay = path[i]
+        bx, by = path[i + 1]
+        seg_len = math.hypot(bx - ax, by - ay)
+        if seg_len > 0.0 and s <= arc + seg_len:
+            t = (s - arc) / seg_len
+            return (ax + t * (bx - ax), ay + t * (by - ay))
+        arc += seg_len
+    return path[-1]
+
+
+def reference_pure_pursuit_steering(x: float, y: float, heading: float, speed: float, path) -> float:
+    if len(path) < 2:
+        return 0.0
+    lookahead = max(ctl.LOOKAHEAD_MIN_M, ctl.LOOKAHEAD_TIME_S * speed)
+    s = _reference_project_onto_path(path, x, y)
+    tx, ty = _reference_point_at_arc(path, s + lookahead)
+    dx, dy = tx - x, ty - y
+    if dx == 0.0 and dy == 0.0:
+        return 0.0
+    alpha = ctl.wrap_angle(math.atan2(dy, dx) - heading)
+    return math.atan2(2.0 * ctl.WHEELBASE_M * math.sin(alpha), lookahead)
+
+
+def _reference_control(controller, state, radar, dt: float) -> ctl.ControlOutput:
+    """The control law of each built-in controller, over the reference path
+    tracker; any other controller runs its own control()."""
+    if isinstance(controller, ctl.VoidController):
+        return ctl.ControlOutput(0.0, 0.0)
+    if not isinstance(controller, (ctl.PathSpeedFollower, ctl.FusionDrivingController)):
+        return controller.control(state, radar, dt)
+    steering = reference_pure_pursuit_steering(
+        state.x, state.y, state.heading, state.speed, controller.path
+    )
+    accel = ctl.SPEED_GAIN * (controller.target_speed - state.speed)
+    if isinstance(controller, ctl.FusionDrivingController):
+        for det in radar:
+            if abs(det.relative_bearing) >= ctl.BRAKE_BEARING_RAD:
+                continue
+            if det.relative_speed > 0.0 and det.relative_range / det.relative_speed < ctl.BRAKE_TTC_S:
+                accel = ctl.ACCEL_MIN
+                break
+    return _reference_saturate(ctl.ControlOutput(steering, accel))
+
+
+def reference_radar_sense(world, self_id: int, max_range: float = ctl.RADAR_RANGE_M):
+    me = world.vehicle_by_id(self_id)
+    if me is None:
+        raise ValueError(f"no vehicle with id {self_id}")
+
+    mvx = me.speed * math.cos(me.heading)
+    mvy = me.speed * math.sin(me.heading)
+    detections = []
+
+    def consider(kind_rank: int, ident: int, tx, ty, tvx, tvy):
+        dx, dy = tx - me.x, ty - me.y
+        rng = math.hypot(dx, dy)
+        if rng == 0.0 or rng > max_range:
+            return
+        bearing = ctl.wrap_angle(math.atan2(dy, dx) - me.heading)
+        if abs(bearing) > ctl.RADAR_FOV_RAD:
+            return
+        closing = -((dx * (tvx - mvx) + dy * (tvy - mvy)) / rng)
+        detections.append(((rng, kind_rank, ident), ctl.RadarDetection(rng, bearing, closing)))
+
+    for vhc in world.vehicles:
+        if vhc.id == self_id:
+            continue
+        consider(0, vhc.id, vhc.x, vhc.y, vhc.speed * math.cos(vhc.heading),
+                 vhc.speed * math.sin(vhc.heading))
+    for ped in world.pedestrians:
+        pvx, pvy = ped.velocity()
+        consider(1, ped.id, ped.x, ped.y, pvx, pvy)
+
+    detections.sort(key=lambda item: item[0])
+    return [det for _, det in detections]
+
+
+def reference_step(world, dt_ms: int):
+    dt = dt_ms / 1000.0
+
+    commands = []
+    for vhc in world.vehicles:
+        radar = reference_radar_sense(world, vhc.id) if vhc.controller.uses_radar else []
+        commands.append(_reference_saturate(_reference_control(vhc.controller, vhc, radar, dt)))
+
+    for vhc, cmd in zip(world.vehicles, commands):
+        vhc.x += vhc.speed * math.cos(vhc.heading) * dt
+        vhc.y += vhc.speed * math.sin(vhc.heading) * dt
+        vhc.heading += (vhc.speed / ctl.WHEELBASE_M) * math.tan(cmd.steering) * dt
+        vhc.speed += cmd.acceleration * dt
+        if vhc.speed < 0.0:
+            vhc.speed = 0.0
+
+    for ped in world.pedestrians:
+        if ped.walking:
+            ped.x, ped.y, ped.waypoint_index = ctl.pedestrian_step(
+                ped.x, ped.y, ped.waypoint_index, ped.target_speed, ped.waypoints, dt
+            )
+
+    world.sim_time_ms += dt_ms
+    return world
+
+
+def reference_detect_collisions(world) -> list:
+    """Every vehicle pair and vehicle-pedestrian pair through the exact tests."""
+    contacts = []
+    vehicles = world.vehicles
+    for i in range(len(vehicles)):
+        for j in range(i + 1, len(vehicles)):
+            pen = geometry.rect_rect_penetration(vehicles[i].footprint(), vehicles[j].footprint())
+            if pen is not None and pen > 0.0:
+                contacts.append(
+                    sv.Contact(
+                        sv.ContactKind.VEHICLE_VEHICLE,
+                        (vehicles[i].id, vehicles[j].id),
+                        world.sim_time_ms,
+                        pen,
+                    )
+                )
+    for vhc in vehicles:
+        for ped in world.pedestrians:
+            pen = geometry.rect_disc_penetration(
+                vhc.footprint(), ped.x, ped.y, sv.PEDESTRIAN_RADIUS_M
+            )
+            if pen is not None and pen > 0.0:
+                contacts.append(
+                    sv.Contact(
+                        sv.ContactKind.VEHICLE_PEDESTRIAN,
+                        (vhc.id, ped.id),
+                        world.sim_time_ms,
+                        pen,
+                    )
+                )
+    return contacts
+
+
+def _reference_lateral_offset(world, x: float, y: float) -> float:
+    offset = 0.0
+    for dist in world.disturbances:
+        x0, y0 = dist.position[0], dist.position[2]
+        if x0 <= x <= x0 + dist.length and abs(y - y0) <= dist.width / 2.0:
+            offset += dist.height * math.sin(2.0 * math.pi * x / dist.inter_object_spacing)
+    return offset
+
+
+def reference_sample_log_row(world, descriptions) -> list[float]:
+    row: list[float] = []
+    for desc in descriptions:
+        if desc.item_type is sc.ItemType.TIME:
+            row.append(float(world.sim_time_ms))
+            continue
+        if desc.item_type is sc.ItemType.VEHICLE:
+            vhc = world.vehicles[desc.item_index]
+            x, y, heading, speed = vhc.x, vhc.y, vhc.heading, vhc.speed
+            bump = _reference_lateral_offset(world, x, y)
+        else:
+            ped = world.pedestrians[desc.item_index]
+            x, y, heading, speed = ped.x, ped.y, ped.heading(), ped.speed()
+            bump = 0.0
+        state = desc.item_state_index
+        if state is sc.StateId.POSITION_X:
+            row.append(x)
+        elif state is sc.StateId.POSITION_Y:
+            row.append(y + bump)
+        elif state is sc.StateId.ORIENTATION:
+            row.append(ctl.wrap_angle(heading))
+        elif state is sc.StateId.SPEED:
+            row.append(speed)
+        elif state is sc.StateId.VELOCITY_X:
+            row.append(speed * math.cos(heading))
+        else:
+            row.append(speed * math.sin(heading))
+    return row
+
+
+def _reference_track_contacts(world, seen_pairs: set) -> None:
+    for contact in reference_detect_collisions(world):
+        key = (contact.kind, contact.ids)
+        if key not in seen_pairs:
+            seen_pairs.add(key)
+            world.contacts.append(contact)
+    for i in range(len(world.vehicles)):
+        for j in range(i + 1, len(world.vehicles)):
+            a, b = world.vehicles[i], world.vehicles[j]
+            gap = math.hypot(a.x - b.x, a.y - b.y)
+            if gap < world.min_vehicle_gap:
+                world.min_vehicle_gap = gap
+
+
+def reference_run(env: sc.SimEnvironment, config: sc.SimulationConfig) -> sv.SimulationResult:
+    """Build, initialize and run a scenario through the reference kernel."""
+    world = sv.build_world(env, config)
+    sv.apply_initial_states(world, env.initial_state_configs)
+    descriptions = list(env.data_log_descriptions)
+    period_ms = env.data_log_period_ms
+    duration_ms = config.sim_duration_ms
+    step_ms = config.sim_step_size_ms
+    rows: list[list[float]] = []
+    seen_pairs: set = set()
+
+    _reference_track_contacts(world, seen_pairs)
+    if descriptions:
+        rows.append(reference_sample_log_row(world, descriptions))
+
+    while world.sim_time_ms < duration_ms:
+        reference_step(world, step_ms)
+        _reference_track_contacts(world, seen_pairs)
+        if descriptions and world.sim_time_ms % period_ms == 0:
+            rows.append(reference_sample_log_row(world, descriptions))
+
+    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(descriptions))
+    return sv.SimulationResult(
+        trajectory=sc.Trajectory(column_labels=descriptions, rows=matrix),
+        contacts=list(world.contacts),
+        min_vehicle_gap=world.min_vehicle_gap,
+    )

@@ -198,6 +198,24 @@ class TestRunCa:
         statuses = [e["status"] for e in summary["rows"]]
         assert statuses == ["ok", "failed"]
 
+    def test_row_with_pedestrian_orientation_initial_state_fails(self, tmp_path):
+        csv_path, scenario_path, bindings = self.make_inputs(tmp_path, ["0,20,2"])
+        env, config = scenario.load_scenario(scenario_path)
+        env.initial_state_configs.append(
+            scenario.InitialStateConfig(
+                scenario.LogItemDescription(
+                    scenario.ItemType.PEDESTRIAN, 0, scenario.StateId.ORIENTATION
+                ),
+                1.0,
+            )
+        )
+        scenario.save_scenario(env, config, scenario_path)
+        out_dir = tmp_path / "out"
+        assert main(["run-ca", csv_path, scenario_path, bindings, "--out-dir", str(out_dir)]) == 0
+        [entry] = json.loads((out_dir / "summary.json").read_text())["rows"]
+        assert entry["status"] == "failed"
+        assert "initial_state_configs[1]" in entry["error"]
+
     def test_empty_body_gives_empty_summary(self, tmp_path):
         csv_path, scenario_path, bindings = self.make_inputs(tmp_path, [])
         out_dir = tmp_path / "out"

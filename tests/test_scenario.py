@@ -133,6 +133,34 @@ class TestValidation:
         )
         assert any("TIME" in v.message for v in validate_environment(env))
 
+    def test_pedestrian_orientation_initial_state_reported(self):
+        env = presets.demo_environment()
+        env.initial_state_configs.append(
+            InitialStateConfig(LogItemDescription(ItemType.PEDESTRIAN, 0, StateId.ORIENTATION), 1.0)
+        )
+        report = validate_environment(env)
+        assert [(v.path, "ORIENTATION" in v.message) for v in report] == [
+            ("initial_state_configs[1]", True)
+        ]
+
+    @pytest.mark.parametrize("state", [s for s in StateId if s is not StateId.ORIENTATION])
+    def test_other_pedestrian_initial_states_accepted(self, state):
+        env = presets.demo_environment()
+        env.initial_state_configs.append(
+            InitialStateConfig(LogItemDescription(ItemType.PEDESTRIAN, 0, state), 1.0)
+        )
+        assert validate_environment(env) == []
+
+    def test_void_controller_arguments_reported(self):
+        env = presets.demo_environment()
+        env.agent_vehicles[0].controller = "void"
+        report = validate_environment(env)
+        assert [(v.path, "void" in v.message) for v in report] == [
+            ("agent_vehicles[0].controller_arguments", True)
+        ]
+        env.agent_vehicles[0].controller_arguments = []
+        assert validate_environment(env) == []
+
     def test_empty_parameter_name(self):
         env = SimEnvironment(controller_params=[ControllerParameter(parameter_name="")])
         assert any("parameter_name" in v.message for v in validate_environment(env))

@@ -142,6 +142,20 @@ class TestClientSession:
             wire.client_session(("127.0.0.1", server.port), env, config)
         assert err.value.code == wire.ERR_SETUP
 
+    def test_pedestrian_orientation_initial_state_reports_error_100(self, server):
+        env, config = presets.demo_scenario()
+        env.initial_state_configs.append(
+            scenario.InitialStateConfig(
+                scenario.LogItemDescription(
+                    scenario.ItemType.PEDESTRIAN, 0, scenario.StateId.ORIENTATION
+                ),
+                1.0,
+            )
+        )
+        with pytest.raises(wire.ProtocolSessionError, match=r"initial_state_configs\[1\]") as err:
+            wire.client_session(("127.0.0.1", server.port), env, config)
+        assert err.value.code == wire.ERR_SETUP
+
     def test_non_finite_environment_reports_error_100(self, server):
         import socket as socket_module
 
