@@ -205,7 +205,10 @@ def cmd_falsify(args: argparse.Namespace) -> CommandOutcome:
     if args.seed is not None:
         study.config.seed = args.seed
 
-    results = fz.run_study(study)
+    try:
+        results = fz.run_study(study)
+    except (ValueError, fz.AllEvaluationsFailedError) as exc:
+        raise CommandError(str(exc))
     fz.save_results(results, args.out)
 
     best = min(results, key=lambda r: r.best_robustness)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# command saturation applied by the kernel (controllers also pre-clamp)
+# actuator limits; the kernel clamps every raw command to them
 STEERING_LIMIT_RAD = 0.6
 ACCEL_MIN = -8.0
 ACCEL_MAX = 3.0
@@ -30,12 +30,6 @@ SPEED_GAIN = 1.0
 
 
 @dataclass
-class ControlOutput:
-    steering: float = 0.0
-    acceleration: float = 0.0
-
-
-@dataclass
 class RadarDetection:
     """A target in the sensing vehicle's frame.
 
@@ -49,13 +43,6 @@ class RadarDetection:
 
 class ControllerConfigError(ValueError):
     """Bad controller name or malformed argument, raised at world build time."""
-
-
-def saturate(out: ControlOutput) -> ControlOutput:
-    return ControlOutput(
-        steering=max(-STEERING_LIMIT_RAD, min(STEERING_LIMIT_RAD, out.steering)),
-        acceleration=max(ACCEL_MIN, min(ACCEL_MAX, out.acceleration)),
-    )
 
 
 def wrap_angle(a: float) -> float:
@@ -84,7 +71,9 @@ def _path_segments(path: list[tuple[float, float]]) -> list[PathSegment]:
     for (ax, ay), (bx, by) in zip(path, path[1:]):
         vx, vy = bx - ax, by - ay
         seg_len = math.hypot(vx, vy)
-        if seg_len == 0.0:
+        # a segment whose squared length underflows is as degenerate as an
+        # empty one: projecting onto it would divide by zero
+        if seg_len * seg_len == 0.0:
             continue
         segments.append((ax, ay, vx, vy, seg_len, seg_len * seg_len, arc))
         arc += seg_len
@@ -151,16 +140,16 @@ def _pursue(
 
 
 class VehicleController:
-    """Base controller: no actuation."""
+    """Base controller: no actuation.  The "void" controller is this class.
+
+    control() returns the raw (steering, acceleration) command; the kernel
+    clamps it to the actuator limits.
+    """
 
     uses_radar = False
 
-    def control(self, state, radar: list[RadarDetection], dt: float) -> ControlOutput:
-        return ControlOutput(0.0, 0.0)
-
-
-class VoidController(VehicleController):
-    pass
+    def control(self, state, radar: list[RadarDetection], dt: float) -> tuple[float, float]:
+        return (0.0, 0.0)
 
 
 def _finite_float(text: str) -> float:
@@ -189,8 +178,7 @@ class PathSpeedFollower(VehicleController):
         steering = _pursue(
             state.x, state.y, state.heading, state.speed, self.path, self._segments
         )
-        accel = SPEED_GAIN * (self.target_speed - state.speed)
-        return saturate(ControlOutput(steering, accel))
+        return (steering, SPEED_GAIN * (self.target_speed - state.speed))
 
 
 class FusionDrivingController(VehicleController):
@@ -242,7 +230,7 @@ class FusionDrivingController(VehicleController):
             if det.relative_speed > 0.0 and det.relative_range / det.relative_speed < BRAKE_TTC_S:
                 accel = ACCEL_MIN
                 break
-        return saturate(ControlOutput(steering, accel))
+        return (steering, accel)
 
 
 def pedestrian_step(
@@ -277,16 +265,13 @@ def pedestrian_step(
 # Radar
 
 
-def radar_sense(world, self_id: int, max_range: float = RADAR_RANGE_M) -> list[RadarDetection]:
-    """Ground-truth detections of other vehicles and pedestrians, nearest first.
+def radar_sense(world, me) -> list[RadarDetection]:
+    """Ground-truth detections, nearest first, of the vehicles other than me
+    and of the pedestrians in world.
 
-    Targets beyond max_range or outside the +-45 degree field of view are
+    Targets beyond RADAR_RANGE_M or outside the +-45 degree field of view are
     dropped.
     """
-    me = world.vehicle_by_id(self_id)
-    if me is None:
-        raise ValueError(f"no vehicle with id {self_id}")
-
     mvx = me.speed * math.cos(me.heading)
     mvy = me.speed * math.sin(me.heading)
     detections: list[tuple[tuple, RadarDetection]] = []
@@ -294,7 +279,7 @@ def radar_sense(world, self_id: int, max_range: float = RADAR_RANGE_M) -> list[R
     def consider(kind_rank: int, ident: int, tx, ty, tvx, tvy):
         dx, dy = tx - me.x, ty - me.y
         rng = math.hypot(dx, dy)
-        if rng == 0.0 or rng > max_range:
+        if rng == 0.0 or rng > RADAR_RANGE_M:
             return
         bearing = wrap_angle(math.atan2(dy, dx) - me.heading)
         if abs(bearing) > RADAR_FOV_RAD:
@@ -306,7 +291,7 @@ def radar_sense(world, self_id: int, max_range: float = RADAR_RANGE_M) -> list[R
         )
 
     for vhc in world.vehicles:
-        if vhc.id == self_id:
+        if vhc is me:
             continue
         consider(0, vhc.id, vhc.x, vhc.y, vhc.speed * math.cos(vhc.heading),
                  vhc.speed * math.sin(vhc.heading))
@@ -322,7 +307,7 @@ def radar_sense(world, self_id: int, max_range: float = RADAR_RANGE_M) -> list[R
 # Registry
 
 _VEHICLE_FACTORIES = {
-    "void": lambda args, path: VoidController(),
+    "void": lambda args, path: VehicleController(),
     "path_and_speed_follower": PathSpeedFollower,
     "automated_driving_with_fusion2": FusionDrivingController,
 }

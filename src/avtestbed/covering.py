@@ -342,7 +342,9 @@ def run_test_suite(
 
     Each bound cell is parsed as a number and written into a fresh copy of
     the template document; don't-care cells keep the template value.  A row
-    that fails to parse or simulate is recorded and the suite continues.
+    that fails to bind, parse, set up or simulate (a ValueError or
+    RuntimeError) is recorded and the suite continues; any other exception is
+    a programming error and propagates.
     """
     for name in binding:
         if name not in table.parameter_names:
@@ -365,7 +367,7 @@ def run_test_suite(
                     ) from None
                 set_scenario_value(doc, path, numeric)
             result.outputs[index] = runner(doc)
-        except Exception as exc:
+        except (ValueError, RuntimeError) as exc:
             result.failures[index] = str(exc)
     return result
 

@@ -351,8 +351,21 @@ def make_study_system(study: Study) -> tuple[System, MtlFormula, list[LinearPred
     predicates = study.requirement.resolve(names[1:])
     formula = study.requirement.formula()
 
+    # the step size is an integer field that no float binding can change, so
+    # the study's duration and log period are checked against it once here
     duration_ms = int(round(1000.0 * study.config.sim_duration_s))
     period_ms = int(round(1000.0 * study.config.samp_time_s))
+    template_config = scenario.config_from_json(study.scenario_doc.get("config", {}))
+    template_config.sim_duration_ms = duration_ms
+    problems = scenario.validate_config(template_config)
+    if problems:
+        raise ValueError(f"study cannot run: {problems[0]}")
+    step_ms = template_config.sim_step_size_ms
+    if period_ms < 1 or period_ms % step_ms != 0:
+        raise ValueError(
+            f"study samp_time_s: log period {period_ms} ms is not a positive "
+            f"multiple of the step size {step_ms} ms"
+        )
 
     def system(sample: Sequence[float]) -> Trace:
         doc = json.loads(json.dumps(study.scenario_doc))
@@ -364,11 +377,6 @@ def make_study_system(study: Study) -> tuple[System, MtlFormula, list[LinearPred
         config = scenario.config_from_json(doc.get("config", {}))
         env.data_log_period_ms = period_ms
         config.sim_duration_ms = duration_ms
-        if duration_ms % config.sim_step_size_ms != 0:
-            raise ValueError(
-                f"study duration {duration_ms} ms is not a multiple of the "
-                f"step size {config.sim_step_size_ms} ms"
-            )
         result = supervisor.run_embedded(env, config)
         return rb.convert_trajectory(result.trajectory)
 

@@ -127,12 +127,6 @@ class WorldState:
     contacts: list[Contact] = field(default_factory=list)
     min_vehicle_gap: float = math.inf
 
-    def vehicle_by_id(self, vhc_id: int) -> Optional[VehicleState]:
-        for vhc in self.vehicles:
-            if vhc.id == vhc_id:
-                return vhc
-        return None
-
 
 class SetupError(RuntimeError):
     """World construction failed; surfaced to clients as protocol error 100."""
@@ -151,7 +145,8 @@ def build_world(
     config: SimulationConfig,
     seed: int = 0,
 ) -> WorldState:
-    """Instantiate world state and controllers from a validated environment."""
+    """Instantiate world state and controllers from a validated environment,
+    with its initial state configs applied."""
     violations = validate_environment(env) + validate_config(config)
     if violations:
         listing = "; ".join(str(v) for v in violations[:5])
@@ -196,11 +191,15 @@ def build_world(
                 walking=(ped.controller == "pedestrian_control"),
             )
         )
-    return world
+    return apply_initial_states(world, env.initial_state_configs)
 
 
 def apply_initial_states(world: WorldState, configs) -> WorldState:
-    """Overwrite the named entity states; VELOCITY_* set speed to |value|."""
+    """Overwrite the named entity states; VELOCITY_* set speed to |value|.
+
+    Every config assigns a value, so applying the same list again changes
+    nothing.
+    """
     for isc in configs:
         item, value = isc.item, isc.value
         if item.item_type is ItemType.VEHICLE:
@@ -232,20 +231,19 @@ def step(world: WorldState, dt_ms: int) -> WorldState:
     """Advance every entity by one fixed step.
 
     Control commands are computed from the pre-step snapshot for all vehicles
-    before any state is integrated, so in-step ordering cannot leak.
+    before any state is integrated, so in-step ordering cannot leak.  Each
+    raw command is clamped here to the actuator limits, the only place they
+    apply.
     """
     dt = dt_ms / 1000.0
 
     commands = []
     for vhc in world.vehicles:
-        radar = (
-            controllers.radar_sense(world, vhc.id) if vhc.controller.uses_radar else []
-        )
-        out = vhc.controller.control(vhc, radar, dt)
-        # the same clamps as controllers.saturate, on floats
+        radar = controllers.radar_sense(world, vhc) if vhc.controller.uses_radar else []
+        steering, acceleration = vhc.controller.control(vhc, radar, dt)
         commands.append((
-            max(-STEERING_LIMIT_RAD, min(STEERING_LIMIT_RAD, out.steering)),
-            max(ACCEL_MIN, min(ACCEL_MAX, out.acceleration)),
+            max(-STEERING_LIMIT_RAD, min(STEERING_LIMIT_RAD, steering)),
+            max(ACCEL_MIN, min(ACCEL_MAX, acceleration)),
         ))
 
     for vhc, (steering, acceleration) in zip(world.vehicles, commands):
@@ -372,13 +370,6 @@ def sample_log_row(world: WorldState, descriptions: list[LogItemDescription]) ->
 # Run loop
 
 
-class HeartbeatChannel:
-    """Receives heartbeat emissions; the embedded default ignores them."""
-
-    def beat(self, sim_time_ms: int, finished: bool) -> None:
-        pass
-
-
 def _track_contacts(world: WorldState, seen_pairs: set) -> None:
     for contact in detect_collisions(world):
         key = (contact.kind, contact.ids)
@@ -397,15 +388,15 @@ def run(
     world: WorldState,
     env: SimEnvironment,
     config: SimulationConfig,
-    channel: Optional[HeartbeatChannel] = None,
     run_index: int = 0,
+    beat: Optional[Callable[[int, bool], None]] = None,
 ) -> Trajectory:
     """Execute the simulation and return the sampled trajectory.
 
     A log row is taken at t=0 and every data_log_period_ms through the end of
-    the run.  Heartbeats fire at every multiple of the heartbeat period after
-    t=0 when heartbeats are enabled; the channel is responsible for any
-    synchronization semantics.
+    the run.  When heartbeats are enabled and beat is given, beat(sim_time_ms,
+    finished) is called at every multiple of the heartbeat period after t=0;
+    it is responsible for any synchronization semantics.
     """
     problems = validate_config(config)
     if problems:
@@ -428,9 +419,11 @@ def run(
             )
 
     heartbeat = env.heartbeat_config
-    beat_enabled = heartbeat is not None and heartbeat.sync_type is not SyncType.NO_HEART_BEAT
-    if channel is None:
-        channel = HeartbeatChannel()
+    beat_enabled = (
+        beat is not None
+        and heartbeat is not None
+        and heartbeat.sync_type is not SyncType.NO_HEART_BEAT
+    )
 
     duration_ms = config.sim_duration_ms
     step_ms = config.sim_step_size_ms
@@ -450,7 +443,7 @@ def run(
         if descriptions and world.sim_time_ms % period_ms == 0:
             rows.append(sample())
         if beat_enabled and world.sim_time_ms % heartbeat.period_ms == 0:
-            channel.beat(world.sim_time_ms, finished=world.sim_time_ms >= duration_ms)
+            beat(world.sim_time_ms, world.sim_time_ms >= duration_ms)
 
     matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(descriptions))
     return Trajectory(column_labels=descriptions, rows=matrix)
@@ -468,11 +461,11 @@ def run_embedded(
     config: SimulationConfig,
     run_index: int = 0,
     seed: int = 0,
+    beat: Optional[Callable[[int, bool], None]] = None,
 ) -> SimulationResult:
-    """Build, initialize, and run a scenario in-process (no sockets)."""
+    """Build and run a scenario; the server runs its sessions through here too."""
     world = build_world(env, config, seed=seed)
-    apply_initial_states(world, env.initial_state_configs)
-    trajectory = run(world, env, config, run_index=run_index)
+    trajectory = run(world, env, config, run_index=run_index, beat=beat)
     return SimulationResult(
         trajectory=trajectory,
         contacts=list(world.contacts),
@@ -517,30 +510,6 @@ def trajectory_from_csv(text: str) -> Trajectory:
 
 # --------------------------------------------------------------------------
 # TCP server
-
-
-class _SocketChannel(HeartbeatChannel):
-    """Sends heartbeats over the session socket, blocking for continues in
-    WITH_SYNC mode."""
-
-    def __init__(self, sock: socket.socket, sync: SyncType, timeout_s: float):
-        self.sock = sock
-        self.sync = sync
-        self.timeout_s = timeout_s
-
-    def beat(self, sim_time_ms: int, finished: bool) -> None:
-        status = wire.HeartbeatStatus.FINISHED if finished else wire.HeartbeatStatus.RUNNING
-        wire.send_message(self.sock, wire.Heartbeat(sim_time_ms, status))
-        if self.sync is SyncType.WITH_SYNC:
-            self.sock.settimeout(self.timeout_s)
-            try:
-                msg = wire.recv_message(self.sock)
-            except socket.timeout:
-                raise SyncTimeoutError(
-                    f"no continue received within {self.timeout_s} s"
-                ) from None
-            if not isinstance(msg, wire.Continue):
-                raise SyncTimeoutError(f"expected continue, got {type(msg).__name__}")
 
 
 class SupervisorServer:
@@ -657,16 +626,30 @@ class SupervisorServer:
             fail(wire.ERR_UNEXPECTED_MESSAGE, f"expected start, got {type(msg).__name__}")
             return
 
-        sync = (
-            env.heartbeat_config.sync_type
-            if env.heartbeat_config is not None
-            else SyncType.NO_HEART_BEAT
+        with_sync = (
+            env.heartbeat_config is not None
+            and env.heartbeat_config.sync_type is SyncType.WITH_SYNC
         )
-        channel = _SocketChannel(conn, sync, self.sync_timeout_s)
+
+        def beat(sim_time_ms: int, finished: bool) -> None:
+            # in WITH_SYNC mode, block for the continue under the session timeout
+            status = wire.HeartbeatStatus.FINISHED if finished else wire.HeartbeatStatus.RUNNING
+            wire.send_message(conn, wire.Heartbeat(sim_time_ms, status))
+            if not with_sync:
+                return
+            try:
+                reply = wire.recv_message(conn)
+            except socket.timeout:
+                raise SyncTimeoutError(
+                    f"no continue received within {self.sync_timeout_s} s"
+                ) from None
+            if not isinstance(reply, wire.Continue):
+                raise SyncTimeoutError(f"expected continue, got {type(reply).__name__}")
+
         try:
-            world = build_world(env, msg.config, seed=self.seed)
-            apply_initial_states(world, env.initial_state_configs)
-            trajectory = run(world, env, msg.config, channel=channel, run_index=msg.run_index)
+            result = run_embedded(
+                env, msg.config, run_index=msg.run_index, seed=self.seed, beat=beat
+            )
         except SetupError as exc:
             fail(wire.ERR_SETUP, str(exc))
             return
@@ -676,4 +659,4 @@ class SupervisorServer:
         except wire.WireFormatError as exc:
             fail(wire.ERR_MALFORMED, str(exc))
             return
-        wire.send_message(conn, wire.TraceData(trajectory))
+        wire.send_message(conn, wire.TraceData(result.trajectory))

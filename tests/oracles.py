@@ -519,10 +519,11 @@ def random_message(rng: random.Random) -> wire.WireMessage:
 # minimum gap bit for bit.
 
 
-def _reference_saturate(out: ctl.ControlOutput) -> ctl.ControlOutput:
-    return ctl.ControlOutput(
-        steering=max(-ctl.STEERING_LIMIT_RAD, min(ctl.STEERING_LIMIT_RAD, out.steering)),
-        acceleration=max(ctl.ACCEL_MIN, min(ctl.ACCEL_MAX, out.acceleration)),
+def _reference_saturate(command: tuple[float, float]) -> tuple[float, float]:
+    steering, acceleration = command
+    return (
+        max(-ctl.STEERING_LIMIT_RAD, min(ctl.STEERING_LIMIT_RAD, steering)),
+        max(ctl.ACCEL_MIN, min(ctl.ACCEL_MAX, acceleration)),
     )
 
 
@@ -535,7 +536,7 @@ def _reference_project_onto_path(path, x: float, y: float) -> float:
         bx, by = path[i + 1]
         vx, vy = bx - ax, by - ay
         seg_len = math.hypot(vx, vy)
-        if seg_len == 0.0:
+        if seg_len * seg_len == 0.0:
             continue
         t = ((x - ax) * vx + (y - ay) * vy) / (seg_len * seg_len)
         t = max(0.0, min(1.0, t))
@@ -575,11 +576,11 @@ def reference_pure_pursuit_steering(x: float, y: float, heading: float, speed: f
     return math.atan2(2.0 * ctl.WHEELBASE_M * math.sin(alpha), lookahead)
 
 
-def _reference_control(controller, state, radar, dt: float) -> ctl.ControlOutput:
+def _reference_control(controller, state, radar, dt: float) -> tuple[float, float]:
     """The control law of each built-in controller, over the reference path
     tracker; any other controller runs its own control()."""
-    if isinstance(controller, ctl.VoidController):
-        return ctl.ControlOutput(0.0, 0.0)
+    if type(controller) is ctl.VehicleController:  # "void"
+        return (0.0, 0.0)
     if not isinstance(controller, (ctl.PathSpeedFollower, ctl.FusionDrivingController)):
         return controller.control(state, radar, dt)
     steering = reference_pure_pursuit_steering(
@@ -593,14 +594,10 @@ def _reference_control(controller, state, radar, dt: float) -> ctl.ControlOutput
             if det.relative_speed > 0.0 and det.relative_range / det.relative_speed < ctl.BRAKE_TTC_S:
                 accel = ctl.ACCEL_MIN
                 break
-    return _reference_saturate(ctl.ControlOutput(steering, accel))
+    return _reference_saturate((steering, accel))
 
 
-def reference_radar_sense(world, self_id: int, max_range: float = ctl.RADAR_RANGE_M):
-    me = world.vehicle_by_id(self_id)
-    if me is None:
-        raise ValueError(f"no vehicle with id {self_id}")
-
+def reference_radar_sense(world, me):
     mvx = me.speed * math.cos(me.heading)
     mvy = me.speed * math.sin(me.heading)
     detections = []
@@ -608,7 +605,7 @@ def reference_radar_sense(world, self_id: int, max_range: float = ctl.RADAR_RANG
     def consider(kind_rank: int, ident: int, tx, ty, tvx, tvy):
         dx, dy = tx - me.x, ty - me.y
         rng = math.hypot(dx, dy)
-        if rng == 0.0 or rng > max_range:
+        if rng == 0.0 or rng > ctl.RADAR_RANGE_M:
             return
         bearing = ctl.wrap_angle(math.atan2(dy, dx) - me.heading)
         if abs(bearing) > ctl.RADAR_FOV_RAD:
@@ -617,7 +614,7 @@ def reference_radar_sense(world, self_id: int, max_range: float = ctl.RADAR_RANG
         detections.append(((rng, kind_rank, ident), ctl.RadarDetection(rng, bearing, closing)))
 
     for vhc in world.vehicles:
-        if vhc.id == self_id:
+        if vhc is me:
             continue
         consider(0, vhc.id, vhc.x, vhc.y, vhc.speed * math.cos(vhc.heading),
                  vhc.speed * math.sin(vhc.heading))
@@ -634,14 +631,14 @@ def reference_step(world, dt_ms: int):
 
     commands = []
     for vhc in world.vehicles:
-        radar = reference_radar_sense(world, vhc.id) if vhc.controller.uses_radar else []
+        radar = reference_radar_sense(world, vhc) if vhc.controller.uses_radar else []
         commands.append(_reference_saturate(_reference_control(vhc.controller, vhc, radar, dt)))
 
-    for vhc, cmd in zip(world.vehicles, commands):
+    for vhc, (steering, acceleration) in zip(world.vehicles, commands):
         vhc.x += vhc.speed * math.cos(vhc.heading) * dt
         vhc.y += vhc.speed * math.sin(vhc.heading) * dt
-        vhc.heading += (vhc.speed / ctl.WHEELBASE_M) * math.tan(cmd.steering) * dt
-        vhc.speed += cmd.acceleration * dt
+        vhc.heading += (vhc.speed / ctl.WHEELBASE_M) * math.tan(steering) * dt
+        vhc.speed += acceleration * dt
         if vhc.speed < 0.0:
             vhc.speed = 0.0
 
@@ -744,7 +741,6 @@ def _reference_track_contacts(world, seen_pairs: set) -> None:
 def reference_run(env: sc.SimEnvironment, config: sc.SimulationConfig) -> sv.SimulationResult:
     """Build, initialize and run a scenario through the reference kernel."""
     world = sv.build_world(env, config)
-    sv.apply_initial_states(world, env.initial_state_configs)
     descriptions = list(env.data_log_descriptions)
     period_ms = env.data_log_period_ms
     duration_ms = config.sim_duration_ms

@@ -276,7 +276,6 @@ def test_criterion_7_kinematics_invariants():
     # pedestrian polyline adherence over the demo walk
     demo_env, demo_config = presets.demo_scenario()
     walk_world = supervisor.build_world(demo_env, demo_config)
-    supervisor.apply_initial_states(walk_world, demo_env.initial_state_configs)
     waypoints = [(50.0, 0.0), (80.0, -3.0), (200.0, 0.0)]
     dt = demo_config.sim_step_size_ms / 1000.0
     bound = 3.0 * dt + 1e-12

@@ -294,6 +294,35 @@ class TestFalsifyCommand:
         assert main(["falsify", str(tmp_path / "none.json"), "--out",
                      str(tmp_path / "r.json")]) == 2
 
+    def test_duration_off_the_step_grid_exits_2_before_simulating(
+        self, tmp_path, fixtures_dir, capsys, monkeypatch
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a study that cannot run")
+
+        monkeypatch.setattr(supervisor, "run_embedded", no_simulation)
+        study_path = self.make_study(tmp_path, fixtures_dir, n_tests=100, duration_s=0.015)
+        out = tmp_path / "results.json"
+        assert main(["falsify", study_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: study cannot run: config.sim_duration_ms: "
+            "duration 15 not a multiple of step 10\n"
+        )
+        assert not out.exists()
+
+    def test_every_simulation_failing_exits_2(self, tmp_path, fixtures_dir, capsys):
+        study_path = self.make_study(tmp_path, fixtures_dir)
+        study = json.loads(open(study_path).read())
+        # a negative pedestrian speed fails validation in every simulation
+        study["space"][2].update(lo=-5.0, hi=-1.0)
+        with open(study_path, "w") as fh:
+            json.dump(study, fh)
+        out = tmp_path / "results.json"
+        assert main(["falsify", study_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: every simulation failed; nothing was evaluated\n"
+        assert not out.exists()
+
 
 class TestPlot:
     def make_trace(self, tmp_path, duration_ms=500):

@@ -6,25 +6,26 @@ from avtestbed import supervisor
 from avtestbed.controllers import (
     ACCEL_MAX,
     ACCEL_MIN,
+    SPEED_GAIN,
+    STEERING_LIMIT_RAD,
+    WHEELBASE_M,
     ControllerConfigError,
-    ControlOutput,
     FusionDrivingController,
     PathSpeedFollower,
     RadarDetection,
-    VoidController,
+    VehicleController,
     make_vehicle_controller,
     pedestrian_step,
     pure_pursuit_steering,
     radar_sense,
     registered_vehicle_controllers,
-    saturate,
 )
 from avtestbed.scenario import RunConfig, SimEnvironment, SimulationConfig, Vehicle
 
 
 def make_state(x=0.0, y=0.0, heading=0.0, speed=0.0, vhc_id=1):
     return supervisor.VehicleState(
-        id=vhc_id, x=x, y=y, heading=heading, speed=speed, controller=VoidController()
+        id=vhc_id, x=x, y=y, heading=heading, speed=speed, controller=VehicleController()
     )
 
 
@@ -35,25 +36,48 @@ def two_vehicle_world(ego_kwargs, target_kwargs):
     return world
 
 
+class Fixed(VehicleController):
+    """Returns the same raw command every step."""
+
+    def __init__(self, steering, acceleration):
+        self.command = (steering, acceleration)
+
+    def control(self, state, radar, dt):
+        return self.command
+
+
 class TestSaturation:
+    """The kernel clamps raw commands to the actuator limits in step()."""
+
+    def step_once(self, steering, acceleration):
+        world = supervisor.WorldState()
+        world.vehicles.append(make_state(speed=10.0))
+        world.vehicles[0].controller = Fixed(steering, acceleration)
+        supervisor.step(world, 10)
+        return world.vehicles[0]
+
+    def expected(self, steering, acceleration):
+        # one bicycle-model step from heading 0 at 10 m/s, dt = 0.01 s
+        return ((10.0 / WHEELBASE_M) * math.tan(steering) * 0.01, 10.0 + acceleration * 0.01)
+
     def test_limits(self):
-        out = saturate(ControlOutput(steering=2.0, acceleration=-100.0))
-        assert out.steering == 0.6
-        assert out.acceleration == -8.0
-        out = saturate(ControlOutput(steering=-2.0, acceleration=100.0))
-        assert out.steering == -0.6
-        assert out.acceleration == 3.0
+        vhc = self.step_once(2.0, -100.0)
+        assert (vhc.heading, vhc.speed) == self.expected(STEERING_LIMIT_RAD, ACCEL_MIN)
+        assert (STEERING_LIMIT_RAD, ACCEL_MIN) == (0.6, -8.0)
+        vhc = self.step_once(-2.0, 100.0)
+        assert (vhc.heading, vhc.speed) == self.expected(-STEERING_LIMIT_RAD, ACCEL_MAX)
+        assert ACCEL_MAX == 3.0
 
     def test_within_bounds_untouched(self):
-        out = saturate(ControlOutput(0.1, -1.0))
-        assert (out.steering, out.acceleration) == (0.1, -1.0)
+        vhc = self.step_once(0.1, -1.0)
+        assert (vhc.heading, vhc.speed) == self.expected(0.1, -1.0)
 
 
 class TestVoid:
     def test_always_zero(self):
         ctrl = make_vehicle_controller("void", [], [])
-        out = ctrl.control(make_state(speed=13.0), [], 0.01)
-        assert (out.steering, out.acceleration) == (0.0, 0.0)
+        assert type(ctrl) is VehicleController
+        assert ctrl.control(make_state(speed=13.0), [], 0.01) == (0.0, 0.0)
 
     def test_speed_and_heading_preserved_over_many_steps(self):
         env = SimEnvironment(ego_vehicles=[Vehicle(vhc_id=1, controller="void")])
@@ -71,21 +95,23 @@ class TestVoid:
 class TestPathSpeedFollower:
     def test_equilibrium_on_straight_path(self):
         ctrl = PathSpeedFollower(["20.0"], [(-1000.0, 0.0), (1000.0, 0.0)])
-        out = ctrl.control(make_state(x=0.0, y=0.0, heading=0.0, speed=20.0), [], 0.01)
-        assert abs(out.steering) < 1e-9
-        assert abs(out.acceleration) < 1e-9
+        steering, accel = ctrl.control(make_state(x=0.0, y=0.0, heading=0.0, speed=20.0), [], 0.01)
+        assert abs(steering) < 1e-9
+        assert abs(accel) < 1e-9
 
-    def test_acceleration_saturates_from_standstill(self):
+    def test_raw_acceleration_from_standstill(self):
+        # the controller asks for the full speed error; the kernel clamps it
         ctrl = PathSpeedFollower(["20.0"], [(-1000.0, 0.0), (1000.0, 0.0)])
-        out = ctrl.control(make_state(speed=0.0), [], 0.01)
-        assert out.acceleration == ACCEL_MAX
+        _, accel = ctrl.control(make_state(speed=0.0), [], 0.01)
+        assert accel == SPEED_GAIN * 20.0
+        assert accel > ACCEL_MAX
 
     def test_steers_toward_lane_change_segment(self):
         # oncoming path drops from y=3.5 to y=-3.5 between x=145 and x=110
         path = [(1000.0, 3.5), (145.0, 3.5), (110.0, -3.5), (-1000.0, -3.5)]
         state = make_state(x=140.0, y=3.5, heading=math.pi, speed=20.0)
         ctrl = PathSpeedFollower(["20.0"], path)
-        out = ctrl.control(state, [], 0.01)
+        steering, _ = ctrl.control(state, [], 0.01)
 
         # geometric oracle: the lookahead point must sit to the vehicle's left
         # (negative world y), so the steering command must be positive
@@ -96,12 +122,12 @@ class TestPathSpeedFollower:
         along = lookahead - 5.0  # roughly: 5 m back to (145, 3.5), rest on the diagonal
         target_y = 3.5 + seg_dir[1] * (along / seg_len)
         assert target_y < 0.0
-        assert out.steering > 0.0
+        assert steering > 0.0
+        assert steering == pure_pursuit_steering(140.0, 3.5, math.pi, 20.0, path)
 
     def test_empty_path_holds_course(self):
         ctrl = PathSpeedFollower(["20.0"], [])
-        out = ctrl.control(make_state(heading=0.4, speed=10.0), [], 0.01)
-        assert out.steering == 0.0
+        assert ctrl.control(make_state(heading=0.4, speed=10.0), [], 0.01) == (0.0, 10.0)
 
     def test_missing_target_speed_is_config_error(self):
         with pytest.raises(ControllerConfigError):
@@ -157,9 +183,10 @@ class TestFusionController:
     def test_cruise_at_target_speed(self):
         ctrl = FusionDrivingController(self.args(), [(-1000.0, 0.0), (1000.0, 0.0)])
         state = make_state(x=10.0, speed=19.444)
-        out = ctrl.control(state, [], 0.01)
-        assert abs(out.acceleration) < 1e-3
-        assert abs(out.steering) < 1e-9
+        steering, accel = ctrl.control(state, [], 0.01)
+        assert accel == SPEED_GAIN * (70.0 / 3.6 - 19.444)
+        assert abs(accel) < 1e-3
+        assert abs(steering) < 1e-9
 
     def test_target_speed_is_kmh(self):
         ctrl = FusionDrivingController(self.args(), [])
@@ -168,25 +195,25 @@ class TestFusionController:
     def test_brakes_below_ttc_threshold(self):
         ctrl = FusionDrivingController(self.args(), [])
         detection = RadarDetection(relative_range=10.0, relative_bearing=0.0, relative_speed=10.0)
-        out = ctrl.control(make_state(speed=10.0), [detection], 0.01)
-        assert out.acceleration == ACCEL_MIN
+        _, accel = ctrl.control(make_state(speed=10.0), [detection], 0.01)
+        assert accel == ACCEL_MIN
 
     def test_no_brake_for_wide_bearing(self):
         ctrl = FusionDrivingController(self.args(), [])
         detection = RadarDetection(relative_range=10.0, relative_bearing=0.5, relative_speed=10.0)
-        out = ctrl.control(make_state(speed=19.444), [detection], 0.01)
-        assert out.acceleration > ACCEL_MIN
+        _, accel = ctrl.control(make_state(speed=19.444), [detection], 0.01)
+        assert accel == SPEED_GAIN * (70.0 / 3.6 - 19.444)
 
     def test_no_brake_for_receding_target(self):
         ctrl = FusionDrivingController(self.args(), [])
         detection = RadarDetection(relative_range=10.0, relative_bearing=0.0, relative_speed=-5.0)
-        out = ctrl.control(make_state(speed=19.444), [detection], 0.01)
-        assert out.acceleration > ACCEL_MIN
+        _, accel = ctrl.control(make_state(speed=19.444), [detection], 0.01)
+        assert accel == SPEED_GAIN * (70.0 / 3.6 - 19.444)
 
     def test_follows_lateral_target_without_path(self):
         ctrl = FusionDrivingController(self.args(lat="3.5"), [])
-        out = ctrl.control(make_state(x=0.0, y=0.0, heading=0.0, speed=10.0), [], 0.01)
-        assert out.steering > 0.0  # steer left toward y=3.5
+        steering, _ = ctrl.control(make_state(x=0.0, y=0.0, heading=0.0, speed=10.0), [], 0.01)
+        assert steering > 0.0  # steer left toward y=3.5
 
     def test_perception_arguments_parsed_and_ignored(self):
         ctrl = FusionDrivingController(self.args(), [])
@@ -238,11 +265,11 @@ class TestRadar:
     def test_lone_vehicle_sees_nothing(self):
         world = supervisor.WorldState()
         world.vehicles.append(make_state(vhc_id=1))
-        assert radar_sense(world, 1) == []
+        assert radar_sense(world, world.vehicles[0]) == []
 
     def test_stationary_target_dead_ahead(self):
         world = two_vehicle_world(dict(x=0.0), dict(x=10.0))
-        detections = radar_sense(world, 1)
+        detections = radar_sense(world, world.vehicles[0])
         assert len(detections) == 1
         det = detections[0]
         assert math.isclose(det.relative_range, 10.0)
@@ -251,20 +278,27 @@ class TestRadar:
 
     def test_target_behind_is_invisible(self):
         world = two_vehicle_world(dict(x=0.0), dict(x=-10.0))
-        assert radar_sense(world, 1) == []
+        assert radar_sense(world, world.vehicles[0]) == []
 
     def test_target_beyond_range_invisible(self):
         world = two_vehicle_world(dict(x=0.0), dict(x=90.0))
-        assert radar_sense(world, 1) == []
+        assert radar_sense(world, world.vehicles[0]) == []
 
     def test_closing_speed_sign(self):
         world = two_vehicle_world(dict(x=0.0, speed=10.0), dict(x=50.0, speed=0.0))
-        det = radar_sense(world, 1)[0]
+        det = radar_sense(world, world.vehicles[0])[0]
         assert math.isclose(det.relative_speed, 10.0)
         # receding target: ego stopped, target driving away
         world = two_vehicle_world(dict(x=0.0, speed=0.0), dict(x=50.0, speed=5.0))
-        det = radar_sense(world, 1)[0]
+        det = radar_sense(world, world.vehicles[0])[0]
         assert math.isclose(det.relative_speed, -5.0)
+
+    def test_sensor_skips_only_itself(self):
+        # the sensing vehicle is skipped by identity, not by id
+        world = two_vehicle_world(dict(x=0.0), dict(x=10.0))
+        world.vehicles[1].id = world.vehicles[0].id
+        assert [d.relative_range for d in radar_sense(world, world.vehicles[0])] == [10.0]
+        assert radar_sense(world, world.vehicles[1]) == []
 
     def test_pedestrians_are_detected_and_sorted_by_range(self):
         world = supervisor.WorldState()
@@ -273,7 +307,7 @@ class TestRadar:
         world.pedestrians.append(
             supervisor.PedestrianState(id=1, x=12.0, y=0.5, target_speed=0.0, waypoints=[])
         )
-        ranges = [d.relative_range for d in radar_sense(world, 1)]
+        ranges = [d.relative_range for d in radar_sense(world, world.vehicles[0])]
         assert ranges == sorted(ranges)
         assert len(ranges) == 2
 

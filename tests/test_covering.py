@@ -361,3 +361,27 @@ class TestRunSuite:
         table = TestTable(["a"], [["1"]])
         with pytest.raises(ValueError, match="unknown parameter"):
             run_test_suite(table, demo_template(), {"nope": "config.server_port"}, embedded_runner)
+
+    def test_setup_error_row_is_recorded_as_failed(self):
+        # a negative pedestrian speed passes binding but fails world setup
+        table = TestTable(
+            ["ego_init_speed", "ego_x_position", "pedestrian_speed"],
+            [["10", "20", "-3"], ["0", "25", "2"]],
+        )
+        result = run_test_suite(table, demo_template(), DEMO_BINDING, embedded_runner)
+        assert sorted(result.outputs) == [1]
+        assert list(result.failures) == [0]
+        assert "invalid scenario" in result.failures[0]
+
+    def test_programming_error_propagates(self):
+        table = TestTable(["ego_init_speed"], [["10"], ["5"]])
+        calls = []
+
+        def buggy(doc):
+            calls.append(doc)
+            return 1 / 0
+
+        binding = {"ego_init_speed": DEMO_BINDING["ego_init_speed"]}
+        with pytest.raises(ZeroDivisionError):
+            run_test_suite(table, demo_template(), binding, buggy)
+        assert len(calls) == 1

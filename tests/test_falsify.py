@@ -299,6 +299,20 @@ class TestStudy:
         assert a == b
         assert a.n_simulations_used <= 3
 
+    @pytest.mark.parametrize(
+        "duration_s, samp_time_s, message",
+        [(0.015, 0.01, "not a multiple of step 10"), (-0.01, 0.01, "must be >= 0"),
+         (0.3, 0.015, "log period 15 ms"), (0.3, 0.0, "log period 0 ms")],
+    )
+    def test_study_off_the_step_grid_is_rejected_up_front(
+        self, fixtures_dir, duration_s, samp_time_s, message
+    ):
+        study = load_study(os.path.join(fixtures_dir, "demo_study.json"))
+        study.config.sim_duration_s = duration_s
+        study.config.samp_time_s = samp_time_s
+        with pytest.raises(ValueError, match=message):
+            fz.make_study_system(study)
+
     def test_sampling_period_maps_to_log_period(self, fixtures_dir):
         study = load_study(os.path.join(fixtures_dir, "demo_study.json"))
         study.config.sim_duration_s = 0.3

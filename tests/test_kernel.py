@@ -137,7 +137,7 @@ def heading_towards(draw, bearing):
 def vehicle(ident, x, y, heading):
     return supervisor.VehicleState(
         id=ident, x=x, y=y, heading=heading, speed=0.0,
-        controller=controllers.VoidController(),
+        controller=controllers.VehicleController(),
     )
 
 
@@ -205,15 +205,23 @@ point = st.tuples(st.floats(-200, 200), st.floats(-200, 200))
 )
 @example(path=[(0.0, 0.0), (0.0, 0.0), (10.0, 0.0), (10.0, 0.0)], pose=(1.0, 1.0, 0.0, 2.0))
 @example(path=[(0.0, 0.0), (0.0, 1e-308)], pose=(0.0, 0.0, 0.0, 0.0))
+@example(path=[(5.0, 0.0), (0.0, 0.0), (0.0, 1e-200), (0.0, 9.0)], pose=(1.0, 1.0, 0.5, 3.0))
 def test_pure_pursuit_matches_reference(path, pose):
-    def outcome(steer):
-        # a segment whose squared length underflows to 0 divides by zero in both
-        try:
-            return steer(*pose, path)
-        except ZeroDivisionError:
-            return ZeroDivisionError
+    assert controllers.pure_pursuit_steering(*pose, path) == reference_pure_pursuit_steering(
+        *pose, path
+    )
 
-    assert outcome(controllers.pure_pursuit_steering) == outcome(reference_pure_pursuit_steering)
+
+def test_segment_with_underflowing_squared_length_is_skipped():
+    # 1e-200 squared underflows to 0: the segment is as degenerate as an
+    # empty one, so the agent's run ends normally and matches the reference
+    env, config = presets.demo_scenario()
+    agent_id = env.agent_vehicles[0].vhc_id
+    agent_params = [p for p in env.controller_params if p.vehicle_id == agent_id]
+    agent_params[-2].parameter_data = [0.0, 0.0]
+    agent_params[-1].parameter_data = [0.0, 1e-200]
+    result = assert_same_run(env, config)
+    assert result.trajectory.rows.shape == (1501, 11)
 
 
 # --------------------------------------------------------------------------

@@ -79,9 +79,20 @@ class TestInitialStates:
     def test_velocity_x_sets_speed(self):
         env, config = presets.demo_scenario()
         world = build_world(env, config)
-        apply_initial_states(world, env.initial_state_configs)
         assert world.vehicles[0].speed == 10.0
         assert world.vehicles[0].heading == 0.0
+
+    def test_build_world_applies_them_and_reapplying_changes_nothing(self):
+        env, config = presets.demo_scenario()
+        env.initial_state_configs.append(
+            InitialStateConfig(LogItemDescription(ItemType.PEDESTRIAN, 0, StateId.POSITION_Y), -1.0)
+        )
+        world = build_world(env, config)
+        assert (world.vehicles[0].speed, world.pedestrians[0].y) == (10.0, -1.0)
+        before = [(v.x, v.y, v.heading, v.speed) for v in world.vehicles]
+        apply_initial_states(world, env.initial_state_configs)
+        assert [(v.x, v.y, v.heading, v.speed) for v in world.vehicles] == before
+        assert world.pedestrians[0].y == -1.0
 
     def test_empty_list_is_noop(self):
         env, config = presets.demo_scenario()
@@ -128,7 +139,7 @@ class TestStep:
     def test_no_reverse_from_braking(self):
         class HardBrake(supervisor.controllers.VehicleController):
             def control(self, state, radar, dt):
-                return supervisor.controllers.ControlOutput(0.0, -5.0)
+                return (0.0, -5.0)
 
         env = SimEnvironment(ego_vehicles=[Vehicle(vhc_id=1)])
         world = build_world(env, simple_config())
@@ -175,7 +186,7 @@ class TestCollisions:
             world.vehicles.append(
                 supervisor.VehicleState(
                     id=i, x=x, y=y, heading=heading, speed=0.0,
-                    controller=supervisor.controllers.VoidController(),
+                    controller=supervisor.controllers.VehicleController(),
                 )
             )
         return world
@@ -235,7 +246,6 @@ class TestSampling:
     def test_demo_row_layout(self):
         env, config = presets.demo_scenario()
         world = build_world(env, config)
-        apply_initial_states(world, env.initial_state_configs)
         row = sample_log_row(world, env.data_log_descriptions)
         assert len(row) == 11
         assert row[0] == 0.0
@@ -349,48 +359,37 @@ class TestRun:
         assert ContactKind.VEHICLE_VEHICLE in kinds
         assert result.min_vehicle_gap < 2.0
 
-    def test_heartbeat_channel_receives_beats(self):
+    def test_beat_receives_heartbeats(self):
         beats = []
-
-        class Recorder(supervisor.HeartbeatChannel):
-            def beat(self, sim_time_ms, finished):
-                beats.append((sim_time_ms, finished))
-
         env, config = presets.demo_scenario()
         env.heartbeat_config = HeartbeatConfig(sync_type=SyncType.WITHOUT_SYNC, period_ms=2000)
         config.sim_duration_ms = 10000
-        world = build_world(env, config)
-        apply_initial_states(world, env.initial_state_configs)
-        run(world, env, config, channel=Recorder())
+        run(build_world(env, config), env, config, beat=lambda t, done: beats.append((t, done)))
         assert [t for t, _ in beats] == [2000, 4000, 6000, 8000, 10000]
         assert [finished for _, finished in beats] == [False, False, False, False, True]
 
     def test_no_heartbeat_mode_never_beats(self):
         beats = []
-
-        class Recorder(supervisor.HeartbeatChannel):
-            def beat(self, sim_time_ms, finished):
-                beats.append(sim_time_ms)
-
         env, config = presets.demo_scenario()
         config.sim_duration_ms = 1000
-        world = build_world(env, config)
-        run(world, env, config, channel=Recorder())
+        run(build_world(env, config), env, config, beat=lambda t, done: beats.append(t))
         assert beats == []
+
+    def test_beats_reach_run_embedded_caller(self):
+        beats = []
+        env, config = presets.demo_scenario()
+        env.heartbeat_config = HeartbeatConfig(sync_type=SyncType.WITH_SYNC, period_ms=500)
+        config.sim_duration_ms = 1000
+        run_embedded(env, config, beat=lambda t, done: beats.append((t, done)))
+        assert beats == [(500, False), (1000, True)]
 
     def test_heartbeat_period_off_the_step_grid(self):
         # period 25 with step 10: only step boundaries divisible by 25 beat
         beats = []
-
-        class Recorder(supervisor.HeartbeatChannel):
-            def beat(self, sim_time_ms, finished):
-                beats.append(sim_time_ms)
-
         env, config = presets.demo_scenario()
         env.heartbeat_config = HeartbeatConfig(sync_type=SyncType.WITHOUT_SYNC, period_ms=25)
         config.sim_duration_ms = 200
-        world = build_world(env, config)
-        run(world, env, config, channel=Recorder())
+        run(build_world(env, config), env, config, beat=lambda t, done: beats.append(t))
         assert beats == [50, 100, 150, 200]
 
     def test_run_index_selects_the_run_config(self):
@@ -398,7 +397,6 @@ class TestRun:
         config.sim_duration_ms = 100
         config.run_configs = [RunConfig(RunMode.REAL_TIME), RunConfig(RunMode.FAST_NO_GRAPHICS)]
         world = build_world(env, config)
-        apply_initial_states(world, env.initial_state_configs)
         import time
 
         t0 = time.monotonic()
@@ -417,7 +415,6 @@ class TestPedestrianAdherence:
     def test_distance_to_polyline_bounded_by_step(self):
         env, config = presets.demo_scenario()
         world = build_world(env, config)
-        apply_initial_states(world, env.initial_state_configs)
         waypoints = [(50.0, 0.0), (80.0, -3.0), (200.0, 0.0)]
         dt = config.sim_step_size_ms / 1000.0
         bound = 3.0 * dt

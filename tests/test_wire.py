@@ -9,7 +9,7 @@ import pytest
 from avtestbed import presets, scenario, supervisor, wire
 from avtestbed.scenario import HeartbeatConfig, SyncType
 
-from oracles import random_message
+from oracles import random_kernel_scene, random_message
 
 
 @pytest.fixture
@@ -216,6 +216,31 @@ class TestClientSession:
         embedded = supervisor.run_embedded(env, config).trajectory
         assert over_socket == embedded
         assert supervisor.trajectory_to_csv(over_socket) == supervisor.trajectory_to_csv(embedded)
+
+    @pytest.mark.parametrize("sync", list(SyncType))
+    def test_socket_trace_equals_embedded_on_random_scenes(self, server, sync):
+        # the server session runs run_embedded, so both paths give the same
+        # bytes whatever the heartbeat mode
+        for seed in range(12):
+            env, config = random_kernel_scene(random.Random(seed))
+            assert config.sim_duration_ms <= 3000
+            env.heartbeat_config = HeartbeatConfig(
+                sync_type=sync, period_ms=config.sim_step_size_ms * (1 + seed % 3)
+            )
+            beats = []
+            over_socket = wire.client_session(
+                ("127.0.0.1", server.port), env, config, on_heartbeat=beats.append
+            )
+            embedded = supervisor.run_embedded(env, config).trajectory
+            assert over_socket.rows.tobytes() == embedded.rows.tobytes()
+            assert over_socket.column_labels == embedded.column_labels
+            assert supervisor.trajectory_to_csv(over_socket) == supervisor.trajectory_to_csv(
+                embedded
+            )
+            expected_beats = 0 if sync is SyncType.NO_HEART_BEAT else (
+                config.sim_duration_ms // env.heartbeat_config.period_ms
+            )
+            assert len(beats) == expected_beats
 
     def test_concurrent_sessions_are_independent(self, server):
         results = {}
