@@ -2,7 +2,8 @@
 
 Commands: serve, run-scenario, run-ca, gen-ca, falsify, plot.  Exit codes:
 0 on success, 2 for usage or validation problems, 3 for protocol or session
-failures.  All outputs are deterministic functions of the inputs and --seed.
+failures.  Simulation outputs are deterministic functions of the input files;
+gen-ca and falsify outputs also of their --seed.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _load_scenario_file(path: str):
 
 def cmd_serve(args: argparse.Namespace) -> CommandOutcome:
     try:
-        server = supervisor.SupervisorServer(host=args.host, port=args.port, seed=args.seed)
+        server = supervisor.SupervisorServer(host=args.host, port=args.port)
     except OSError as exc:
         raise CommandError(f"cannot listen on {args.host}:{args.port}: {exc}")
     print(f"supervisor listening on {server.host}:{server.port}")
@@ -79,7 +80,7 @@ def cmd_run_scenario(args: argparse.Namespace) -> CommandOutcome:
 
     if args.embedded:
         try:
-            result = supervisor.run_embedded(env, config, seed=args.seed)
+            result = supervisor.run_embedded(env, config)
         except supervisor.SetupError as exc:
             raise CommandError(str(exc))
         trajectory = result.trajectory
@@ -129,7 +130,7 @@ def cmd_run_ca(args: argparse.Namespace) -> CommandOutcome:
     def runner(doc: dict) -> supervisor.SimulationResult:
         row_env = scenario.environment_from_json(doc["environment"])
         row_config = scenario.config_from_json(doc["config"])
-        return supervisor.run_embedded(row_env, row_config, seed=args.seed)
+        return supervisor.run_embedded(row_env, row_config)
 
     try:
         result = covering.run_test_suite(table, template, binding, runner)
@@ -319,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="start a simulation supervisor server")
     p.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     p.add_argument("--port", type=int, default=10021, help="TCP port (default 10021)")
-    p.add_argument("--seed", type=int, default=0, help="kernel seed for served simulations")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("run-scenario", help="execute one scenario and collect its trace")
@@ -327,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint", help="supervisor host:port (default: from the scenario config)")
     p.add_argument("--embedded", action="store_true", help="run in-process without sockets")
     p.add_argument("--trace-out", help="write the trace as CSV to this path")
-    p.add_argument("--seed", type=int, default=0, help="kernel seed")
     p.set_defaults(func=cmd_run_scenario)
 
     p = sub.add_parser("run-ca", help="run every test case of a covering-array CSV")
@@ -336,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bindings", help="JSON mapping of parameter name to scenario path")
     p.add_argument("--out-dir", default="ca_out", help="directory for traces and summary")
     p.add_argument("--header-lines", type=int, default=6, help="comment lines before the name row")
-    p.add_argument("--seed", type=int, default=0, help="kernel seed")
+    p.add_argument("--seed", type=int, help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_run_ca)
 
     p = sub.add_parser("gen-ca", help="generate a t-way covering array")

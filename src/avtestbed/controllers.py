@@ -107,13 +107,6 @@ def _point_at_arc(
     return path[-1]
 
 
-def pure_pursuit_steering(
-    x: float, y: float, heading: float, speed: float, path: list[tuple[float, float]]
-) -> float:
-    """Steering angle toward a lookahead point on the path (0 if no path)."""
-    return _pursue(x, y, heading, speed, path, _path_segments(path))
-
-
 def _pursue(
     x: float,
     y: float,
@@ -122,7 +115,8 @@ def _pursue(
     path: list[tuple[float, float]],
     segments: list[PathSegment],
 ) -> float:
-    """pure_pursuit_steering with the segments of path already resolved."""
+    """Steering angle toward a lookahead point on the path (0 if no path),
+    with segments = _path_segments(path) resolved once by the caller."""
     if len(path) < 2:
         return 0.0
     lookahead = max(LOOKAHEAD_MIN_M, LOOKAHEAD_TIME_S * speed)
@@ -186,8 +180,8 @@ class FusionDrivingController(VehicleController):
 
     Arguments mirror the scripted driver: car model, target speed in km/h,
     target lateral position, own vehicle id, slow-at-intersection flag, gpu
-    flag, processor id.  Only the speed, lateral target, and id are used; the
-    perception-related arguments are parsed and ignored.
+    flag, processor id.  Only the speed and lateral target are used; the id
+    must be an integer, and the perception-related arguments are ignored.
     """
 
     uses_radar = True
@@ -204,10 +198,9 @@ class FusionDrivingController(VehicleController):
             raise ControllerConfigError(
                 f"automated_driving_with_fusion2 numeric argument is malformed: {args[1:3]!r}"
             ) from None
-        self.self_vhc_id = None
         if len(args) > 3:
             try:
-                self.self_vhc_id = int(args[3])
+                int(args[3])
             except ValueError:
                 raise ControllerConfigError(
                     f"automated_driving_with_fusion2 vehicle id {args[3]!r} is not an integer"

@@ -21,8 +21,6 @@ from typing import Any, Callable, Optional
 class TestTable:
     parameter_names: list[str]
     rows: list[list[str]]
-    index_name: Optional[str] = None
-    index_values: Optional[list[str]] = None
 
 
 @dataclass
@@ -84,9 +82,7 @@ DONT_CARE = "*"
 # CSV ingestion
 
 
-def load_experiment_data(
-    file_name: str, header_line_count: int = 6, index_col: Optional[int] = None
-) -> TestTable:
+def load_experiment_data(file_name: str, header_line_count: int = 6) -> TestTable:
     """Read a test table, skipping header_line_count comment lines first."""
     with open(file_name, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -95,7 +91,6 @@ def load_experiment_data(
 
     name_row = [cell.strip() for cell in lines[header_line_count].split(",")]
     data_rows: list[list[str]] = []
-    row_lines: list[int] = []
     for offset, line in enumerate(lines[header_line_count + 1:]):
         line_no = header_line_count + 2 + offset
         if not line.strip():
@@ -106,43 +101,22 @@ def load_experiment_data(
                 f"line {line_no}: expected {len(name_row)} cells, got {len(cells)}"
             )
         data_rows.append(cells)
-        row_lines.append(line_no)
-
-    if index_col is None:
-        return TestTable(parameter_names=name_row, rows=data_rows)
-    if not 0 <= index_col < len(name_row):
-        raise CsvFormatError(f"index_col {index_col} out of range for {len(name_row)} columns")
-    names = [n for i, n in enumerate(name_row) if i != index_col]
-    rows = [[c for i, c in enumerate(row) if i != index_col] for row in data_rows]
-    index_values = [row[index_col] for row in data_rows]
-    return TestTable(
-        parameter_names=names,
-        rows=rows,
-        index_name=name_row[index_col],
-        index_values=index_values,
-    )
+    return TestTable(parameter_names=name_row, rows=data_rows)
 
 
-def write_experiment_data(
-    table: TestTable, file_name: str, header_line_count: int = 6
-) -> None:
-    """Write a table with a regenerated comment preamble of the given size."""
-    preamble = [
+def write_experiment_data(table: TestTable, file_name: str) -> None:
+    """Write a table after a 6-line comment preamble, the count that
+    load_experiment_data skips by default."""
+    lines = [
         "# combinatorial test suite",
         f"# parameters: {len(table.parameter_names)}",
         f"# test cases: {len(table.rows)}",
         "# '*' cells are don't-care values",
+        "#",
+        "#",
+        ",".join(table.parameter_names),
     ]
-    while len(preamble) < header_line_count:
-        preamble.append("#")
-    lines = preamble[:header_line_count]
-    names = list(table.parameter_names)
-    rows = [list(r) for r in table.rows]
-    if table.index_name is not None and table.index_values is not None:
-        names = [table.index_name] + names
-        rows = [[idx] + row for idx, row in zip(table.index_values, rows)]
-    lines.append(",".join(names))
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(",".join(row) for row in table.rows)
     with open(file_name, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

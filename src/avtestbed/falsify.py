@@ -366,12 +366,19 @@ def make_study_system(study: Study) -> tuple[System, MtlFormula, list[LinearPred
             f"study samp_time_s: log period {period_ms} ms is not a positive "
             f"multiple of the step size {step_ms} ms"
         )
+    # a binding that cannot be set would fail every sample the same way
+    probe = json.loads(json.dumps(study.scenario_doc))
+    for dim in study.space.dims:
+        if not isinstance(dim.binding, str):
+            raise ValueError(f"dimension {dim.name!r} has no scenario binding")
+        try:
+            covering.set_scenario_value(probe, dim.binding, dim.lo)
+        except ValueError as exc:
+            raise ValueError(f"dimension {dim.name!r}: {exc}") from None
 
     def system(sample: Sequence[float]) -> Trace:
         doc = json.loads(json.dumps(study.scenario_doc))
         for dim, value in zip(study.space.dims, sample):
-            if dim.binding is None:
-                raise ValueError(f"dimension {dim.name!r} has no scenario binding")
             covering.set_scenario_value(doc, dim.binding, float(value))
         env = scenario.environment_from_json(doc.get("environment", {}))
         config = scenario.config_from_json(doc.get("config", {}))

@@ -49,9 +49,6 @@ class LinearPredicate:
         if not np.all(np.isfinite(self.a)) or not math.isfinite(self.b):
             raise ValueError(f"predicate {self.name!r}: coefficients must be finite")
 
-    def robustness(self, x: np.ndarray) -> float:
-        return float(self.b - float(np.dot(self.a, x)))
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -337,10 +334,6 @@ def _wrap(formula: MtlFormula) -> str:
 
 # --------------------------------------------------------------------------
 # Robustness evaluation
-
-
-def predicate_robustness(pred: LinearPredicate, x: np.ndarray) -> float:
-    return pred.robustness(np.asarray(x, dtype=np.float64))
 
 
 def _interval_windows(times: np.ndarray, interval: Interval) -> tuple[np.ndarray, np.ndarray]:

@@ -330,24 +330,6 @@ def validate_config(config: SimulationConfig) -> list[Violation]:
 # --------------------------------------------------------------------------
 # Trace-column mapping
 
-StateIndexMap = dict  # (ItemType, index, StateId | None) -> column index
-
-
-def populate_trace_dict(env: SimEnvironment) -> StateIndexMap:
-    """Map each log description to its trace column, in list order.
-
-    Raises ValueError on an empty description list or a duplicate entry.
-    """
-    if not env.data_log_descriptions:
-        raise ValueError("data_log_descriptions is empty")
-    mapping: StateIndexMap = {}
-    for col, desc in enumerate(env.data_log_descriptions):
-        key = desc.key()
-        if key in mapping:
-            raise ValueError(f"duplicate data log description {_key_name(key)}")
-        mapping[key] = col
-    return mapping
-
 
 def _key_name(key: tuple) -> str:
     item_type, index, state = key

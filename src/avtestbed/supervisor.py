@@ -3,8 +3,8 @@
 The kernel advances vehicle states with a kinematic bicycle model at a fixed
 step, walks pedestrians along their waypoint lists, samples the configured
 data log rows, emits heartbeats, and detects contacts between entity
-footprints.  Runs are pure functions of (environment, config, seed): repeated
-runs produce bit-identical trajectories.
+footprints.  The kernel draws no random numbers: a run is a pure function of
+(environment, config), and repeated runs produce bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -123,7 +123,6 @@ class WorldState:
     vehicles: list[VehicleState] = field(default_factory=list)
     pedestrians: list[PedestrianState] = field(default_factory=list)
     disturbances: list[RoadDisturbance] = field(default_factory=list)
-    rng_seed: int = 0
     contacts: list[Contact] = field(default_factory=list)
     min_vehicle_gap: float = math.inf
 
@@ -140,11 +139,7 @@ class SyncTimeoutError(RuntimeError):
 # World construction
 
 
-def build_world(
-    env: SimEnvironment,
-    config: SimulationConfig,
-    seed: int = 0,
-) -> WorldState:
+def build_world(env: SimEnvironment, config: SimulationConfig) -> WorldState:
     """Instantiate world state and controllers from a validated environment,
     with its initial state configs applied."""
     violations = validate_environment(env) + validate_config(config)
@@ -152,7 +147,7 @@ def build_world(
         listing = "; ".join(str(v) for v in violations[:5])
         raise SetupError(f"invalid scenario: {listing}")
 
-    world = WorldState(disturbances=list(env.road_disturbances), rng_seed=seed)
+    world = WorldState(disturbances=list(env.road_disturbances))
 
     for vhc in env.all_vehicles():
         path = [
@@ -460,11 +455,10 @@ def run_embedded(
     env: SimEnvironment,
     config: SimulationConfig,
     run_index: int = 0,
-    seed: int = 0,
     beat: Optional[Callable[[int, bool], None]] = None,
 ) -> SimulationResult:
     """Build and run a scenario; the server runs its sessions through here too."""
-    world = build_world(env, config, seed=seed)
+    world = build_world(env, config)
     trajectory = run(world, env, config, run_index=run_index, beat=beat)
     return SimulationResult(
         trajectory=trajectory,
@@ -519,11 +513,9 @@ class SupervisorServer:
         self,
         host: str = "127.0.0.1",
         port: int = 10021,
-        seed: int = 0,
         sync_timeout_s: float = 120.0,
     ):
         self.host = host
-        self.seed = seed
         self.sync_timeout_s = sync_timeout_s
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -647,9 +639,7 @@ class SupervisorServer:
                 raise SyncTimeoutError(f"expected continue, got {type(reply).__name__}")
 
         try:
-            result = run_embedded(
-                env, msg.config, run_index=msg.run_index, seed=self.seed, beat=beat
-            )
+            result = run_embedded(env, msg.config, run_index=msg.run_index, beat=beat)
         except SetupError as exc:
             fail(wire.ERR_SETUP, str(exc))
             return
@@ -659,4 +649,9 @@ class SupervisorServer:
         except wire.WireFormatError as exc:
             fail(wire.ERR_MALFORMED, str(exc))
             return
-        wire.send_message(conn, wire.TraceData(result.trajectory))
+        try:
+            wire.send_message(conn, wire.TraceData(result.trajectory))
+        except wire.WireFormatError as exc:
+            # the frame is encoded whole before any byte is sent, so an
+            # oversized trace can still be answered with an error frame
+            fail(wire.ERR_SETUP, str(exc))

@@ -317,6 +317,33 @@ def rects_overlap_oracle(rect_a, rect_b) -> bool:
 
 
 # --------------------------------------------------------------------------
+# Point-to-polyline distance (pedestrian path adherence)
+
+
+def _point_segment_distance(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> float:
+    """Distance from a point to the segment a-b."""
+    vx, vy = bx - ax, by - ay
+    seg_len_sq = vx * vx + vy * vy
+    if seg_len_sq == 0.0:
+        return math.hypot(px - ax, py - ay)
+    t = ((px - ax) * vx + (py - ay) * vy) / seg_len_sq
+    t = max(0.0, min(1.0, t))
+    return math.hypot(px - (ax + t * vx), py - (ay + t * vy))
+
+
+def point_polyline_distance(px: float, py: float, points: list[tuple[float, float]]) -> float:
+    """Distance from a point to a polyline (inf for an empty polyline)."""
+    if not points:
+        return math.inf
+    if len(points) == 1:
+        return math.hypot(px - points[0][0], py - points[0][1])
+    return min(
+        _point_segment_distance(px, py, *points[i], *points[i + 1])
+        for i in range(len(points) - 1)
+    )
+
+
+# --------------------------------------------------------------------------
 # Random wire messages and scenario pieces
 
 

@@ -17,6 +17,7 @@ from avtestbed import covering, falsify as fz, presets, robustness as rb, scenar
 
 from oracles import (
     naive_robustness,
+    point_polyline_distance,
     random_config,
     random_environment,
     random_formula,
@@ -280,7 +281,6 @@ def test_criterion_7_kinematics_invariants():
     dt = demo_config.sim_step_size_ms / 1000.0
     bound = 3.0 * dt + 1e-12
     adherence_ok = True
-    from avtestbed.geometry import point_polyline_distance
 
     for _ in range(1500):
         supervisor.step(walk_world, demo_config.sim_step_size_ms)

@@ -26,6 +26,21 @@ class TestHelp:
         out = capsys.readouterr().out
         assert "usage" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "--port", "0", "--seed", "0"], ["run-scenario", "s.json", "--seed", "0"]],
+    )
+    def test_kernel_seed_option_is_rejected(self, argv, capsys, monkeypatch):
+        def no_command(*args, **kwargs):
+            raise AssertionError("ran a command with a --seed it should reject")
+
+        monkeypatch.setattr(supervisor, "SupervisorServer", no_command)
+        monkeypatch.setattr(supervisor, "run_embedded", no_command)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
 
 class TestRunScenario:
     def test_embedded_run_writes_trace(self, tmp_path, demo_scenario_path):
@@ -240,6 +255,19 @@ class TestRunCa:
         assert err.count("\n") == 1 and "unknown parameter 'nope'" in err
         assert not out_dir.exists()
 
+    def test_seed_has_no_effect(self, tmp_path, fixtures_dir):
+        inputs = [
+            os.path.join(fixtures_dir, name)
+            for name in ("ca_2way.csv", "demo_scenario.json", "demo_bindings.json")
+        ]
+        outputs = []
+        for i, seed_args in enumerate([["--seed", "0"], ["--seed", "5"], []]):
+            out_dir = tmp_path / f"out{i}"
+            assert main(["run-ca", *inputs, "--out-dir", str(out_dir), *seed_args]) == 0
+            outputs.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
+        assert len(outputs[0]) == 17  # 16 traces and the summary
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         csv_path, scenario_path, bindings = self.make_inputs(
             tmp_path, ["0,20,2", "5,25,3", "10,15,4", "15,20,5"]
@@ -309,6 +337,34 @@ class TestFalsifyCommand:
             "error: study cannot run: config.sim_duration_ms: "
             "duration 15 not a multiple of step 10\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "binding, message",
+        [
+            (None, "dimension 'ego_init_speed' has no scenario binding"),
+            (
+                "environment.initial_state_config_list[7].value",
+                "dimension 'ego_init_speed': path "
+                "'environment.initial_state_config_list[7].value' does not resolve at segment 7",
+            ),
+        ],
+    )
+    def test_bad_binding_exits_2_before_simulating(
+        self, tmp_path, fixtures_dir, capsys, monkeypatch, binding, message
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a study whose binding cannot be set")
+
+        monkeypatch.setattr(supervisor, "run_embedded", no_simulation)
+        study_path = self.make_study(tmp_path, fixtures_dir, n_tests=100)
+        study = json.loads(open(study_path).read())
+        study["space"][0]["binding"] = binding
+        with open(study_path, "w") as fh:
+            json.dump(study, fh)
+        out = tmp_path / "results.json"
+        assert main(["falsify", study_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_every_simulation_failing_exits_2(self, tmp_path, fixtures_dir, capsys):

@@ -14,9 +14,10 @@ from avtestbed.controllers import (
     PathSpeedFollower,
     RadarDetection,
     VehicleController,
+    _path_segments,
+    _pursue,
     make_vehicle_controller,
     pedestrian_step,
-    pure_pursuit_steering,
     radar_sense,
     registered_vehicle_controllers,
 )
@@ -123,7 +124,7 @@ class TestPathSpeedFollower:
         target_y = 3.5 + seg_dir[1] * (along / seg_len)
         assert target_y < 0.0
         assert steering > 0.0
-        assert steering == pure_pursuit_steering(140.0, 3.5, math.pi, 20.0, path)
+        assert steering == _pursue(140.0, 3.5, math.pi, 20.0, path, _path_segments(path))
 
     def test_empty_path_holds_course(self):
         ctrl = PathSpeedFollower(["20.0"], [])
@@ -216,8 +217,9 @@ class TestFusionController:
         assert steering > 0.0  # steer left toward y=3.5
 
     def test_perception_arguments_parsed_and_ignored(self):
-        ctrl = FusionDrivingController(self.args(), [])
-        assert ctrl.self_vhc_id == 1
+        FusionDrivingController(self.args(), [])
+        with pytest.raises(ControllerConfigError, match="not an integer"):
+            FusionDrivingController(["Toyota", "70.0", "0.0", "one"], [])
 
     def test_malformed_numeric_argument(self):
         with pytest.raises(ControllerConfigError):
@@ -323,4 +325,5 @@ def test_registry_contents():
 
 
 def test_pure_pursuit_zero_for_short_path():
-    assert pure_pursuit_steering(0, 0, 0, 10, [(5.0, 0.0)]) == 0.0
+    path = [(5.0, 0.0)]
+    assert _pursue(0, 0, 0, 10, path, _path_segments(path)) == 0.0

@@ -53,24 +53,13 @@ class TestLoad:
         with pytest.raises(CsvFormatError, match="line 4"):
             load_experiment_data(str(bad), header_line_count=1)
 
-    def test_index_col_excluded_from_parameters(self, tmp_path):
-        path = tmp_path / "indexed.csv"
-        path.write_text("case,a,b\nr0,1,2\nr1,3,4\n")
-        table = load_experiment_data(str(path), header_line_count=0, index_col=0)
-        assert table.parameter_names == ["a", "b"]
-        assert table.rows == [["1", "2"], ["3", "4"]]
-        assert table.index_values == ["r0", "r1"]
-        assert table.index_name == "case"
-
     def test_write_load_round_trip(self, tmp_path):
         table = TestTable(["p", "q"], [["1", "*"], ["2", "x"]])
-        for count in (0, 3, 6):
-            path = tmp_path / f"t{count}.csv"
-            write_experiment_data(table, str(path), header_line_count=count)
-            text = path.read_text().splitlines()
-            assert sum(1 for line in text if line.startswith("#")) == count
-            back = load_experiment_data(str(path), header_line_count=count)
-            assert back == table
+        path = tmp_path / "t.csv"
+        write_experiment_data(table, str(path))
+        text = path.read_text().splitlines()
+        assert [line.startswith("#") for line in text] == [True] * 6 + [False] * 3
+        assert load_experiment_data(str(path)) == table
 
 
 class TestCaseAccess:

@@ -2,13 +2,12 @@ import math
 import random
 
 from avtestbed.geometry import (
-    point_polyline_distance,
     rect_corners,
     rect_disc_penetration,
     rect_rect_penetration,
 )
 
-from oracles import rects_overlap_oracle
+from oracles import point_polyline_distance, rects_overlap_oracle
 
 
 def test_far_apart_rectangles():

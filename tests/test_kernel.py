@@ -207,9 +207,8 @@ point = st.tuples(st.floats(-200, 200), st.floats(-200, 200))
 @example(path=[(0.0, 0.0), (0.0, 1e-308)], pose=(0.0, 0.0, 0.0, 0.0))
 @example(path=[(5.0, 0.0), (0.0, 0.0), (0.0, 1e-200), (0.0, 9.0)], pose=(1.0, 1.0, 0.5, 3.0))
 def test_pure_pursuit_matches_reference(path, pose):
-    assert controllers.pure_pursuit_steering(*pose, path) == reference_pure_pursuit_steering(
-        *pose, path
-    )
+    steering = controllers._pursue(*pose, path, controllers._path_segments(path))
+    assert steering == reference_pure_pursuit_steering(*pose, path)
 
 
 def test_segment_with_underflowing_squared_length_is_skipped():

@@ -26,7 +26,6 @@ from avtestbed.robustness import (
     convert_trajectory,
     format_formula,
     parse_formula,
-    predicate_robustness,
     requirement_from_json,
     robustness,
     robustness_signal,
@@ -166,22 +165,23 @@ class TestParser:
 
 
 class TestPredicateRobustness:
+    # an atom's robustness is its predicate's margin b - a.x at the sample
     def test_y_check1_margin(self):
-        preds = {p.name: p for p in demo_predicates()}
-        x = np.zeros(N_STATE)
-        x[EGO_Y], x[AGENT_Y] = 0.0, 1.0
-        assert predicate_robustness(preds["y_check1"], x) == pytest.approx(0.5, abs=1e-15)
+        trace = single_sample_trace(ego_x=0.0, ego_y=0.0, agent_x=0.0, agent_y=1.0)
+        value = robustness(Atom("y_check1"), demo_predicates(), trace)
+        assert value == pytest.approx(0.5, abs=1e-15)
 
     def test_x_check2_margin(self):
-        preds = {p.name: p for p in demo_predicates()}
-        x = np.zeros(N_STATE)
-        x[EGO_X], x[AGENT_X] = 10.0, 12.0
-        assert predicate_robustness(preds["x_check2"], x) == pytest.approx(2.0, abs=1e-15)
+        trace = single_sample_trace(ego_x=10.0, ego_y=0.0, agent_x=12.0, agent_y=0.0)
+        value = robustness(Atom("x_check2"), demo_predicates(), trace)
+        assert value == pytest.approx(2.0, abs=1e-15)
 
     def test_degenerate_zero_predicate(self):
         pred = LinearPredicate("zero", np.zeros(3), 0.0)
+        rng = np.random.default_rng(1)
         for _ in range(5):
-            assert predicate_robustness(pred, np.random.default_rng(1).uniform(-9, 9, 3)) == 0.0
+            trace = Trace(times=np.array([0.0]), states=rng.uniform(-9, 9, (1, 3)))
+            assert robustness(Atom("zero"), [pred], trace) == 0.0
 
     def test_non_finite_coefficients_rejected(self):
         with pytest.raises(ValueError, match="finite"):

@@ -27,7 +27,6 @@ from avtestbed.scenario import (
     environment_to_json,
     parse_column_name,
     parse_scenario,
-    populate_trace_dict,
     serialize_scenario,
     validate_environment,
 )
@@ -221,40 +220,21 @@ class TestValidation:
 
 
 class TestTraceDict:
+    # the trace-column mapping is column_names over the log descriptions
     def test_demo_log_layout(self):
-        env = presets.demo_environment()
-        mapping = populate_trace_dict(env)
-        assert len(mapping) == 11
-        assert mapping[(ItemType.TIME, 0, None)] == 0
-        assert mapping[(ItemType.VEHICLE, 0, StateId.POSITION_X)] == 1
-        assert mapping[(ItemType.VEHICLE, 1, StateId.SPEED)] == 8
-        assert mapping[(ItemType.PEDESTRIAN, 0, StateId.POSITION_Y)] == 10
+        names = column_names(presets.demo_environment().data_log_descriptions)
+        assert len(names) == 11
+        assert names[0] == "time_ms"
+        assert names[1] == "vehicle0_position_x"
+        assert names[8] == "vehicle1_speed"
+        assert names[10] == "pedestrian0_position_y"
 
     def test_single_time_entry(self):
-        env = SimEnvironment(data_log_descriptions=[LogItemDescription(ItemType.TIME)])
-        assert populate_trace_dict(env) == {(ItemType.TIME, 0, None): 0}
-
-    def test_repeated_time_entry_rejected(self):
-        env = SimEnvironment(
-            data_log_descriptions=[
-                LogItemDescription(ItemType.TIME, 0, StateId.POSITION_X),
-                LogItemDescription(ItemType.TIME, 3, StateId.SPEED),
-            ]
-        )
-        with pytest.raises(ValueError, match="duplicate.*time_ms"):
-            populate_trace_dict(env)
-
-    def test_empty_descriptions_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            populate_trace_dict(SimEnvironment())
+        assert column_names([LogItemDescription(ItemType.TIME)]) == ["time_ms"]
 
     def test_order_matches_description_order(self):
         rng = random.Random(7)
         for _ in range(50):
-            env = SimEnvironment(
-                ego_vehicles=[Vehicle(vhc_id=1), Vehicle(vhc_id=2)],
-                pedestrians=[Pedestrian(ped_id=1)],
-            )
             keys = set()
             descriptions = []
             while len(descriptions) < rng.randint(1, 8):
@@ -264,10 +244,9 @@ class TestTraceDict:
                 if desc.key() not in keys:
                     keys.add(desc.key())
                     descriptions.append(desc)
-            env.data_log_descriptions = descriptions
-            mapping = populate_trace_dict(env)
+            names = column_names(descriptions)
             for col, desc in enumerate(descriptions):
-                assert mapping[desc.key()] == col
+                assert parse_column_name(names[col]).key() == desc.key()
 
     def test_column_names_round_trip(self):
         env = presets.demo_environment()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from avtestbed import presets, supervisor
-from avtestbed.geometry import point_polyline_distance
 from avtestbed.scenario import (
     HeartbeatConfig,
     InitialStateConfig,
@@ -33,6 +32,8 @@ from avtestbed.supervisor import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
+
+from oracles import point_polyline_distance
 
 
 def simple_config(duration_ms=1000, step_ms=10):
@@ -404,11 +405,6 @@ class TestRun:
         assert time.monotonic() - t0 < 0.5
         with pytest.raises(SetupError, match="out of range"):
             run(build_world(env, config), env, config, run_index=2)
-
-    def test_seed_is_threaded_into_the_world(self):
-        env, config = presets.demo_scenario()
-        world = build_world(env, config, seed=777)
-        assert world.rng_seed == 777
 
 
 class TestPedestrianAdherence:

@@ -323,3 +323,14 @@ class TestClientSession:
         with pytest.raises(wire.ProtocolSessionError) as err:
             wire.client_session(("127.0.0.1", server.port), env, config, run_index=3)
         assert err.value.code == wire.ERR_SETUP
+
+    def test_oversized_trace_reports_error_100_and_server_stays_up(self, server, monkeypatch):
+        # a 1 s demo trace frame is about 15 kB, its environment frame about 2 kB
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 8192)
+        env, config = presets.demo_scenario()
+        config.sim_duration_ms = 1000
+        with pytest.raises(wire.ProtocolSessionError, match="frame too large") as err:
+            wire.client_session(("127.0.0.1", server.port), env, config)
+        assert err.value.code == wire.ERR_SETUP
+        config.sim_duration_ms = 100
+        assert wire.client_session(("127.0.0.1", server.port), env, config).n_rows == 11
