@@ -118,22 +118,13 @@ def cmd_run_ca(args: argparse.Namespace) -> CommandOutcome:
         raise CommandError("bindings file must map parameter names to scenario paths")
 
     env, config = _load_scenario_file(args.scenario)
-    template = {
-        "environment": scenario.environment_to_json(env),
-        "config": scenario.config_to_json(config),
-    }
     try:
         table = covering.load_experiment_data(args.csv, header_line_count=args.header_lines)
     except (OSError, covering.CsvFormatError) as exc:
         raise CommandError(f"cannot load test CSV: {exc}")
 
-    def runner(doc: dict) -> supervisor.SimulationResult:
-        row_env = scenario.environment_from_json(doc["environment"])
-        row_config = scenario.config_from_json(doc["config"])
-        return supervisor.run_embedded(row_env, row_config)
-
     try:
-        result = covering.run_test_suite(table, template, binding, runner)
+        result = covering.run_test_suite(table, env, config, binding, supervisor.run_embedded)
     except ValueError as exc:
         raise CommandError(str(exc))
     os.makedirs(args.out_dir, exist_ok=True)

@@ -3,18 +3,27 @@ generator, a brute-force coverage checker, and a batch execution harness.
 
 Test CSV files carry a comment preamble ('#' lines, 6 by default), then a
 column-name row, then one row per test case.  A "*" cell is a don't-care
-value: it covers every value of its parameter and keeps the template default
+value: it covers every value of its parameter and keeps the template value
 when a suite is executed.
+
+A suite binds each parameter to one float field of the scenario environment,
+named by a path of document keys such as
+'environment.pedestrians_list[0].target_speed'.  The paths are resolved once
+per suite (scenario.resolve_binding); a row only writes its cells through the
+resulting setters before it runs.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import random
-import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
+
+from . import scenario
+from .scenario import SimEnvironment, SimulationConfig
 
 
 @dataclass
@@ -262,40 +271,7 @@ def verify_coverage(table: TestTable, params: list[ParamSpec], strength: int) ->
 
 
 # --------------------------------------------------------------------------
-# Scenario binding and suite execution
-
-_PATH_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|\[(\d+)\]")
-
-
-def set_scenario_value(doc: dict, path: str, value: float) -> None:
-    """Assign a numeric field addressed as e.g.
-    'environment.pedestrians_list[0].target_speed'."""
-    tokens: list = []
-    pos = 0
-    for match in _PATH_TOKEN.finditer(path):
-        if match.start() != pos:
-            raise ValueError(f"bad path syntax at offset {pos} in {path!r}")
-        tokens.append(match.group(1) if match.group(1) is not None else int(match.group(2)))
-        pos = match.end()
-        if pos < len(path) and path[pos] == ".":
-            pos += 1
-    if pos != len(path) or not tokens:
-        raise ValueError(f"bad path syntax in {path!r}")
-
-    target = doc
-    for token in tokens[:-1]:
-        try:
-            target = target[token]
-        except (KeyError, IndexError, TypeError):
-            raise ValueError(f"path {path!r} does not resolve at segment {token!r}") from None
-    last = tokens[-1]
-    try:
-        current = target[last]
-    except (KeyError, IndexError, TypeError):
-        raise ValueError(f"path {path!r} does not resolve at segment {last!r}") from None
-    if isinstance(current, bool) or not isinstance(current, (int, float)):
-        raise ValueError(f"path {path!r} is bound to a non-numeric field")
-    target[last] = value
+# Suite execution
 
 
 @dataclass
@@ -308,39 +284,48 @@ class SuiteResult:
 
 def run_test_suite(
     table: TestTable,
-    scenario_template: dict,
+    env: SimEnvironment,
+    config: SimulationConfig,
     binding: dict[str, str],
-    runner: Callable[[dict], Any],
+    runner: Callable[[SimEnvironment, SimulationConfig], Any],
 ) -> SuiteResult:
-    """Execute one simulation per table row, in row order.
+    """Execute runner(env, config) once per table row, in row order.
 
-    Each bound cell is parsed as a number and written into a fresh copy of
-    the template document; don't-care cells keep the template value.  A row
-    that fails to bind, parse, set up or simulate (a ValueError or
-    RuntimeError) is recorded and the suite continues; any other exception is
-    a programming error and propagates.
+    Each binding path is resolved once, on one copy of env, to a setter of a
+    float field (scenario.resolve_binding); a path that resolves to none is
+    rejected before any row runs.  Each row then writes every bound cell,
+    parsed as a number, through its setter, and a don't-care cell writes
+    back the template value.  A row that fails to parse, set up or simulate
+    (a ValueError or RuntimeError) is recorded and the suite continues; any
+    other exception is a programming error and propagates.
     """
     for name in binding:
         if name not in table.parameter_names:
             raise ValueError(f"binding refers to unknown parameter {name!r}")
+    env = copy.deepcopy(env)
+    setters = []
+    for name, path in binding.items():
+        try:
+            setters.append((name, *scenario.resolve_binding(env, path)))
+        except ValueError as exc:
+            raise ValueError(f"parameter {name!r}: {exc}") from None
 
     result = SuiteResult()
     for index in range(len(table.rows)):
         case = get_experiment_all_fields(table, index)
-        doc = json.loads(json.dumps(scenario_template))
         try:
-            for name, path in binding.items():
+            for name, set_value, template_value in setters:
                 cell = get_field_value(case, name)
                 if cell == DONT_CARE:
+                    set_value(template_value)
                     continue
                 try:
-                    numeric = float(cell)
+                    set_value(float(cell))
                 except ValueError:
                     raise ValueError(
                         f"parameter {name!r} cell {cell!r} is not numeric"
                     ) from None
-                set_scenario_value(doc, path, numeric)
-            result.outputs[index] = runner(doc)
+            result.outputs[index] = runner(env, config)
         except (ValueError, RuntimeError) as exc:
             result.failures[index] = str(exc)
     return result

@@ -10,6 +10,7 @@ deterministic function of its seed.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import covering, robustness as rb, scenario, supervisor
+from . import robustness as rb, scenario, supervisor
 from .robustness import LinearPredicate, MtlFormula, Trace
 
 
@@ -303,13 +304,15 @@ def load_results(path: str):
 
 @dataclass
 class Study:
-    scenario_doc: dict
+    env: scenario.SimEnvironment
+    sim_config: scenario.SimulationConfig
     requirement: rb.Requirement
     space: SearchSpace
     config: FalsifyConfig
 
 
 def load_study(path: str) -> Study:
+    """Load a study file; its scenario is parsed like any scenario document."""
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -320,12 +323,7 @@ def load_study(path: str) -> Study:
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    with open(resolve(data["scenario"]), "r", encoding="utf-8") as fh:
-        scenario_doc = json.load(fh)
-    # surface malformed scenario documents at load time
-    scenario.environment_from_json(scenario_doc.get("environment", {}))
-    scenario.config_from_json(scenario_doc.get("config", {}))
-
+    env, sim_config = scenario.load_scenario(resolve(data["scenario"]))
     requirement = rb.load_requirement(resolve(data["requirement"]))
     dims = []
     for i, d in enumerate(data["space"]):
@@ -334,7 +332,8 @@ def load_study(path: str) -> Study:
         dims.append(SearchDim(d["name"], float(d["lo"]), float(d["hi"]), d["binding"]))
     config = FalsifyConfig(**data["config"])
     return Study(
-        scenario_doc=scenario_doc,
+        env=env,
+        sim_config=sim_config,
         requirement=requirement,
         space=SearchSpace(dims),
         config=config,
@@ -342,50 +341,46 @@ def load_study(path: str) -> Study:
 
 
 def make_study_system(study: Study) -> tuple[System, MtlFormula, list[LinearPredicate]]:
-    """Bind the study's scenario template into a sample -> trace function."""
-    env0 = scenario.environment_from_json(study.scenario_doc.get("environment", {}))
-    labels = list(env0.data_log_descriptions)
-    names = scenario.column_names(labels)
+    """Bind the study's scenario into a sample -> trace function.
+
+    The study's duration and log period are set, and each dimension's binding
+    is resolved to a setter, once on one copy of the scenario; a sample then
+    writes its values through the setters and simulates.  The function reuses
+    that copy, so it must not be called from two threads at once.
+    """
+    names = scenario.column_names(study.env.data_log_descriptions)
     if not names or names[0] != "time_ms":
         raise ValueError("study scenario must log time_ms as its first column")
     predicates = study.requirement.resolve(names[1:])
     formula = study.requirement.formula()
 
+    env, config = copy.deepcopy((study.env, study.sim_config))
     # the step size is an integer field that no float binding can change, so
     # the study's duration and log period are checked against it once here
-    duration_ms = int(round(1000.0 * study.config.sim_duration_s))
-    period_ms = int(round(1000.0 * study.config.samp_time_s))
-    template_config = scenario.config_from_json(study.scenario_doc.get("config", {}))
-    template_config.sim_duration_ms = duration_ms
-    problems = scenario.validate_config(template_config)
+    config.sim_duration_ms = int(round(1000.0 * study.config.sim_duration_s))
+    problems = scenario.validate_config(config)
     if problems:
         raise ValueError(f"study cannot run: {problems[0]}")
-    step_ms = template_config.sim_step_size_ms
-    if period_ms < 1 or period_ms % step_ms != 0:
+    period_ms = int(round(1000.0 * study.config.samp_time_s))
+    if period_ms < 1 or period_ms % config.sim_step_size_ms != 0:
         raise ValueError(
             f"study samp_time_s: log period {period_ms} ms is not a positive "
-            f"multiple of the step size {step_ms} ms"
+            f"multiple of the step size {config.sim_step_size_ms} ms"
         )
-    # a binding that cannot be set would fail every sample the same way
-    probe = json.loads(json.dumps(study.scenario_doc))
+    env.data_log_period_ms = period_ms
+    setters = []
     for dim in study.space.dims:
         if not isinstance(dim.binding, str):
             raise ValueError(f"dimension {dim.name!r} has no scenario binding")
         try:
-            covering.set_scenario_value(probe, dim.binding, dim.lo)
+            setters.append(scenario.resolve_binding(env, dim.binding)[0])
         except ValueError as exc:
             raise ValueError(f"dimension {dim.name!r}: {exc}") from None
 
     def system(sample: Sequence[float]) -> Trace:
-        doc = json.loads(json.dumps(study.scenario_doc))
-        for dim, value in zip(study.space.dims, sample):
-            covering.set_scenario_value(doc, dim.binding, float(value))
-        env = scenario.environment_from_json(doc.get("environment", {}))
-        config = scenario.config_from_json(doc.get("config", {}))
-        env.data_log_period_ms = period_ms
-        config.sim_duration_ms = duration_ms
-        result = supervisor.run_embedded(env, config)
-        return rb.convert_trajectory(result.trajectory)
+        for set_value, value in zip(setters, sample):
+            set_value(float(value))
+        return rb.convert_trajectory(supervisor.run_embedded(env, config).trajectory)
 
     return system, formula, predicates
 

@@ -12,11 +12,13 @@ of the Webots format, is rejected as an unknown field.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -362,14 +364,16 @@ def parse_column_name(name: str) -> LogItemDescription:
 # JSON document serialization
 #
 # Each _T_SPEC lists (json_key, attr, kind); kind drives conversion and
-# unknown-key rejection works off the json_key set.
+# unknown-key rejection works off the json_key set.  A kind is str, int,
+# float, "optint" (an integer or null), "vec3" (three floats), an enum, a
+# model class in _SPECS (a nested object) or [kind] (an array of kind).
 
 _VEHICLE_SPEC = [
     ("vhc_id", "vhc_id", int),
     ("current_position", "current_position", "vec3"),
     ("current_orientation", "current_orientation", float),
     ("controller", "controller", str),
-    ("controller_arguments", "controller_arguments", "strlist"),
+    ("controller_arguments", "controller_arguments", [str]),
 ]
 
 _PEDESTRIAN_SPEC = [
@@ -377,7 +381,7 @@ _PEDESTRIAN_SPEC = [
     ("current_position", "current_position", "vec3"),
     ("controller", "controller", str),
     ("target_speed", "target_speed", float),
-    ("trajectory", "trajectory", "floatlist"),
+    ("trajectory", "trajectory", [float]),
 ]
 
 _DISTURBANCE_SPEC = [
@@ -391,7 +395,7 @@ _DISTURBANCE_SPEC = [
 _CTRL_PARAM_SPEC = [
     ("vehicle_id", "vehicle_id", "optint"),
     ("parameter_name", "parameter_name", str),
-    ("parameter_data", "parameter_data", "floatlist"),
+    ("parameter_data", "parameter_data", [float]),
 ]
 
 _HEARTBEAT_SPEC = [
@@ -405,26 +409,52 @@ _ITEM_SPEC = [
     ("item_state_index", "item_state_index", StateId),
 ]
 
+_ENV_SPEC = [
+    ("heart_beat_config", "heartbeat_config", HeartbeatConfig),
+    ("ego_vehicles_list", "ego_vehicles", [Vehicle]),
+    ("agent_vehicles_list", "agent_vehicles", [Vehicle]),
+    ("pedestrians_list", "pedestrians", [Pedestrian]),
+    ("road_disturbances_list", "road_disturbances", [RoadDisturbance]),
+    ("control_params_list", "controller_params", [ControllerParameter]),
+    ("initial_state_config_list", "initial_state_configs", [InitialStateConfig]),
+    ("data_log_description_list", "data_log_descriptions", [LogItemDescription]),
+    ("data_log_period_ms", "data_log_period_ms", "optint"),
+]
+
 _CONFIG_SPEC = [
     ("server_port", "server_port", int),
     ("server_ip", "server_ip", str),
     ("sim_duration_ms", "sim_duration_ms", int),
     ("sim_step_size", "sim_step_size_ms", int),
-    ("run_config_arr", "run_configs", "runconfigs"),
+    ("run_config_arr", "run_configs", [RunConfig]),
 ]
+
+_SPECS = {
+    SimEnvironment: _ENV_SPEC,
+    HeartbeatConfig: _HEARTBEAT_SPEC,
+    Vehicle: _VEHICLE_SPEC,
+    Pedestrian: _PEDESTRIAN_SPEC,
+    RoadDisturbance: _DISTURBANCE_SPEC,
+    ControllerParameter: _CTRL_PARAM_SPEC,
+    InitialStateConfig: [("item", "item", LogItemDescription), ("value", "value", float)],
+    LogItemDescription: _ITEM_SPEC,
+    RunConfig: [("simulation_run_mode", "run_mode", RunMode)],
+}
 
 
 def _value_to_json(value: Any, kind: Any) -> Any:
-    if kind in (str, int, float, "optint"):
+    if kind in (str, int, "optint"):
         return value
-    if kind in ("vec3", "floatlist"):
+    if kind is float:
+        return float(value)
+    if kind == "vec3":
         return [float(v) for v in value]
-    if kind == "strlist":
-        return list(value)
+    if isinstance(kind, list):
+        return [_value_to_json(v, kind[0]) for v in value]
+    if kind in _SPECS:
+        return None if value is None else _obj_to_json(value, _SPECS[kind])
     if isinstance(kind, type) and issubclass(kind, (Enum, IntEnum)):
         return value.name
-    if kind == "runconfigs":
-        return [{"simulation_run_mode": rc.run_mode.name} for rc in value]
     raise AssertionError(f"unhandled kind {kind!r}")
 
 
@@ -433,28 +463,7 @@ def _obj_to_json(obj: Any, spec: list) -> dict:
 
 
 def environment_to_json(env: SimEnvironment) -> dict:
-    return {
-        "heart_beat_config": (
-            None
-            if env.heartbeat_config is None
-            else _obj_to_json(env.heartbeat_config, _HEARTBEAT_SPEC)
-        ),
-        "ego_vehicles_list": [_obj_to_json(v, _VEHICLE_SPEC) for v in env.ego_vehicles],
-        "agent_vehicles_list": [_obj_to_json(v, _VEHICLE_SPEC) for v in env.agent_vehicles],
-        "pedestrians_list": [_obj_to_json(p, _PEDESTRIAN_SPEC) for p in env.pedestrians],
-        "road_disturbances_list": [
-            _obj_to_json(d, _DISTURBANCE_SPEC) for d in env.road_disturbances
-        ],
-        "control_params_list": [_obj_to_json(c, _CTRL_PARAM_SPEC) for c in env.controller_params],
-        "initial_state_config_list": [
-            {"item": _obj_to_json(i.item, _ITEM_SPEC), "value": float(i.value)}
-            for i in env.initial_state_configs
-        ],
-        "data_log_description_list": [
-            _obj_to_json(d, _ITEM_SPEC) for d in env.data_log_descriptions
-        ],
-        "data_log_period_ms": env.data_log_period_ms,
-    }
+    return _obj_to_json(env, _ENV_SPEC)
 
 
 def config_to_json(config: SimulationConfig) -> dict:
@@ -504,14 +513,14 @@ def _value_from_json(raw: Any, kind: Any, path: str) -> Any:
         if not isinstance(raw, list) or len(raw) != 3:
             raise ScenarioFormatError(path, "expected a 3-element number array")
         return [_value_from_json(v, float, f"{path}[{i}]") for i, v in enumerate(raw)]
-    if kind == "floatlist":
+    if isinstance(kind, list):
         if not isinstance(raw, list):
-            raise ScenarioFormatError(path, "expected a number array")
-        return [_value_from_json(v, float, f"{path}[{i}]") for i, v in enumerate(raw)]
-    if kind == "strlist":
-        if not isinstance(raw, list):
-            raise ScenarioFormatError(path, "expected a string array")
-        return [_value_from_json(v, str, f"{path}[{i}]") for i, v in enumerate(raw)]
+            raise ScenarioFormatError(path, "expected an array")
+        return [_value_from_json(v, kind[0], f"{path}[{i}]") for i, v in enumerate(raw)]
+    if kind in _SPECS:
+        if raw is None and kind is HeartbeatConfig:  # the one optional object
+            return None
+        return _obj_from_json(raw, _SPECS[kind], kind, path)
     if isinstance(kind, type) and issubclass(kind, (Enum, IntEnum)):
         if not isinstance(raw, str):
             raise ScenarioFormatError(path, "expected an enum name string")
@@ -520,22 +529,6 @@ def _value_from_json(raw: Any, kind: Any, path: str) -> Any:
         except KeyError:
             valid = ", ".join(m.name for m in kind)
             raise ScenarioFormatError(path, f"unknown value {raw!r} (expected one of {valid})")
-    if kind == "runconfigs":
-        if not isinstance(raw, list):
-            raise ScenarioFormatError(path, "expected an array of run configs")
-        out = []
-        for i, rc in enumerate(raw):
-            rc_path = f"{path}[{i}]"
-            if not isinstance(rc, dict):
-                raise ScenarioFormatError(rc_path, "expected an object")
-            _require_keys(rc, {"simulation_run_mode"}, rc_path)
-            mode = _value_from_json(
-                rc.get("simulation_run_mode", RunMode.FAST_NO_GRAPHICS.name),
-                RunMode,
-                rc_path + ".simulation_run_mode",
-            )
-            out.append(RunConfig(run_mode=mode))
-        return out
     raise AssertionError(f"unhandled kind {kind!r}")
 
 
@@ -543,6 +536,8 @@ def _obj_from_json(data: Any, spec: list, cls: type, path: str) -> Any:
     if not isinstance(data, dict):
         raise ScenarioFormatError(path, f"expected an object, got {type(data).__name__}")
     _require_keys(data, {key for key, _, _ in spec}, path)
+    if cls is InitialStateConfig and not {"item", "value"} <= data.keys():
+        raise ScenarioFormatError(path, "requires 'item' and 'value'")
     kwargs = {}
     for key, attr, kind in spec:
         if key in data:
@@ -550,70 +545,8 @@ def _obj_from_json(data: Any, spec: list, cls: type, path: str) -> Any:
     return cls(**kwargs)
 
 
-_ENV_KEYS = {
-    "heart_beat_config",
-    "ego_vehicles_list",
-    "agent_vehicles_list",
-    "pedestrians_list",
-    "road_disturbances_list",
-    "control_params_list",
-    "initial_state_config_list",
-    "data_log_description_list",
-    "data_log_period_ms",
-}
-
-
-def _obj_list(data: dict, key: str, spec: list, cls: type, path: str) -> list:
-    raw = data.get(key, [])
-    if not isinstance(raw, list):
-        raise ScenarioFormatError(f"{path}.{key}", "expected an array")
-    return [_obj_from_json(item, spec, cls, f"{path}.{key}[{i}]") for i, item in enumerate(raw)]
-
-
 def environment_from_json(data: Any, path: str = "environment") -> SimEnvironment:
-    if not isinstance(data, dict):
-        raise ScenarioFormatError(path, "expected an object")
-    _require_keys(data, _ENV_KEYS, path)
-
-    env = SimEnvironment()
-    if data.get("heart_beat_config") is not None:
-        env.heartbeat_config = _obj_from_json(
-            data["heart_beat_config"], _HEARTBEAT_SPEC, HeartbeatConfig, f"{path}.heart_beat_config"
-        )
-    env.ego_vehicles = _obj_list(data, "ego_vehicles_list", _VEHICLE_SPEC, Vehicle, path)
-    env.agent_vehicles = _obj_list(data, "agent_vehicles_list", _VEHICLE_SPEC, Vehicle, path)
-    env.pedestrians = _obj_list(data, "pedestrians_list", _PEDESTRIAN_SPEC, Pedestrian, path)
-    env.road_disturbances = _obj_list(
-        data, "road_disturbances_list", _DISTURBANCE_SPEC, RoadDisturbance, path
-    )
-    env.controller_params = _obj_list(
-        data, "control_params_list", _CTRL_PARAM_SPEC, ControllerParameter, path
-    )
-
-    initial = []
-    for i, isc in enumerate(data.get("initial_state_config_list", [])):
-        isc_path = f"{path}.initial_state_config_list[{i}]"
-        if not isinstance(isc, dict):
-            raise ScenarioFormatError(isc_path, "expected an object")
-        _require_keys(isc, {"item", "value"}, isc_path)
-        if "item" not in isc or "value" not in isc:
-            raise ScenarioFormatError(isc_path, "requires 'item' and 'value'")
-        initial.append(
-            InitialStateConfig(
-                item=_obj_from_json(isc["item"], _ITEM_SPEC, LogItemDescription, isc_path + ".item"),
-                value=_value_from_json(isc["value"], float, isc_path + ".value"),
-            )
-        )
-    env.initial_state_configs = initial
-
-    env.data_log_descriptions = _obj_list(
-        data, "data_log_description_list", _ITEM_SPEC, LogItemDescription, path
-    )
-    if data.get("data_log_period_ms") is not None:
-        env.data_log_period_ms = _value_from_json(
-            data["data_log_period_ms"], int, f"{path}.data_log_period_ms"
-        )
-    return env
+    return _obj_from_json(data, _ENV_SPEC, SimEnvironment, path)
 
 
 def config_from_json(data: Any, path: str = "config") -> SimulationConfig:
@@ -669,3 +602,66 @@ def load_scenario(path: str) -> tuple[SimEnvironment, SimulationConfig]:
 def save_scenario(env: SimEnvironment, config: SimulationConfig, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_scenario(env, config))
+
+
+# --------------------------------------------------------------------------
+# Binding paths
+#
+# A binding path names one float field of an environment by its document
+# keys, e.g. 'environment.pedestrians_list[0].target_speed' or
+# 'environment.ego_vehicles_list[0].current_position[0]'.
+
+_PATH_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|\[(\d+)\]")
+
+
+def _path_tokens(path: str) -> list:
+    """Names and list indices of a binding path, in order."""
+    if not isinstance(path, str):
+        raise ValueError(f"bad path syntax in {path!r}")
+    tokens: list = []
+    pos = 0
+    for match in _PATH_TOKEN.finditer(path):
+        if match.start() != pos:
+            raise ValueError(f"bad path syntax at offset {pos} in {path!r}")
+        tokens.append(match.group(1) if match.group(1) is not None else int(match.group(2)))
+        pos = match.end()
+        if pos < len(path) and path[pos] == ".":
+            pos += 1
+    if pos != len(path) or not tokens:
+        raise ValueError(f"bad path syntax in {path!r}")
+    return tokens
+
+
+def resolve_binding(env: SimEnvironment, path: str) -> tuple[Callable[[float], None], float]:
+    """A setter for the float field of env that path names, and its value now.
+
+    Only model fields, named by their document keys, and in-range list
+    indices resolve.  A bound value is a float, so a path to an integer,
+    enum, string or config field is rejected here rather than on every run.
+    """
+    tokens = _path_tokens(path)
+    if tokens[0] == "config":
+        raise ValueError(
+            f"path {path!r} names a config field; only environment fields can be bound"
+        )
+    if tokens[0] != "environment":
+        raise ValueError(f"path {path!r} does not resolve at segment {tokens[0]!r}")
+    owner, key, kind, value = None, None, SimEnvironment, env
+    for token in tokens[1:]:
+        if isinstance(token, int):
+            if not (isinstance(kind, list) or kind == "vec3") or token >= len(value):
+                raise ValueError(f"path {path!r} does not resolve at segment {token!r}")
+            owner, key, kind = value, token, float if kind == "vec3" else kind[0]
+            value = value[token]
+        else:
+            spec = [] if value is None or isinstance(kind, list) else _SPECS.get(kind, [])
+            entry = next((e for e in spec if e[0] == token), None)
+            if entry is None:
+                raise ValueError(f"path {path!r} does not resolve at segment {token!r}")
+            owner, (_, key, kind) = value, entry
+            value = getattr(value, key)
+    if kind is not float:
+        what = "an integer" if kind in (int, "optint") else "a non-numeric"
+        raise ValueError(f"path {path!r} is bound to {what} field")
+    setter = owner.__setitem__ if isinstance(owner, list) else functools.partial(setattr, owner)
+    return functools.partial(setter, key), value

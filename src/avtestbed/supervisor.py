@@ -584,23 +584,25 @@ class SupervisorServer:
             except OSError:
                 pass
 
-        try:
-            msg = wire.recv_message(conn)
-        except wire.WireFormatError as exc:
-            fail(wire.ERR_MALFORMED, str(exc))
-            return
-        if not isinstance(msg, wire.Hello):
-            fail(wire.ERR_UNEXPECTED_MESSAGE, f"expected hello, got {type(msg).__name__}")
+        def receive(expected: type, name: str):
+            """The next message if it is an expected one; else answer with
+            error 103 or 102 and return None."""
+            try:
+                msg = wire.recv_message(conn)
+            except wire.WireFormatError as exc:
+                fail(wire.ERR_MALFORMED, str(exc))
+                return None
+            if not isinstance(msg, expected):
+                fail(wire.ERR_UNEXPECTED_MESSAGE, f"expected {name}, got {type(msg).__name__}")
+                return None
+            return msg
+
+        if receive(wire.Hello, "hello") is None:
             return
         wire.send_message(conn, wire.Ack())
 
-        try:
-            msg = wire.recv_message(conn)
-        except wire.WireFormatError as exc:
-            fail(wire.ERR_MALFORMED, str(exc))
-            return
-        if not isinstance(msg, wire.SetupEnvironment):
-            fail(wire.ERR_UNEXPECTED_MESSAGE, f"expected setup, got {type(msg).__name__}")
+        msg = receive(wire.SetupEnvironment, "setup")
+        if msg is None:
             return
         env = msg.env
         violations = validate_environment(env)
@@ -609,13 +611,8 @@ class SupervisorServer:
             return
         wire.send_message(conn, wire.Ack())
 
-        try:
-            msg = wire.recv_message(conn)
-        except wire.WireFormatError as exc:
-            fail(wire.ERR_MALFORMED, str(exc))
-            return
-        if not isinstance(msg, wire.StartSim):
-            fail(wire.ERR_UNEXPECTED_MESSAGE, f"expected start, got {type(msg).__name__}")
+        msg = receive(wire.StartSim, "start")
+        if msg is None:
             return
 
         with_sync = (

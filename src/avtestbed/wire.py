@@ -271,8 +271,9 @@ def client_session(
 
     Connection attempts are retried max_connection_retry times with a fixed
     backoff.  Heartbeats are consumed as they arrive; in WITH_SYNC mode each
-    one is answered with a continue message.  A protocol error from the peer
-    or timeout_s of silence aborts the session.
+    one is answered with a continue message.  A protocol error from the peer,
+    a frame that cannot be decoded, a socket error or timeout_s of silence
+    aborts the session with ProtocolSessionError.
     """
     sock = _connect_with_retry(endpoint, max_connection_retry, retry_backoff_s)
     sync = (
@@ -304,6 +305,8 @@ def client_session(
             raise ProtocolSessionError(f"unexpected message {type(msg).__name__}")
     except socket.timeout:
         raise ProtocolSessionError(f"session timed out after {timeout_s} s") from None
+    except (WireFormatError, OSError) as exc:
+        raise ProtocolSessionError(f"session failed: {exc}") from None
     finally:
         sock.close()
 

@@ -2,10 +2,12 @@ import json
 import os
 import re
 import socket
+import struct
+import threading
 
 import pytest
 
-from avtestbed import covering, presets, scenario, supervisor
+from avtestbed import covering, presets, scenario, supervisor, wire
 from avtestbed.cli import main, run_command
 
 
@@ -97,6 +99,44 @@ class TestRunScenario:
         probe.close()
         code = main(["run-scenario", scenario_path, "--endpoint", f"127.0.0.1:{dead_port}"])
         assert code == 3
+
+
+    @pytest.mark.parametrize(
+        "answer_hello, message",
+        [
+            # a 1-byte frame whose tag names no message
+            (lambda conn: conn.sendall(struct.pack(">I", 1) + b"\x7f"),
+             "session failed: unknown message tag 0x7f"),
+            # linger 0 makes close() reset the connection
+            (lambda conn: conn.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)),
+             "session failed: "),
+        ],
+        ids=["unknown_tag", "reset"],
+    )
+    def test_bad_peer_exits_3(self, tmp_path, capsys, answer_hello, message):
+        scenario_path = write_demo_scenario(tmp_path / "scn.json")
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+
+        def stub_server():
+            conn, _ = listener.accept()
+            with conn:
+                assert isinstance(wire.recv_message(conn), wire.Hello)
+                answer_hello(conn)
+
+        thread = threading.Thread(target=stub_server, daemon=True)
+        thread.start()
+        try:
+            endpoint = f"127.0.0.1:{listener.getsockname()[1]}"
+            code = main(["run-scenario", scenario_path, "--endpoint", endpoint])
+        finally:
+            thread.join(timeout=5.0)
+            listener.close()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 class TestServe:
@@ -255,6 +295,52 @@ class TestRunCa:
         assert err.count("\n") == 1 and "unknown parameter 'nope'" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "name, path, message",
+        [
+            ("pedestrian_speed", "environment.pedestrians_list[3].target_speed",
+             "does not resolve at segment 3"),
+            ("ego_x_position", "environment.ego_vehicles_list[0].vhc_id",
+             "is bound to an integer field"),
+        ],
+    )
+    def test_unbindable_path_exits_2_before_simulating(
+        self, tmp_path, capsys, monkeypatch, name, path, message
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a suite whose binding cannot be set")
+
+        monkeypatch.setattr(supervisor, "run_embedded", no_simulation)
+        csv_path, scenario_path, bindings = self.make_inputs(tmp_path, ["0,20,2", "5,25,3"])
+        binding = json.loads(open(bindings).read())
+        binding[name] = path
+        with open(bindings, "w") as fh:
+            json.dump(binding, fh)
+        out_dir = tmp_path / "out"
+        code = main(["run-ca", csv_path, scenario_path, bindings, "--out-dir", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: parameter {name!r}: path {path!r} {message}\n"
+        assert not out_dir.exists()
+
+    def test_traces_equal_the_preset_scene(self, tmp_path, fixtures_dir, ca_csv_path):
+        # the oracle builds each row's scene directly, with no binding path
+        scenario_path = write_demo_scenario(tmp_path / "scn.json", duration_ms=300)
+        bindings = os.path.join(fixtures_dir, "demo_bindings.json")
+        out_dir = tmp_path / "out"
+        code = main(["run-ca", ca_csv_path, scenario_path, bindings, "--out-dir", str(out_dir)])
+        assert code == 0
+        table = covering.load_experiment_data(ca_csv_path)
+        defaults = {"ego_init_speed": 10.0, "ego_x_position": 20.0, "pedestrian_speed": 3.0}
+        for index in range(len(table.rows)):
+            case = covering.get_experiment_all_fields(table, index)
+            speed, x, ped = (
+                defaults[name] if case[name] == "*" else float(case[name]) for name in defaults
+            )
+            env, config = presets.demo_scenario(speed, x, ped, sim_duration_ms=300)
+            expected = supervisor.trajectory_to_csv(supervisor.run_embedded(env, config).trajectory)
+            assert (out_dir / f"trace_{index:03d}.csv").read_text() == expected
+
     def test_seed_has_no_effect(self, tmp_path, fixtures_dir):
         inputs = [
             os.path.join(fixtures_dir, name)
@@ -365,6 +451,38 @@ class TestFalsifyCommand:
         out = tmp_path / "results.json"
         assert main(["falsify", study_path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text[:-2] + ', "scenery": {"roads": []}}',
+             "document.scenery: unknown field"),
+            (lambda text: text.replace('"target_speed": 3.0', '"target_speed": NaN'),
+             "document: non-finite number NaN is not allowed"),
+        ],
+        ids=["scenery_key", "nan_literal"],
+    )
+    def test_study_scenario_is_parsed_as_a_scenario_document(
+        self, tmp_path, fixtures_dir, capsys, monkeypatch, edit, message
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a study whose scenario is invalid")
+
+        monkeypatch.setattr(supervisor, "run_embedded", no_simulation)
+        text = open(os.path.join(fixtures_dir, "demo_scenario.json")).read()
+        edited = edit(text)
+        assert edited != text
+        scenario_path = tmp_path / "scn.json"
+        scenario_path.write_text(edited)
+        study_path = self.make_study(tmp_path, fixtures_dir)
+        study = json.loads(open(study_path).read())
+        study["scenario"] = str(scenario_path)
+        with open(study_path, "w") as fh:
+            json.dump(study, fh)
+        out = tmp_path / "results.json"
+        assert main(["falsify", study_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: invalid study: {message}\n"
         assert not out.exists()
 
     def test_every_simulation_failing_exits_2(self, tmp_path, fixtures_dir, capsys):

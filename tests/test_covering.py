@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avtestbed import presets, scenario, supervisor
+from avtestbed import presets, supervisor
 from avtestbed.covering import (
     CsvFormatError,
     ParamSpec,
@@ -17,7 +17,6 @@ from avtestbed.covering import (
     load_experiment_data,
     load_param_specs,
     run_test_suite,
-    set_scenario_value,
     verify_coverage,
     write_experiment_data,
 )
@@ -263,31 +262,6 @@ class TestParamSpec:
             load_param_specs(str(path))
 
 
-class TestScenarioBinding:
-    def test_set_nested_value(self):
-        doc = {"environment": {"pedestrians_list": [{"target_speed": 3.0}]}}
-        set_scenario_value(doc, "environment.pedestrians_list[0].target_speed", 4.5)
-        assert doc["environment"]["pedestrians_list"][0]["target_speed"] == 4.5
-
-    def test_set_vector_component(self):
-        doc = {"environment": {"ego_vehicles_list": [{"current_position": [20.0, 0.35, 0.0]}]}}
-        set_scenario_value(doc, "environment.ego_vehicles_list[0].current_position[0]", 25.0)
-        assert doc["environment"]["ego_vehicles_list"][0]["current_position"] == [25.0, 0.35, 0.0]
-
-    def test_non_numeric_target_rejected(self):
-        doc = {"environment": {"ego_vehicles_list": [{"controller": "void"}]}}
-        with pytest.raises(ValueError, match="non-numeric"):
-            set_scenario_value(doc, "environment.ego_vehicles_list[0].controller", 1.0)
-
-    def test_unresolvable_path_rejected(self):
-        with pytest.raises(ValueError, match="does not resolve"):
-            set_scenario_value({"a": {}}, "a.b.c", 1.0)
-
-    def test_bad_syntax_rejected(self):
-        with pytest.raises(ValueError, match="syntax"):
-            set_scenario_value({"a": 1.0}, "a..b", 1.0)
-
-
 DEMO_BINDING = {
     "ego_init_speed": "environment.initial_state_config_list[0].value",
     "ego_x_position": "environment.ego_vehicles_list[0].current_position[0]",
@@ -296,23 +270,17 @@ DEMO_BINDING = {
 
 
 def demo_template(duration_ms=200):
-    env, config = presets.demo_scenario(sim_duration_ms=duration_ms)
-    return {
-        "environment": scenario.environment_to_json(env),
-        "config": scenario.config_to_json(config),
-    }
+    return presets.demo_scenario(sim_duration_ms=duration_ms)
 
 
-def embedded_runner(doc):
-    env = scenario.environment_from_json(doc["environment"])
-    config = scenario.config_from_json(doc["config"])
+def embedded_runner(env, config):
     return supervisor.run_embedded(env, config).trajectory
 
 
 class TestRunSuite:
     def test_all_rows_executed(self, ca_csv_path):
         table = load_experiment_data(ca_csv_path)
-        result = run_test_suite(table, demo_template(), DEMO_BINDING, embedded_runner)
+        result = run_test_suite(table, *demo_template(), DEMO_BINDING, embedded_runner)
         assert sorted(result.outputs) == list(range(16))
         assert result.failures == {}
         # bound values actually land in the runs: ego x differs per row
@@ -322,7 +290,7 @@ class TestRunSuite:
 
     def test_empty_table(self):
         table = TestTable(["a"], [])
-        result = run_test_suite(table, demo_template(), {}, embedded_runner)
+        result = run_test_suite(table, *demo_template(), {}, embedded_runner)
         assert result.outputs == {}
         assert result.failures == {}
 
@@ -331,7 +299,7 @@ class TestRunSuite:
             ["ego_init_speed", "ego_x_position", "pedestrian_speed"],
             [["10", "20", "3"], ["fast", "20", "3"], ["0", "25", "2"]],
         )
-        result = run_test_suite(table, demo_template(), DEMO_BINDING, embedded_runner)
+        result = run_test_suite(table, *demo_template(), DEMO_BINDING, embedded_runner)
         assert sorted(result.outputs) == [0, 2]
         assert list(result.failures) == [1]
         assert "not numeric" in result.failures[1]
@@ -341,15 +309,51 @@ class TestRunSuite:
             ["ego_init_speed", "ego_x_position", "pedestrian_speed"],
             [["*", "*", "*"]],
         )
-        result = run_test_suite(table, demo_template(), DEMO_BINDING, embedded_runner)
+        result = run_test_suite(table, *demo_template(), DEMO_BINDING, embedded_runner)
         trajectory = result.outputs[0]
         assert trajectory.rows[0][1] == 20.0  # template ego x
         assert trajectory.rows[0][4] == 10.0  # template initial speed
 
+    def test_dont_care_writes_back_the_template_value(self):
+        # row 0 moves the ego; row 1 must start it from the template x again
+        table = TestTable(
+            ["ego_init_speed", "ego_x_position", "pedestrian_speed"],
+            [["*", "25", "*"], ["*", "*", "*"]],
+        )
+        result = run_test_suite(table, *demo_template(), DEMO_BINDING, embedded_runner)
+        assert result.outputs[0].rows[0][1] == 25.0
+        assert result.outputs[1].rows[0][1] == 20.0
+
+    def test_caller_scenario_is_left_unchanged(self, ca_csv_path):
+        env, config = demo_template()
+        table = load_experiment_data(ca_csv_path)
+        result = run_test_suite(table, env, config, DEMO_BINDING, embedded_runner)
+        assert len(result.outputs) == 16
+        assert (env, config) == demo_template()
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            ("environment.pedestrians_list[3].target_speed", "does not resolve at segment 3"),
+            ("environment.ego_vehicles_list[0].vhc_id", "integer field"),
+            ("environment.ego_vehicles_list[0].controller", "non-numeric field"),
+            (5, "bad path syntax in 5"),
+        ],
+    )
+    def test_unbindable_path_rejected_before_any_row(self, path, message):
+        table = TestTable(["pedestrian_speed"], [["2"], ["3"]])
+
+        def no_run(env, config):
+            raise AssertionError("ran a row of a suite whose binding cannot be set")
+
+        with pytest.raises(ValueError, match=rf"^parameter 'pedestrian_speed': .*{message}"):
+            run_test_suite(table, *demo_template(), {"pedestrian_speed": path}, no_run)
+
     def test_unknown_binding_name_rejected(self):
         table = TestTable(["a"], [["1"]])
         with pytest.raises(ValueError, match="unknown parameter"):
-            run_test_suite(table, demo_template(), {"nope": "config.server_port"}, embedded_runner)
+            binding = {"nope": "config.server_port"}
+            run_test_suite(table, *demo_template(), binding, embedded_runner)
 
     def test_setup_error_row_is_recorded_as_failed(self):
         # a negative pedestrian speed passes binding but fails world setup
@@ -357,7 +361,7 @@ class TestRunSuite:
             ["ego_init_speed", "ego_x_position", "pedestrian_speed"],
             [["10", "20", "-3"], ["0", "25", "2"]],
         )
-        result = run_test_suite(table, demo_template(), DEMO_BINDING, embedded_runner)
+        result = run_test_suite(table, *demo_template(), DEMO_BINDING, embedded_runner)
         assert sorted(result.outputs) == [1]
         assert list(result.failures) == [0]
         assert "invalid scenario" in result.failures[0]
@@ -366,11 +370,11 @@ class TestRunSuite:
         table = TestTable(["ego_init_speed"], [["10"], ["5"]])
         calls = []
 
-        def buggy(doc):
-            calls.append(doc)
+        def buggy(env, config):
+            calls.append(env)
             return 1 / 0
 
         binding = {"ego_init_speed": DEMO_BINDING["ego_init_speed"]}
         with pytest.raises(ZeroDivisionError):
-            run_test_suite(table, demo_template(), binding, buggy)
+            run_test_suite(table, *demo_template(), binding, buggy)
         assert len(calls) == 1

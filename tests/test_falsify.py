@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from avtestbed import falsify as fz
+from avtestbed import falsify as fz, presets, robustness as rb, scenario, supervisor
 from avtestbed.falsify import (
     AllEvaluationsFailedError,
     FalsifyConfig,
@@ -278,6 +278,27 @@ class TestStudy:
 
         value = robustness(formula, predicates, trace)
         assert math.isfinite(value)
+
+    def test_study_system_equals_the_preset_scene(self, fixtures_dir):
+        study = load_study(os.path.join(fixtures_dir, "demo_study.json"))
+        study.config.sim_duration_s = 0.5
+        study.config.samp_time_s = 0.02
+        system, _, _ = fz.make_study_system(study)
+        for sample in [(12.0, 22.0, 4.0), (0.0, 15.0, 2.0), (15.0, 25.0, 5.0)]:
+            env, config = presets.demo_scenario(*sample, sim_duration_ms=500)
+            env.data_log_period_ms = 20
+            expected = rb.convert_trajectory(supervisor.run_embedded(env, config).trajectory)
+            trace = system(sample)
+            assert np.array_equal(trace.times, expected.times)
+            assert np.array_equal(trace.states, expected.states)
+
+    def test_study_scenario_is_left_unchanged(self, fixtures_dir):
+        study = load_study(os.path.join(fixtures_dir, "demo_study.json"))
+        study.config.sim_duration_s = 0.2
+        system, _, _ = fz.make_study_system(study)
+        system((12.0, 22.0, 4.0))
+        fresh = scenario.load_scenario(os.path.join(fixtures_dir, "demo_scenario.json"))
+        assert (study.env, study.sim_config) == fresh
 
     def test_run_study_with_multiple_runs(self, fixtures_dir):
         study = load_study(os.path.join(fixtures_dir, "demo_study.json"))

@@ -1,11 +1,11 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
 from avtestbed import presets
-from avtestbed.covering import set_scenario_value
 from avtestbed.scenario import (
     ControllerParameter,
     HeartbeatConfig,
@@ -27,6 +27,7 @@ from avtestbed.scenario import (
     environment_to_json,
     parse_column_name,
     parse_scenario,
+    resolve_binding,
     serialize_scenario,
     validate_environment,
 )
@@ -213,10 +214,57 @@ class TestValidation:
         ],
     )
     def test_non_finite_kernel_input_reported(self, doc_path, violation_path, bad):
-        doc = environment_to_json(presets.demo_environment())
-        set_scenario_value(doc, doc_path, bad)
-        report = validate_environment(environment_from_json(doc))
+        env = presets.demo_environment()
+        set_value, _ = resolve_binding(env, "environment." + doc_path)
+        set_value(bad)
+        report = validate_environment(env)
         assert [v.path for v in report if "finite" in v.message] == [violation_path]
+
+
+class TestBindingPaths:
+    def test_set_nested_value(self):
+        env = presets.demo_environment()
+        set_value, value = resolve_binding(env, "environment.pedestrians_list[0].target_speed")
+        assert value == 3.0
+        set_value(4.5)
+        assert env.pedestrians[0].target_speed == 4.5
+
+    def test_set_vector_component(self):
+        env = presets.demo_environment()
+        path = "environment.ego_vehicles_list[0].current_position[0]"
+        set_value, value = resolve_binding(env, path)
+        assert value == 20.0
+        set_value(25.0)
+        assert env.ego_vehicles[0].current_position == [25.0, 0.35, 0.0]
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            ("environment.ego_vehicles_list[0].controller", "non-numeric field"),
+            ("environment.ego_vehicles_list[0].controller_arguments[0]", "non-numeric field"),
+            ("environment.heart_beat_config.sync_type", "non-numeric field"),
+            ("environment.ego_vehicles_list[0]", "non-numeric field"),
+            ("environment.ego_vehicles_list[0].vhc_id", "integer field"),
+            ("environment.data_log_period_ms", "integer field"),
+            ("environment.control_params_list[0].vehicle_id", "integer field"),
+            ("config.sim_duration_ms", "names a config field"),
+            ("environment.__class__", "does not resolve at segment '__class__'"),
+            ("environment.pedestrians_list[3].target_speed", "does not resolve at segment 3"),
+            ("environment.ego_vehicles_list[0].current_position[3]", "at segment 3"),
+            ("environment.ego_vehicles", "does not resolve at segment 'ego_vehicles'"),
+            ("document.environment", "does not resolve at segment 'document'"),
+            ("a.b.c", "does not resolve at segment 'a'"),
+            ("environment..pedestrians_list", "syntax"),
+            ("environment.pedestrians_list[-1].target_speed", "syntax"),
+            ("", "syntax"),
+            (None, "syntax"),
+        ],
+    )
+    def test_path_that_names_no_float_field_rejected(self, path, message):
+        env = presets.demo_environment()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            resolve_binding(env, path)
+        assert env == presets.demo_environment()
 
 
 class TestTraceDict:
@@ -312,6 +360,14 @@ class TestDocuments:
         with pytest.raises(ScenarioFormatError) as err:
             parse_scenario(json.dumps(doc))
         assert err.value.path == f"{where}.{key}"
+
+    @pytest.mark.parametrize("value", [None, 1.5, {}, "abc"])
+    def test_non_array_initial_state_list_rejected(self, value):
+        doc = json.loads(serialize_scenario(*presets.demo_scenario()))
+        doc["environment"]["initial_state_config_list"] = value
+        with pytest.raises(ScenarioFormatError) as err:
+            parse_scenario(json.dumps(doc))
+        assert str(err.value) == "environment.initial_state_config_list: expected an array"
 
     def test_default_config_document_values(self):
         text = serialize_scenario(SimEnvironment(), SimulationConfig(sim_duration_ms=50000))

@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from avtestbed import controllers, presets, supervisor
+from avtestbed import controllers, covering, falsify, presets, supervisor
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -41,3 +41,26 @@ def test_instrument_patches_every_traced_name_and_unpatches(tracing):
         "controllers.pedestrian_step", "scenario.validate_environment",
     } <= names
     assert traced.trajectory == supervisor.run_embedded(env, config).trajectory
+
+
+def test_traced_suite_and_study_keep_their_signatures(tracing, fixtures_dir):
+    # the tracer counts rows from run_test_suite's first argument and wraps
+    # the system that make_study_system(study) returns first
+    table = covering.TestTable(["x"], [["20"], ["*"]])
+    binding = {"x": "environment.ego_vehicles_list[0].current_position[0]"}
+    study = falsify.load_study(os.path.join(fixtures_dir, "demo_study.json"))
+    study.config.sim_duration_s = 0.05
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        env, config = presets.demo_scenario(sim_duration_ms=50)
+        result = covering.run_test_suite(table, env, config, binding, supervisor.run_embedded)
+        system, _, _ = falsify.make_study_system(study)
+        system((10.0, 20.0, 3.0))
+    finally:
+        tracer.unpatch()
+    assert sorted(result.outputs) == [0, 1]
+    assert tracer.units["suite.rows"] == 2
+    names = [row[1] for row in tracer.rows()]
+    assert names.count("covering.run_test_suite") == 1
+    assert names.count("falsify.system") == 1
