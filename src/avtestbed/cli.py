@@ -62,7 +62,11 @@ def cmd_serve(args: argparse.Namespace) -> CommandOutcome:
     except OSError as exc:
         raise CommandError(f"cannot listen on {args.host}:{args.port}: {exc}")
     print(f"supervisor listening on {server.host}:{server.port}")
-    server.serve_forever()
+    with server:
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
     return CommandOutcome()
 
 

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -311,32 +311,65 @@ class Study:
     config: FalsifyConfig
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _falsify_config(raw) -> FalsifyConfig:
+    """FalsifyConfig from a study's config object, each field type-checked."""
+    if not isinstance(raw, dict):
+        raise ValueError("'config' must be an object")
+    kinds = get_type_hints(FalsifyConfig)
+    for key, value in raw.items():
+        kind = kinds.get(key)
+        if kind is None:
+            raise ValueError(f"config has unknown field {key!r}")
+        if kind is bool:
+            ok = isinstance(value, bool)
+        else:
+            ok = _is_number(value) and (kind is float or isinstance(value, int))
+        if not ok:
+            raise ValueError(f"config.{key} must be {kind.__name__}, got {type(value).__name__}")
+    return FalsifyConfig(**raw)
+
+
 def load_study(path: str) -> Study:
-    """Load a study file; its scenario is parsed like any scenario document."""
+    """Load a study file; its scenario is parsed like any scenario document.
+
+    A study that is not well formed raises ValueError.
+    """
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("top level must be an object")
     for key in ("scenario", "requirement", "space", "config"):
         if key not in data:
             raise ValueError(f"study file is missing {key!r}")
+    for key in ("scenario", "requirement"):
+        if not isinstance(data[key], str):
+            raise ValueError(f"{key!r} must be a file path")
 
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     env, sim_config = scenario.load_scenario(resolve(data["scenario"]))
     requirement = rb.load_requirement(resolve(data["requirement"]))
+    if not isinstance(data["space"], list):
+        raise ValueError("'space' must be an array of dimensions")
     dims = []
     for i, d in enumerate(data["space"]):
-        if not {"name", "lo", "hi", "binding"} <= set(d):
+        if not isinstance(d, dict) or not {"name", "lo", "hi", "binding"} <= d.keys():
             raise ValueError(f"space[{i}] needs name, lo, hi, binding")
+        if not (isinstance(d["name"], str) and _is_number(d["lo"]) and _is_number(d["hi"])):
+            raise ValueError(f"space[{i}]: name must be a string, lo and hi numbers")
         dims.append(SearchDim(d["name"], float(d["lo"]), float(d["hi"]), d["binding"]))
-    config = FalsifyConfig(**data["config"])
     return Study(
         env=env,
         sim_config=sim_config,
         requirement=requirement,
         space=SearchSpace(dims),
-        config=config,
+        config=_falsify_config(data["config"]),
     )
 
 
@@ -348,7 +381,7 @@ def make_study_system(study: Study) -> tuple[System, MtlFormula, list[LinearPred
     writes its values through the setters and simulates.  The function reuses
     that copy, so it must not be called from two threads at once.
     """
-    names = scenario.column_names(study.env.data_log_descriptions)
+    names = scenario.column_names(study.env.data_log_description_list)
     if not names or names[0] != "time_ms":
         raise ValueError("study scenario must log time_ms as its first column")
     predicates = study.requirement.resolve(names[1:])
@@ -362,10 +395,10 @@ def make_study_system(study: Study) -> tuple[System, MtlFormula, list[LinearPred
     if problems:
         raise ValueError(f"study cannot run: {problems[0]}")
     period_ms = int(round(1000.0 * study.config.samp_time_s))
-    if period_ms < 1 or period_ms % config.sim_step_size_ms != 0:
+    if period_ms < 1 or period_ms % config.sim_step_size != 0:
         raise ValueError(
             f"study samp_time_s: log period {period_ms} ms is not a positive "
-            f"multiple of the step size {config.sim_step_size_ms} ms"
+            f"multiple of the step size {config.sim_step_size} ms"
         )
     env.data_log_period_ms = period_ms
     setters = []

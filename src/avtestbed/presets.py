@@ -41,7 +41,7 @@ def demo_environment(
     heartbeat: HeartbeatConfig | None = None,
 ) -> SimEnvironment:
     env = SimEnvironment()
-    env.heartbeat_config = heartbeat if heartbeat is not None else HeartbeatConfig(
+    env.heart_beat_config = heartbeat if heartbeat is not None else HeartbeatConfig(
         sync_type=SyncType.NO_HEART_BEAT
     )
 
@@ -51,7 +51,7 @@ def demo_environment(
     ego.current_orientation = 0.0  # facing +x
     ego.controller = "automated_driving_with_fusion2"
     ego.controller_arguments = ["Toyota", "70.0", "0.0", "1", "True", "False", "0"]
-    env.ego_vehicles.append(ego)
+    env.ego_vehicles_list.append(ego)
 
     agent = Vehicle()
     agent.vhc_id = AGENT_VHC_ID
@@ -59,7 +59,7 @@ def demo_environment(
     agent.current_orientation = math.pi  # facing -x, toward the ego
     agent.controller = "path_and_speed_follower"
     agent.controller_arguments = ["20.0", "True", "3.5", "2", "False", "False"]
-    env.agent_vehicles.append(agent)
+    env.agent_vehicles_list.append(agent)
 
     pedestrian = Pedestrian()
     pedestrian.ped_id = 1
@@ -67,7 +67,7 @@ def demo_environment(
     pedestrian.target_speed = pedestrian_speed
     pedestrian.trajectory = [50.0, 0.0, 80.0, -3.0, 200.0, 0.0]
     pedestrian.controller = "pedestrian_control"
-    env.pedestrians.append(pedestrian)
+    env.pedestrians_list.append(pedestrian)
 
     disturbance = RoadDisturbance()
     disturbance.position = [40.0, 0.0, 0.0]
@@ -75,38 +75,38 @@ def demo_environment(
     disturbance.length = 3.0
     disturbance.height = 0.04
     disturbance.inter_object_spacing = 0.5
-    env.road_disturbances.append(disturbance)
+    env.road_disturbances_list.append(disturbance)
 
     for x, y in [(-1000.0, 0.0), (1000.0, 0.0)]:
-        env.controller_params.append(
+        env.control_params_list.append(
             ControllerParameter(
                 vehicle_id=EGO_VHC_ID, parameter_name="target_position", parameter_data=[x, y]
             )
         )
     for x, y in [(1000.0, 3.5), (145.0, 3.5), (110.0, -3.5), (-1000.0, -3.5)]:
-        env.controller_params.append(
+        env.control_params_list.append(
             ControllerParameter(
                 vehicle_id=AGENT_VHC_ID, parameter_name="target_position", parameter_data=[x, y]
             )
         )
 
-    env.initial_state_configs.append(
+    env.initial_state_config_list.append(
         InitialStateConfig(
             item=LogItemDescription(ItemType.VEHICLE, 0, StateId.VELOCITY_X),
             value=ego_init_speed_m_s,
         )
     )
 
-    env.data_log_descriptions.append(LogItemDescription(ItemType.TIME, 0, StateId.POSITION_X))
+    env.data_log_description_list.append(LogItemDescription(ItemType.TIME, 0, StateId.POSITION_X))
     for vhc_index in range(2):
         for state in (StateId.POSITION_X, StateId.POSITION_Y, StateId.ORIENTATION, StateId.SPEED):
-            env.data_log_descriptions.append(
+            env.data_log_description_list.append(
                 LogItemDescription(ItemType.VEHICLE, vhc_index, state)
             )
-    env.data_log_descriptions.append(
+    env.data_log_description_list.append(
         LogItemDescription(ItemType.PEDESTRIAN, 0, StateId.POSITION_X)
     )
-    env.data_log_descriptions.append(
+    env.data_log_description_list.append(
         LogItemDescription(ItemType.PEDESTRIAN, 0, StateId.POSITION_Y)
     )
     env.data_log_period_ms = log_period_ms
@@ -117,8 +117,8 @@ def demo_config(sim_duration_ms: int = 15000, server_port: int = 10021) -> Simul
     config = SimulationConfig()
     config.server_port = server_port
     config.sim_duration_ms = sim_duration_ms
-    config.sim_step_size_ms = 10
-    config.run_configs.append(RunConfig())
+    config.sim_step_size = 10
+    config.run_config_arr.append(RunConfig())
     return config
 
 

@@ -8,6 +8,10 @@ by the kernel (``current_orientation``) are planar headings in radians,
 measured counterclockwise from the +x axis.  The model holds only what the
 kernel reads; any other key, including the scenery, sensor and camera fields
 of the Webots format, is rejected as an unknown field.
+
+Every model field is named by its document key, and the document schema is
+read from the dataclass fields and their annotations, so binding paths,
+parse errors and validation violations all use the same names.
 """
 
 from __future__ import annotations
@@ -16,13 +20,17 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass, field
-from enum import Enum, IntEnum
-from typing import Any, Callable, Optional
+from dataclasses import dataclass, field, fields
+from enum import Enum, EnumMeta, IntEnum
+from typing import Any, Callable, NewType, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .controllers import PEDESTRIAN_CONTROLLERS, registered_vehicle_controllers
+
+
+# A position [x, height, lateral]: an array of exactly three numbers.
+Vec3 = NewType("Vec3", list[float])
 
 
 class SyncType(Enum):
@@ -57,7 +65,7 @@ class StateId(IntEnum):
 @dataclass
 class Vehicle:
     vhc_id: int = 0
-    current_position: list[float] = field(default_factory=lambda: [0.0, 0.3, 0.0])
+    current_position: Vec3 = field(default_factory=lambda: [0.0, 0.3, 0.0])
     current_orientation: float = 0.0
     controller: str = "void"
     controller_arguments: list[str] = field(default_factory=list)
@@ -66,7 +74,7 @@ class Vehicle:
 @dataclass
 class Pedestrian:
     ped_id: int = 0
-    current_position: list[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
+    current_position: Vec3 = field(default_factory=lambda: [0.0, 0.0, 0.0])
     controller: str = "void"
     target_speed: float = 0.0
     trajectory: list[float] = field(default_factory=list)
@@ -76,7 +84,7 @@ class Pedestrian:
 class RoadDisturbance:
     """Repeated bumps on a lane stretch; observable as a lateral log offset."""
 
-    position: list[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
+    position: Vec3 = field(default_factory=lambda: [0.0, 0.0, 0.0])
     length: float = 100.0
     width: float = 3.5
     height: float = 0.06
@@ -122,24 +130,24 @@ class InitialStateConfig:
 
 @dataclass
 class SimEnvironment:
-    heartbeat_config: Optional[HeartbeatConfig] = None
-    ego_vehicles: list[Vehicle] = field(default_factory=list)
-    agent_vehicles: list[Vehicle] = field(default_factory=list)
-    pedestrians: list[Pedestrian] = field(default_factory=list)
-    road_disturbances: list[RoadDisturbance] = field(default_factory=list)
-    controller_params: list[ControllerParameter] = field(default_factory=list)
-    initial_state_configs: list[InitialStateConfig] = field(default_factory=list)
-    data_log_descriptions: list[LogItemDescription] = field(default_factory=list)
+    heart_beat_config: Optional[HeartbeatConfig] = None
+    ego_vehicles_list: list[Vehicle] = field(default_factory=list)
+    agent_vehicles_list: list[Vehicle] = field(default_factory=list)
+    pedestrians_list: list[Pedestrian] = field(default_factory=list)
+    road_disturbances_list: list[RoadDisturbance] = field(default_factory=list)
+    control_params_list: list[ControllerParameter] = field(default_factory=list)
+    initial_state_config_list: list[InitialStateConfig] = field(default_factory=list)
+    data_log_description_list: list[LogItemDescription] = field(default_factory=list)
     data_log_period_ms: Optional[int] = None
 
     def all_vehicles(self) -> list[Vehicle]:
         """Ego vehicles first, then agents; list order defines item_index."""
-        return list(self.ego_vehicles) + list(self.agent_vehicles)
+        return list(self.ego_vehicles_list) + list(self.agent_vehicles_list)
 
 
 @dataclass
 class RunConfig:
-    run_mode: RunMode = RunMode.FAST_NO_GRAPHICS
+    simulation_run_mode: RunMode = RunMode.FAST_NO_GRAPHICS
 
 
 @dataclass
@@ -147,8 +155,8 @@ class SimulationConfig:
     server_port: int = 10021
     server_ip: str = "127.0.0.1"
     sim_duration_ms: int = 50000
-    sim_step_size_ms: int = 10
-    run_configs: list[RunConfig] = field(default_factory=list)
+    sim_step_size: int = 10
+    run_config_arr: list[RunConfig] = field(default_factory=list)
 
 
 @dataclass
@@ -210,14 +218,14 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
     vehicles = env.all_vehicles()
 
     seen_vhc: dict[int, str] = {}
-    for i, vhc in enumerate(env.ego_vehicles):
-        _validate_vehicle(report, f"ego_vehicles[{i}]", vhc, seen_vhc)
-    for i, vhc in enumerate(env.agent_vehicles):
-        _validate_vehicle(report, f"agent_vehicles[{i}]", vhc, seen_vhc)
+    for i, vhc in enumerate(env.ego_vehicles_list):
+        _validate_vehicle(report, f"ego_vehicles_list[{i}]", vhc, seen_vhc)
+    for i, vhc in enumerate(env.agent_vehicles_list):
+        _validate_vehicle(report, f"agent_vehicles_list[{i}]", vhc, seen_vhc)
 
     seen_ped: dict[int, str] = {}
-    for i, ped in enumerate(env.pedestrians):
-        path = f"pedestrians[{i}]"
+    for i, ped in enumerate(env.pedestrians_list):
+        path = f"pedestrians_list[{i}]"
         if ped.ped_id in seen_ped:
             report.append(
                 Violation(path, f"duplicate pedestrian id {ped.ped_id} (also {seen_ped[ped.ped_id]})")
@@ -234,8 +242,8 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
         _check_finite(report, path + ".trajectory", ped.trajectory)
         _check_vec3(report, path + ".current_position", ped.current_position)
 
-    for i, dist in enumerate(env.road_disturbances):
-        path = f"road_disturbances[{i}]"
+    for i, dist in enumerate(env.road_disturbances_list):
+        path = f"road_disturbances_list[{i}]"
         for attr in ("length", "width", "inter_object_spacing", "height"):
             value = getattr(dist, attr)
             if value <= 0:
@@ -243,11 +251,11 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
             _check_finite(report, f"{path}.{attr}", [value])
         _check_vec3(report, path + ".position", dist.position)
 
-    if env.heartbeat_config is not None and env.heartbeat_config.period_ms < 1:
-        report.append(Violation("heartbeat_config", "period_ms must be >= 1"))
+    if env.heart_beat_config is not None and env.heart_beat_config.period_ms < 1:
+        report.append(Violation("heart_beat_config", "period_ms must be >= 1"))
 
-    for i, par in enumerate(env.controller_params):
-        path = f"controller_params[{i}]"
+    for i, par in enumerate(env.control_params_list):
+        path = f"control_params_list[{i}]"
         if par.parameter_name != "target_position":
             message = f"parameter_name must be 'target_position', got {par.parameter_name!r}"
             report.append(Violation(path, message))
@@ -259,7 +267,7 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
         _check_finite(report, path + ".parameter_data", par.parameter_data)
 
     n_vhc = len(vehicles)
-    n_ped = len(env.pedestrians)
+    n_ped = len(env.pedestrians_list)
 
     def check_item(path: str, item: LogItemDescription) -> None:
         if item.item_type is ItemType.VEHICLE and not (0 <= item.item_index < n_vhc):
@@ -271,8 +279,8 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
                 Violation(path, f"dangling pedestrian index {item.item_index} (have {n_ped})")
             )
 
-    for i, isc in enumerate(env.initial_state_configs):
-        path = f"initial_state_configs[{i}]"
+    for i, isc in enumerate(env.initial_state_config_list):
+        path = f"initial_state_config_list[{i}]"
         if isc.item.item_type is ItemType.TIME:
             report.append(Violation(path, "initial state cannot target TIME"))
         else:
@@ -286,9 +294,9 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
             report.append(Violation(path, message))
         _check_finite(report, path + ".value", [isc.value])
 
-    for i, desc in enumerate(env.data_log_descriptions):
+    for i, desc in enumerate(env.data_log_description_list):
         if desc.item_type is not ItemType.TIME:
-            check_item(f"data_log_descriptions[{i}]", desc)
+            check_item(f"data_log_description_list[{i}]", desc)
 
     if env.data_log_period_ms is not None and env.data_log_period_ms < 1:
         report.append(Violation("data_log_period_ms", "must be a positive integer"))
@@ -315,15 +323,15 @@ def _validate_vehicle(
 
 def validate_config(config: SimulationConfig) -> list[Violation]:
     report: list[Violation] = []
-    if config.sim_step_size_ms < 1:
+    if config.sim_step_size < 1:
         report.append(Violation("config.sim_step_size", "must be a positive integer"))
     if config.sim_duration_ms < 0:
         report.append(Violation("config.sim_duration_ms", "must be >= 0"))
-    elif config.sim_step_size_ms >= 1 and config.sim_duration_ms % config.sim_step_size_ms != 0:
+    elif config.sim_step_size >= 1 and config.sim_duration_ms % config.sim_step_size != 0:
         report.append(
             Violation(
                 "config.sim_duration_ms",
-                f"duration {config.sim_duration_ms} not a multiple of step {config.sim_step_size_ms}",
+                f"duration {config.sim_duration_ms} not a multiple of step {config.sim_step_size}",
             )
         )
     return report
@@ -363,116 +371,68 @@ def parse_column_name(name: str) -> LogItemDescription:
 # --------------------------------------------------------------------------
 # JSON document serialization
 #
-# Each _T_SPEC lists (json_key, attr, kind); kind drives conversion and
-# unknown-key rejection works off the json_key set.  A kind is str, int,
-# float, "optint" (an integer or null), "vec3" (three floats), an enum, a
-# model class in _SPECS (a nested object) or [kind] (an array of kind).
+# A model class's fields are its document keys, in document order, and each
+# field's annotation is its kind: str, int, float, Vec3 (three numbers), an
+# enum, a model class in _SPECS (a nested object), list[kind] (an array of
+# kind) or Optional[kind] (kind or null).  Unknown-key rejection works off
+# the field names.
 
-_VEHICLE_SPEC = [
-    ("vhc_id", "vhc_id", int),
-    ("current_position", "current_position", "vec3"),
-    ("current_orientation", "current_orientation", float),
-    ("controller", "controller", str),
-    ("controller_arguments", "controller_arguments", [str]),
-]
 
-_PEDESTRIAN_SPEC = [
-    ("ped_id", "ped_id", int),
-    ("current_position", "current_position", "vec3"),
-    ("controller", "controller", str),
-    ("target_speed", "target_speed", float),
-    ("trajectory", "trajectory", [float]),
-]
+def _spec(cls: type) -> dict[str, Any]:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
-_DISTURBANCE_SPEC = [
-    ("position", "position", "vec3"),
-    ("length", "length", float),
-    ("width", "width", float),
-    ("height", "height", float),
-    ("inter_object_spacing", "inter_object_spacing", float),
-]
-
-_CTRL_PARAM_SPEC = [
-    ("vehicle_id", "vehicle_id", "optint"),
-    ("parameter_name", "parameter_name", str),
-    ("parameter_data", "parameter_data", [float]),
-]
-
-_HEARTBEAT_SPEC = [
-    ("sync_type", "sync_type", SyncType),
-    ("period_ms", "period_ms", int),
-]
-
-_ITEM_SPEC = [
-    ("item_type", "item_type", ItemType),
-    ("item_index", "item_index", int),
-    ("item_state_index", "item_state_index", StateId),
-]
-
-_ENV_SPEC = [
-    ("heart_beat_config", "heartbeat_config", HeartbeatConfig),
-    ("ego_vehicles_list", "ego_vehicles", [Vehicle]),
-    ("agent_vehicles_list", "agent_vehicles", [Vehicle]),
-    ("pedestrians_list", "pedestrians", [Pedestrian]),
-    ("road_disturbances_list", "road_disturbances", [RoadDisturbance]),
-    ("control_params_list", "controller_params", [ControllerParameter]),
-    ("initial_state_config_list", "initial_state_configs", [InitialStateConfig]),
-    ("data_log_description_list", "data_log_descriptions", [LogItemDescription]),
-    ("data_log_period_ms", "data_log_period_ms", "optint"),
-]
-
-_CONFIG_SPEC = [
-    ("server_port", "server_port", int),
-    ("server_ip", "server_ip", str),
-    ("sim_duration_ms", "sim_duration_ms", int),
-    ("sim_step_size", "sim_step_size_ms", int),
-    ("run_config_arr", "run_configs", [RunConfig]),
-]
 
 _SPECS = {
-    SimEnvironment: _ENV_SPEC,
-    HeartbeatConfig: _HEARTBEAT_SPEC,
-    Vehicle: _VEHICLE_SPEC,
-    Pedestrian: _PEDESTRIAN_SPEC,
-    RoadDisturbance: _DISTURBANCE_SPEC,
-    ControllerParameter: _CTRL_PARAM_SPEC,
-    InitialStateConfig: [("item", "item", LogItemDescription), ("value", "value", float)],
-    LogItemDescription: _ITEM_SPEC,
-    RunConfig: [("simulation_run_mode", "run_mode", RunMode)],
+    cls: _spec(cls)
+    for cls in (
+        SimEnvironment, SimulationConfig, HeartbeatConfig, Vehicle, Pedestrian,
+        RoadDisturbance, ControllerParameter, InitialStateConfig, LogItemDescription, RunConfig,
+    )
 }
 
 
+def _optional(kind: Any) -> Any:
+    """X for a kind Optional[X], else None."""
+    return get_args(kind)[0] if get_origin(kind) is Union else None
+
+
 def _value_to_json(value: Any, kind: Any) -> Any:
-    if kind in (str, int, "optint"):
+    if kind is str or kind is int:
         return value
     if kind is float:
         return float(value)
-    if kind == "vec3":
+    if kind is Vec3:
         return [float(v) for v in value]
-    if isinstance(kind, list):
-        return [_value_to_json(v, kind[0]) for v in value]
     if kind in _SPECS:
-        return None if value is None else _obj_to_json(value, _SPECS[kind])
-    if isinstance(kind, type) and issubclass(kind, (Enum, IntEnum)):
+        return _obj_to_json(value)
+    if isinstance(kind, EnumMeta):
         return value.name
+    if get_origin(kind) is list:
+        item_kind = get_args(kind)[0]
+        return [_value_to_json(v, item_kind) for v in value]
+    inner = _optional(kind)
+    if inner is not None:
+        return None if value is None else _value_to_json(value, inner)
     raise AssertionError(f"unhandled kind {kind!r}")
 
 
-def _obj_to_json(obj: Any, spec: list) -> dict:
-    return {key: _value_to_json(getattr(obj, attr), kind) for key, attr, kind in spec}
+def _obj_to_json(obj: Any) -> dict:
+    spec = _SPECS[type(obj)]
+    return {name: _value_to_json(getattr(obj, name), kind) for name, kind in spec.items()}
 
 
 def environment_to_json(env: SimEnvironment) -> dict:
-    return _obj_to_json(env, _ENV_SPEC)
+    return _obj_to_json(env)
 
 
 def config_to_json(config: SimulationConfig) -> dict:
-    return _obj_to_json(config, _CONFIG_SPEC)
+    return _obj_to_json(config)
 
 
 def trajectory_to_json(traj: Trajectory) -> dict:
     return {
-        "column_labels": [_obj_to_json(d, _ITEM_SPEC) for d in traj.column_labels],
+        "column_labels": [_obj_to_json(d) for d in traj.column_labels],
         "rows": traj.rows.astype(np.float64, copy=False).tolist(),
     }
 
@@ -486,7 +446,7 @@ def serialize_scenario(env: SimEnvironment, config: SimulationConfig) -> str:
 # ---- parsing -------------------------------------------------------------
 
 
-def _require_keys(data: dict, spec_keys: set[str], path: str) -> None:
+def _require_keys(data: dict, spec_keys, path: str) -> None:
     unknown = [k for k in data if k not in spec_keys]
     if unknown:
         raise ScenarioFormatError(f"{path}.{unknown[0]}", "unknown field")
@@ -501,27 +461,17 @@ def _value_from_json(raw: Any, kind: Any, path: str) -> Any:
         if not isinstance(raw, int) or isinstance(raw, bool):
             raise ScenarioFormatError(path, f"expected integer, got {type(raw).__name__}")
         return raw
-    if kind == "optint":
-        if raw is None:
-            return None
-        return _value_from_json(raw, int, path)
     if kind is float:
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ScenarioFormatError(path, f"expected number, got {type(raw).__name__}")
         return float(raw)
-    if kind == "vec3":
+    if kind is Vec3:
         if not isinstance(raw, list) or len(raw) != 3:
             raise ScenarioFormatError(path, "expected a 3-element number array")
         return [_value_from_json(v, float, f"{path}[{i}]") for i, v in enumerate(raw)]
-    if isinstance(kind, list):
-        if not isinstance(raw, list):
-            raise ScenarioFormatError(path, "expected an array")
-        return [_value_from_json(v, kind[0], f"{path}[{i}]") for i, v in enumerate(raw)]
     if kind in _SPECS:
-        if raw is None and kind is HeartbeatConfig:  # the one optional object
-            return None
-        return _obj_from_json(raw, _SPECS[kind], kind, path)
-    if isinstance(kind, type) and issubclass(kind, (Enum, IntEnum)):
+        return _obj_from_json(raw, kind, path)
+    if isinstance(kind, EnumMeta):
         if not isinstance(raw, str):
             raise ScenarioFormatError(path, "expected an enum name string")
         try:
@@ -529,28 +479,37 @@ def _value_from_json(raw: Any, kind: Any, path: str) -> Any:
         except KeyError:
             valid = ", ".join(m.name for m in kind)
             raise ScenarioFormatError(path, f"unknown value {raw!r} (expected one of {valid})")
+    if get_origin(kind) is list:
+        if not isinstance(raw, list):
+            raise ScenarioFormatError(path, "expected an array")
+        item_kind = get_args(kind)[0]
+        return [_value_from_json(v, item_kind, f"{path}[{i}]") for i, v in enumerate(raw)]
+    inner = _optional(kind)
+    if inner is not None:
+        return None if raw is None else _value_from_json(raw, inner, path)
     raise AssertionError(f"unhandled kind {kind!r}")
 
 
-def _obj_from_json(data: Any, spec: list, cls: type, path: str) -> Any:
+def _obj_from_json(data: Any, cls: type, path: str) -> Any:
     if not isinstance(data, dict):
         raise ScenarioFormatError(path, f"expected an object, got {type(data).__name__}")
-    _require_keys(data, {key for key, _, _ in spec}, path)
+    spec = _SPECS[cls]
+    _require_keys(data, spec, path)
     if cls is InitialStateConfig and not {"item", "value"} <= data.keys():
         raise ScenarioFormatError(path, "requires 'item' and 'value'")
     kwargs = {}
-    for key, attr, kind in spec:
-        if key in data:
-            kwargs[attr] = _value_from_json(data[key], kind, f"{path}.{key}")
+    for name, kind in spec.items():
+        if name in data:
+            kwargs[name] = _value_from_json(data[name], kind, f"{path}.{name}")
     return cls(**kwargs)
 
 
 def environment_from_json(data: Any, path: str = "environment") -> SimEnvironment:
-    return _obj_from_json(data, _ENV_SPEC, SimEnvironment, path)
+    return _obj_from_json(data, SimEnvironment, path)
 
 
 def config_from_json(data: Any, path: str = "config") -> SimulationConfig:
-    config = _obj_from_json(data, _CONFIG_SPEC, SimulationConfig, path)
+    config = _obj_from_json(data, SimulationConfig, path)
     problems = validate_config(config)
     if problems:
         raise ScenarioFormatError(problems[0].path, problems[0].message)
@@ -562,7 +521,7 @@ def trajectory_from_json(data: Any, path: str = "trajectory") -> Trajectory:
         raise ScenarioFormatError(path, "expected an object")
     _require_keys(data, {"column_labels", "rows"}, path)
     labels = [
-        _obj_from_json(d, _ITEM_SPEC, LogItemDescription, f"{path}.column_labels[{i}]")
+        _obj_from_json(d, LogItemDescription, f"{path}.column_labels[{i}]")
         for i, d in enumerate(data.get("column_labels", []))
     ]
     raw_rows = data.get("rows", [])
@@ -649,19 +608,19 @@ def resolve_binding(env: SimEnvironment, path: str) -> tuple[Callable[[float], N
     owner, key, kind, value = None, None, SimEnvironment, env
     for token in tokens[1:]:
         if isinstance(token, int):
-            if not (isinstance(kind, list) or kind == "vec3") or token >= len(value):
+            is_list = get_origin(kind) is list
+            if not (is_list or kind is Vec3) or token >= len(value):
                 raise ValueError(f"path {path!r} does not resolve at segment {token!r}")
-            owner, key, kind = value, token, float if kind == "vec3" else kind[0]
+            owner, key, kind = value, token, get_args(kind)[0] if is_list else float
             value = value[token]
         else:
-            spec = [] if value is None or isinstance(kind, list) else _SPECS.get(kind, [])
-            entry = next((e for e in spec if e[0] == token), None)
-            if entry is None:
+            spec = _SPECS.get(_optional(kind) or kind) if value is not None else None
+            if spec is None or token not in spec:
                 raise ValueError(f"path {path!r} does not resolve at segment {token!r}")
-            owner, (_, key, kind) = value, entry
-            value = getattr(value, key)
+            owner, key, kind = value, token, spec[token]
+            value = getattr(value, token)
     if kind is not float:
-        what = "an integer" if kind in (int, "optint") else "a non-numeric"
+        what = "an integer" if kind in (int, Optional[int]) else "a non-numeric"
         raise ValueError(f"path {path!r} is bound to {what} field")
     setter = owner.__setitem__ if isinstance(owner, list) else functools.partial(setattr, owner)
     return functools.partial(setter, key), value

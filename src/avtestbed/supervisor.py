@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import socket
+import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
@@ -147,12 +148,12 @@ def build_world(env: SimEnvironment, config: SimulationConfig) -> WorldState:
         listing = "; ".join(str(v) for v in violations[:5])
         raise SetupError(f"invalid scenario: {listing}")
 
-    world = WorldState(disturbances=list(env.road_disturbances))
+    world = WorldState(disturbances=list(env.road_disturbances_list))
 
     for vhc in env.all_vehicles():
         path = [
             (par.parameter_data[0], par.parameter_data[1])
-            for par in env.controller_params
+            for par in env.control_params_list
             if par.vehicle_id in (None, vhc.vhc_id)
         ]
         try:
@@ -172,7 +173,7 @@ def build_world(env: SimEnvironment, config: SimulationConfig) -> WorldState:
             )
         )
 
-    for ped in env.pedestrians:
+    for ped in env.pedestrians_list:
         waypoints = [
             (ped.trajectory[i], ped.trajectory[i + 1]) for i in range(0, len(ped.trajectory), 2)
         ]
@@ -186,7 +187,7 @@ def build_world(env: SimEnvironment, config: SimulationConfig) -> WorldState:
                 walking=(ped.controller == "pedestrian_control"),
             )
         )
-    return apply_initial_states(world, env.initial_state_configs)
+    return apply_initial_states(world, env.initial_state_config_list)
 
 
 def apply_initial_states(world: WorldState, configs) -> WorldState:
@@ -346,19 +347,18 @@ def _column_getter(world: WorldState, desc: LogItemDescription) -> Callable[[], 
 
 def compile_log_row(
     world: WorldState, descriptions: list[LogItemDescription]
-) -> Callable[[], list[float]]:
-    """A sampler of the described log row of world, resolved once.
+) -> list[Callable[[], float]]:
+    """The column getters of the described log row of world, resolved once.
 
-    Each column becomes one getter over its entity, so every later call reads
-    the current state without dispatching on the descriptions again.
+    Each column becomes one getter over its entity, so every later sample
+    reads the current state without dispatching on the descriptions again.
     """
-    getters = [_column_getter(world, desc) for desc in descriptions]
-    return lambda: [get() for get in getters]
+    return [_column_getter(world, desc) for desc in descriptions]
 
 
-def sample_log_row(world: WorldState, descriptions: list[LogItemDescription]) -> list[float]:
-    """One log row of world, as compile_log_row(world, descriptions)() gives it."""
-    return compile_log_row(world, descriptions)()
+def sample_log_row(getters: list[Callable[[], float]]) -> list[float]:
+    """One log row: the current value of each column getter."""
+    return [get() for get in getters]
 
 
 # --------------------------------------------------------------------------
@@ -396,24 +396,24 @@ def run(
     problems = validate_config(config)
     if problems:
         raise SetupError(f"invalid config: {problems[0]}")
-    if not config.run_configs:
+    if not config.run_config_arr:
         raise SetupError("config.run_config_arr must contain at least one entry")
-    if not 0 <= run_index < len(config.run_configs):
+    if not 0 <= run_index < len(config.run_config_arr):
         raise SetupError(f"run index {run_index} out of range")
-    mode = config.run_configs[run_index].run_mode
+    mode = config.run_config_arr[run_index].simulation_run_mode
 
-    descriptions = list(env.data_log_descriptions)
+    descriptions = list(env.data_log_description_list)
     period_ms = env.data_log_period_ms
     if descriptions:
         if period_ms is None:
             raise SetupError("data_log_period_ms must be set when log items are declared")
-        if period_ms % config.sim_step_size_ms != 0:
+        if period_ms % config.sim_step_size != 0:
             raise SetupError(
                 f"data_log_period_ms {period_ms} is not a multiple of the "
-                f"step size {config.sim_step_size_ms}"
+                f"step size {config.sim_step_size}"
             )
 
-    heartbeat = env.heartbeat_config
+    heartbeat = env.heart_beat_config
     beat_enabled = (
         beat is not None
         and heartbeat is not None
@@ -421,14 +421,14 @@ def run(
     )
 
     duration_ms = config.sim_duration_ms
-    step_ms = config.sim_step_size_ms
+    step_ms = config.sim_step_size
     rows: list[list[float]] = []
     seen_pairs: set = set()
 
-    sample = compile_log_row(world, descriptions)
+    getters = compile_log_row(world, descriptions)
     _track_contacts(world, seen_pairs)
     if descriptions:
-        rows.append(sample())
+        rows.append(sample_log_row(getters))
 
     while world.sim_time_ms < duration_ms:
         if mode is RunMode.REAL_TIME:
@@ -436,7 +436,7 @@ def run(
         step(world, step_ms)
         _track_contacts(world, seen_pairs)
         if descriptions and world.sim_time_ms % period_ms == 0:
-            rows.append(sample())
+            rows.append(sample_log_row(getters))
         if beat_enabled and world.sim_time_ms % heartbeat.period_ms == 0:
             beat(world.sim_time_ms, world.sim_time_ms >= duration_ms)
 
@@ -506,8 +506,12 @@ def trajectory_from_csv(text: str) -> Trajectory:
 # TCP server
 
 
-class SupervisorServer:
-    """Accepts configurator connections; one independent simulation each."""
+class SupervisorServer(socketserver.ThreadingTCPServer):
+    """Accepts configurator connections; one independent simulation each,
+    on its own daemon thread."""
+
+    daemon_threads = True
+    allow_reuse_address = True
 
     def __init__(
         self,
@@ -515,52 +519,23 @@ class SupervisorServer:
         port: int = 10021,
         sync_timeout_s: float = 120.0,
     ):
-        self.host = host
+        super().__init__((host, port), None)
+        self.host, self.port = self.server_address[:2]
         self.sync_timeout_s = sync_timeout_s
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self.port = self._listener.getsockname()[1]
-        self._stopping = threading.Event()
-        self._accept_thread: Optional[threading.Thread] = None
+        self._serving: Optional[threading.Thread] = None
 
     def start(self) -> None:
-        self._listener.listen()
-        # poll so stop() can interrupt a blocked accept()
-        self._listener.settimeout(0.2)
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        """Serve on a daemon thread until stop()."""
+        self._serving = threading.Thread(target=self.serve_forever, daemon=True)
+        self._serving.start()
 
     def stop(self) -> None:
-        self._stopping.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
+        if self._serving is not None:
+            self.shutdown()
+        self.server_close()
 
-    def serve_forever(self) -> None:
-        self.start()
-        try:
-            while not self._stopping.is_set():
-                time.sleep(0.2)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.stop()
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn.settimeout(None)
-            thread = threading.Thread(target=self._handle, args=(conn,), daemon=True)
-            thread.start()
+    def finish_request(self, request, client_address) -> None:
+        self._handle(request)
 
     def _handle(self, conn: socket.socket) -> None:
         with conn:
@@ -597,7 +572,15 @@ class SupervisorServer:
                 return None
             return msg
 
-        if receive(wire.Hello, "hello") is None:
+        hello = receive(wire.Hello, "hello")
+        if hello is None:
+            return
+        if hello.protocol_version != wire.PROTOCOL_VERSION:
+            fail(
+                wire.ERR_UNEXPECTED_MESSAGE,
+                f"protocol version {hello.protocol_version} is not supported; "
+                f"this supervisor speaks version {wire.PROTOCOL_VERSION}",
+            )
             return
         wire.send_message(conn, wire.Ack())
 
@@ -616,8 +599,8 @@ class SupervisorServer:
             return
 
         with_sync = (
-            env.heartbeat_config is not None
-            and env.heartbeat_config.sync_type is SyncType.WITH_SYNC
+            env.heart_beat_config is not None
+            and env.heart_beat_config.sync_type is SyncType.WITH_SYNC
         )
 
         def beat(sim_time_ms: int, finished: bool) -> None:

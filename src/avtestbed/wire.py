@@ -277,8 +277,8 @@ def client_session(
     """
     sock = _connect_with_retry(endpoint, max_connection_retry, retry_backoff_s)
     sync = (
-        env.heartbeat_config.sync_type
-        if env.heartbeat_config is not None
+        env.heart_beat_config.sync_type
+        if env.heart_beat_config is not None
         else SyncType.NO_HEART_BEAT
     )
     try:

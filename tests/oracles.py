@@ -356,18 +356,18 @@ def random_environment(rng: random.Random) -> sc.SimEnvironment:
         vhc.controller = rng.choice(["void", "path_and_speed_follower"])
         if vhc.controller == "path_and_speed_follower":
             vhc.controller_arguments = [str(rng.uniform(1, 30))]
-        (env.ego_vehicles if i == 0 else env.agent_vehicles).append(vhc)
+        (env.ego_vehicles_list if i == 0 else env.agent_vehicles_list).append(vhc)
     for i in range(rng.randint(0, 2)):
         ped = sc.Pedestrian(ped_id=i, target_speed=rng.uniform(0, 4))
         ped.trajectory = [rng.uniform(0, 50) for _ in range(2 * rng.randint(0, 3))]
         ped.controller = "pedestrian_control"
-        env.pedestrians.append(ped)
+        env.pedestrians_list.append(ped)
     if rng.random() < 0.5:
-        env.heartbeat_config = sc.HeartbeatConfig(
+        env.heart_beat_config = sc.HeartbeatConfig(
             sync_type=rng.choice(list(sc.SyncType)), period_ms=rng.randint(1, 100)
         )
     if rng.random() < 0.4:
-        env.controller_params.append(
+        env.control_params_list.append(
             sc.ControllerParameter(
                 vehicle_id=rng.choice([None, 0, 1]),
                 parameter_name="target_position",
@@ -375,7 +375,7 @@ def random_environment(rng: random.Random) -> sc.SimEnvironment:
             )
         )
     if env.all_vehicles():
-        env.data_log_descriptions = [
+        env.data_log_description_list = [
             sc.LogItemDescription(sc.ItemType.TIME, 0, sc.StateId.POSITION_X),
             sc.LogItemDescription(sc.ItemType.VEHICLE, 0, sc.StateId.POSITION_X),
         ]
@@ -424,7 +424,7 @@ def random_kernel_scene(rng: random.Random) -> tuple[sc.SimEnvironment, sc.Simul
             vhc.controller_arguments = [
                 "car", repr(rng.uniform(0.0, 60.0)), repr(rng.uniform(-4.0, 4.0))
             ] + ([str(vhc_id)] if rng.random() < 0.5 else [])
-        (env.ego_vehicles if i == 0 else env.agent_vehicles).append(vhc)
+        (env.ego_vehicles_list if i == 0 else env.agent_vehicles_list).append(vhc)
 
     for i in range(rng.randint(0, 2)):
         ped = sc.Pedestrian(ped_id=i, target_speed=rng.uniform(0.0, 3.0))
@@ -433,10 +433,10 @@ def random_kernel_scene(rng: random.Random) -> tuple[sc.SimEnvironment, sc.Simul
         for _ in range(rng.randint(0, 3)):
             ped.trajectory += list(near(0.0, 10.0))
         ped.controller = rng.choice(["void", "pedestrian_control", "pedestrian_control"])
-        env.pedestrians.append(ped)
+        env.pedestrians_list.append(ped)
 
     for _ in range(rng.randint(0, 2)):
-        env.road_disturbances.append(
+        env.road_disturbances_list.append(
             sc.RoadDisturbance(
                 position=[base_x + rng.uniform(-10.0, 5.0), 0.0, base_y + rng.uniform(-2.0, 2.0)],
                 length=rng.uniform(2.0, 20.0),
@@ -449,7 +449,7 @@ def random_kernel_scene(rng: random.Random) -> tuple[sc.SimEnvironment, sc.Simul
     if rng.random() < 0.5:
         vhc_id = rng.choice(ids + [None])
         for _ in range(rng.randint(2, 4)):
-            env.controller_params.append(
+            env.control_params_list.append(
                 sc.ControllerParameter(
                     vehicle_id=vhc_id, parameter_name="target_position",
                     parameter_data=list(near(0.0, 80.0)),
@@ -457,8 +457,8 @@ def random_kernel_scene(rng: random.Random) -> tuple[sc.SimEnvironment, sc.Simul
             )
 
     for _ in range(rng.randint(0, 4)):
-        if env.pedestrians and rng.random() < 0.3:
-            item_type, index = sc.ItemType.PEDESTRIAN, rng.randrange(len(env.pedestrians))
+        if env.pedestrians_list and rng.random() < 0.3:
+            item_type, index = sc.ItemType.PEDESTRIAN, rng.randrange(len(env.pedestrians_list))
             state = rng.choice([s for s in sc.StateId if s is not sc.StateId.ORIENTATION])
         else:
             item_type, index = sc.ItemType.VEHICLE, rng.randrange(len(ids))
@@ -471,23 +471,23 @@ def random_kernel_scene(rng: random.Random) -> tuple[sc.SimEnvironment, sc.Simul
             value = rng.uniform(-4.0, 4.0)
         else:
             value = rng.uniform(-15.0, 15.0)
-        env.initial_state_configs.append(
+        env.initial_state_config_list.append(
             sc.InitialStateConfig(sc.LogItemDescription(item_type, index, state), value)
         )
 
     columns = [sc.LogItemDescription(sc.ItemType.TIME)]
-    for item_type, count in ((sc.ItemType.VEHICLE, len(ids)), (sc.ItemType.PEDESTRIAN, len(env.pedestrians))):
+    for item_type, count in ((sc.ItemType.VEHICLE, len(ids)), (sc.ItemType.PEDESTRIAN, len(env.pedestrians_list))):
         for index in range(count):
             columns += [sc.LogItemDescription(item_type, index, state) for state in sc.StateId]
     rng.shuffle(columns)
-    env.data_log_descriptions = columns
+    env.data_log_description_list = columns
 
     step = rng.choice([5, 10, 20])
     env.data_log_period_ms = step * rng.choice([1, 2, 5])
     config = sc.SimulationConfig(
         sim_duration_ms=env.data_log_period_ms * rng.randint(0, 30),
-        sim_step_size_ms=step,
-        run_configs=[sc.RunConfig()],
+        sim_step_size=step,
+        run_config_arr=[sc.RunConfig()],
     )
     return env, config
 
@@ -497,10 +497,10 @@ def random_config(rng: random.Random) -> sc.SimulationConfig:
     config = sc.SimulationConfig(
         server_port=rng.randint(1024, 60000),
         sim_duration_ms=step * rng.randint(0, 500),
-        sim_step_size_ms=step,
+        sim_step_size=step,
     )
     for _ in range(rng.randint(0, 2)):
-        config.run_configs.append(sc.RunConfig(run_mode=rng.choice(list(sc.RunMode))))
+        config.run_config_arr.append(sc.RunConfig(simulation_run_mode=rng.choice(list(sc.RunMode))))
     return config
 
 
@@ -768,10 +768,10 @@ def _reference_track_contacts(world, seen_pairs: set) -> None:
 def reference_run(env: sc.SimEnvironment, config: sc.SimulationConfig) -> sv.SimulationResult:
     """Build, initialize and run a scenario through the reference kernel."""
     world = sv.build_world(env, config)
-    descriptions = list(env.data_log_descriptions)
+    descriptions = list(env.data_log_description_list)
     period_ms = env.data_log_period_ms
     duration_ms = config.sim_duration_ms
-    step_ms = config.sim_step_size_ms
+    step_ms = config.sim_step_size
     rows: list[list[float]] = []
     seen_pairs: set = set()
 

@@ -110,7 +110,7 @@ def test_criterion_3_robustness_oracle_equivalence():
 
     # hand-derived single sample: margins 0.5, 2.5, 6.0, 2.0 -> -min = -0.5
     req = rb.requirement_from_json(presets.collision_requirement_json())
-    names = scenario.column_names(presets.demo_environment().data_log_descriptions)
+    names = scenario.column_names(presets.demo_environment().data_log_description_list)
     preds = req.resolve(names[1:])
     state = np.zeros((1, 10))
     state[0, 0], state[0, 1] = 10.0, 0.0  # ego x, y
@@ -129,13 +129,13 @@ def test_criterion_3_robustness_oracle_equivalence():
 
 def test_criterion_4_demo_scenario_reproduction():
     env, config = presets.demo_scenario()
-    assert env.ego_vehicles[0].current_position[0] == 20.0
-    assert env.ego_vehicles[0].controller_arguments[1] == "70.0"
-    assert env.agent_vehicles[0].current_position[0] == 300.0
-    assert env.agent_vehicles[0].controller_arguments[0] == "20.0"
-    assert env.pedestrians[0].current_position[0] == 50.0
-    assert env.pedestrians[0].target_speed == 3.0
-    assert env.pedestrians[0].trajectory == [50.0, 0.0, 80.0, -3.0, 200.0, 0.0]
+    assert env.ego_vehicles_list[0].current_position[0] == 20.0
+    assert env.ego_vehicles_list[0].controller_arguments[1] == "70.0"
+    assert env.agent_vehicles_list[0].current_position[0] == 300.0
+    assert env.agent_vehicles_list[0].controller_arguments[0] == "20.0"
+    assert env.pedestrians_list[0].current_position[0] == 50.0
+    assert env.pedestrians_list[0].target_speed == 3.0
+    assert env.pedestrians_list[0].trajectory == [50.0, 0.0, 80.0, -3.0, 200.0, 0.0]
     assert config.sim_duration_ms == 15000 and env.data_log_period_ms == 10
 
     start = time.monotonic()
@@ -226,7 +226,7 @@ def test_criterion_6_protocol_correctness():
             mismatches += 1
 
     env, config = presets.demo_scenario()
-    env.heartbeat_config = scenario.HeartbeatConfig(
+    env.heart_beat_config = scenario.HeartbeatConfig(
         sync_type=scenario.SyncType.WITH_SYNC, period_ms=10
     )
     config.sim_duration_ms = 100
@@ -237,7 +237,7 @@ def test_criterion_6_protocol_correctness():
         wire.client_session(
             ("127.0.0.1", server.port), env, config, on_heartbeat=sync_beats.append
         )
-        env.heartbeat_config = scenario.HeartbeatConfig(
+        env.heart_beat_config = scenario.HeartbeatConfig(
             sync_type=scenario.SyncType.NO_HEART_BEAT
         )
         silent_beats = []
@@ -260,9 +260,9 @@ def test_criterion_7_kinematics_invariants():
     start = time.monotonic()
 
     # zero-input coasting over 1e4 steps
-    env = scenario.SimEnvironment(ego_vehicles=[scenario.Vehicle(vhc_id=1)])
+    env = scenario.SimEnvironment(ego_vehicles_list=[scenario.Vehicle(vhc_id=1)])
     config = scenario.SimulationConfig(
-        sim_duration_ms=100000, sim_step_size_ms=10, run_configs=[scenario.RunConfig()]
+        sim_duration_ms=100000, sim_step_size=10, run_config_arr=[scenario.RunConfig()]
     )
     world = supervisor.build_world(env, config)
     world.vehicles[0].speed = 12.5
@@ -278,12 +278,12 @@ def test_criterion_7_kinematics_invariants():
     demo_env, demo_config = presets.demo_scenario()
     walk_world = supervisor.build_world(demo_env, demo_config)
     waypoints = [(50.0, 0.0), (80.0, -3.0), (200.0, 0.0)]
-    dt = demo_config.sim_step_size_ms / 1000.0
+    dt = demo_config.sim_step_size / 1000.0
     bound = 3.0 * dt + 1e-12
     adherence_ok = True
 
     for _ in range(1500):
-        supervisor.step(walk_world, demo_config.sim_step_size_ms)
+        supervisor.step(walk_world, demo_config.sim_step_size)
         ped = walk_world.pedestrians[0]
         if point_polyline_distance(ped.x, ped.y, waypoints) > bound:
             adherence_ok = False

@@ -1,8 +1,11 @@
 import json
 import os
 import re
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -59,7 +62,7 @@ class TestRunScenario:
 
     def test_invalid_scenario_exits_2(self, tmp_path, capsys):
         env, config = presets.demo_scenario()
-        env.ego_vehicles[0].controller = "no_such_ctrl"
+        env.ego_vehicles_list[0].controller = "no_such_ctrl"
         bad = tmp_path / "bad.json"
         scenario.save_scenario(env, config, str(bad))
         code = main(["run-scenario", str(bad), "--embedded"])
@@ -152,6 +155,26 @@ class TestServe:
             assert "cannot listen" in capsys.readouterr().err
         finally:
             blocker.close()
+
+
+    def test_sigint_stops_serve_with_exit_0(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(supervisor.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [sys.executable, "-u", "-m", "avtestbed.cli", "serve", "--port", "0"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env, text=True)
+        try:
+            match = re.search(r"listening on ([\d.]+):(\d+)", proc.stdout.readline())
+            assert match is not None
+            scene, config = presets.demo_scenario(sim_duration_ms=100)
+            endpoint = (match.group(1), int(match.group(2)))
+            assert wire.client_session(endpoint, scene, config).n_rows == 11
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
 
 class TestGenCa:
@@ -256,7 +279,7 @@ class TestRunCa:
     def test_row_with_pedestrian_orientation_initial_state_fails(self, tmp_path):
         csv_path, scenario_path, bindings = self.make_inputs(tmp_path, ["0,20,2"])
         env, config = scenario.load_scenario(scenario_path)
-        env.initial_state_configs.append(
+        env.initial_state_config_list.append(
             scenario.InitialStateConfig(
                 scenario.LogItemDescription(
                     scenario.ItemType.PEDESTRIAN, 0, scenario.StateId.ORIENTATION
@@ -269,7 +292,7 @@ class TestRunCa:
         assert main(["run-ca", csv_path, scenario_path, bindings, "--out-dir", str(out_dir)]) == 0
         [entry] = json.loads((out_dir / "summary.json").read_text())["rows"]
         assert entry["status"] == "failed"
-        assert "initial_state_configs[1]" in entry["error"]
+        assert "initial_state_config_list[1]" in entry["error"]
 
     def test_empty_body_gives_empty_summary(self, tmp_path):
         csv_path, scenario_path, bindings = self.make_inputs(tmp_path, [])
@@ -484,6 +507,37 @@ class TestFalsifyCommand:
         assert main(["falsify", study_path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: invalid study: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda study: study.update(config={"n_test": 3}),
+             "config has unknown field 'n_test'"),
+            (lambda study: study.update(space=[1]),
+             "space[0] needs name, lo, hi, binding"),
+            (lambda study: study["config"].update(n_tests="3"),
+             "config.n_tests must be int, got str"),
+            (lambda study: study["space"][0].update(name=["a"]),
+             "space[0]: name must be a string, lo and hi numbers"),
+        ],
+        ids=["misspelt_config_key", "space_entry_not_an_object", "string_n_tests", "list_name"],
+    )
+    def test_malformed_study_exits_2(self, tmp_path, fixtures_dir, capsys, edit, message):
+        study_path = self.make_study(tmp_path, fixtures_dir)
+        study = json.loads(open(study_path).read())
+        edit(study)
+        with open(study_path, "w") as fh:
+            json.dump(study, fh)
+        out = tmp_path / "results.json"
+        assert main(["falsify", study_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: invalid study: {message}\n"
+        assert not out.exists()
+
+    def test_study_top_level_not_an_object_exits_2(self, tmp_path, capsys):
+        study_path = tmp_path / "study.json"
+        study_path.write_text("[1, 2]")
+        assert main(["falsify", str(study_path), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == "error: invalid study: top level must be an object\n"
 
     def test_every_simulation_failing_exits_2(self, tmp_path, fixtures_dir, capsys):
         study_path = self.make_study(tmp_path, fixtures_dir)

@@ -81,9 +81,9 @@ class TestVoid:
         assert ctrl.control(make_state(speed=13.0), [], 0.01) == (0.0, 0.0)
 
     def test_speed_and_heading_preserved_over_many_steps(self):
-        env = SimEnvironment(ego_vehicles=[Vehicle(vhc_id=1, controller="void")])
-        config = SimulationConfig(sim_duration_ms=10000, sim_step_size_ms=10,
-                                  run_configs=[RunConfig()])
+        env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1, controller="void")])
+        config = SimulationConfig(sim_duration_ms=10000, sim_step_size=10,
+                                  run_config_arr=[RunConfig()])
         world = supervisor.build_world(env, config)
         world.vehicles[0].speed = 8.0
         world.vehicles[0].heading = 0.37
@@ -148,17 +148,17 @@ class TestPathSpeedFollower:
         # regression pins: bounded by the 2 s value, a sharply decaying
         # oscillation envelope, and a small terminal error.
         env = SimEnvironment(
-            ego_vehicles=[Vehicle(vhc_id=1, controller="path_and_speed_follower",
+            ego_vehicles_list=[Vehicle(vhc_id=1, controller="path_and_speed_follower",
                                   controller_arguments=["10.0"],
                                   current_position=[0.0, 0.3, 1.0])],
         )
         from avtestbed.scenario import ControllerParameter
-        env.controller_params = [
+        env.control_params_list = [
             ControllerParameter(1, "target_position", [-1000.0, 0.0]),
             ControllerParameter(1, "target_position", [1000.0, 0.0]),
         ]
-        config = SimulationConfig(sim_duration_ms=10000, sim_step_size_ms=10,
-                                  run_configs=[RunConfig()])
+        config = SimulationConfig(sim_duration_ms=10000, sim_step_size=10,
+                                  run_config_arr=[RunConfig()])
         world = supervisor.build_world(env, config)
         world.vehicles[0].speed = 10.0
         offsets = []

@@ -55,7 +55,7 @@ class TestAgainstReferenceKernel:
         for seed in range(240):
             env, config = random_kernel_scene(random.Random(seed))
             result = assert_same_run(env, config)
-            for desc in env.data_log_descriptions:
+            for desc in env.data_log_description_list:
                 if desc.item_type is ItemType.VEHICLE:
                     seen["vehicle_states"].add(desc.item_state_index)
                 elif desc.item_type is ItemType.PEDESTRIAN:
@@ -63,14 +63,14 @@ class TestAgainstReferenceKernel:
             seen["fusion"] += any(
                 v.controller == "automated_driving_with_fusion2" for v in env.all_vehicles()
             )
-            seen["disturbances"] += bool(env.road_disturbances)
+            seen["disturbances"] += bool(env.road_disturbances_list)
             seen["negative_zero_y"] += any(
                 math.copysign(1.0, v.current_position[2]) < 0 and v.current_position[2] == 0
                 for v in env.all_vehicles()
             ) or any(
                 isc.item.item_state_index is StateId.POSITION_Y
                 and math.copysign(1.0, isc.value) < 0 and isc.value == 0
-                for isc in env.initial_state_configs
+                for isc in env.initial_state_config_list
             )
             kinds = {c.kind for c in result.contacts}
             seen["vehicle_contacts"] += supervisor.ContactKind.VEHICLE_VEHICLE in kinds
@@ -89,12 +89,12 @@ class TestAgainstReferenceKernel:
 
     def test_negative_zero_y_logs_as_positive_zero(self):
         env, config = presets.demo_scenario(sim_duration_ms=20)
-        env.road_disturbances = []
-        env.agent_vehicles[0].current_position[2] = -0.0
-        env.agent_vehicles[0].controller = "void"
-        env.agent_vehicles[0].controller_arguments = []
-        env.pedestrians[0].current_position[2] = -0.0
-        env.pedestrians[0].controller = "void"
+        env.road_disturbances_list = []
+        env.agent_vehicles_list[0].current_position[2] = -0.0
+        env.agent_vehicles_list[0].controller = "void"
+        env.agent_vehicles_list[0].controller_arguments = []
+        env.pedestrians_list[0].current_position[2] = -0.0
+        env.pedestrians_list[0].controller = "void"
         rows = assert_same_run(env, config).trajectory.rows
         for column in (6, 10):  # agent y, pedestrian y
             assert not np.signbit(rows[:, column]).any()
@@ -104,11 +104,13 @@ class TestSampleLogRow:
     def test_sampler_reads_state_at_call_time(self):
         env, config = presets.demo_scenario()
         world = supervisor.build_world(env, config)
-        sample = supervisor.compile_log_row(world, env.data_log_descriptions)
-        before = sample()
+        descriptions = env.data_log_description_list
+        getters = supervisor.compile_log_row(world, descriptions)
+        before = supervisor.sample_log_row(getters)
         supervisor.step(world, 10)
-        assert sample() == supervisor.sample_log_row(world, env.data_log_descriptions)
-        assert sample() != before
+        after = supervisor.sample_log_row(getters)
+        assert after == supervisor.sample_log_row(supervisor.compile_log_row(world, descriptions))
+        assert after != before
 
 
 # --------------------------------------------------------------------------
@@ -215,8 +217,8 @@ def test_segment_with_underflowing_squared_length_is_skipped():
     # 1e-200 squared underflows to 0: the segment is as degenerate as an
     # empty one, so the agent's run ends normally and matches the reference
     env, config = presets.demo_scenario()
-    agent_id = env.agent_vehicles[0].vhc_id
-    agent_params = [p for p in env.controller_params if p.vehicle_id == agent_id]
+    agent_id = env.agent_vehicles_list[0].vhc_id
+    agent_params = [p for p in env.control_params_list if p.vehicle_id == agent_id]
     agent_params[-2].parameter_data = [0.0, 0.0]
     agent_params[-1].parameter_data = [0.0, 1e-200]
     result = assert_same_run(env, config)

@@ -467,7 +467,7 @@ class TestRequirementFiles:
     def test_demo_requirement_resolves_against_log_layout(self):
         req = requirement_from_json(presets.collision_requirement_json())
         env = presets.demo_environment()
-        names = column_names(env.data_log_descriptions)
+        names = column_names(env.data_log_description_list)
         preds = req.resolve(names[1:])
         assert [p.name for p in preds] == ["y_check1", "y_check2", "x_check1", "x_check2"]
         y1 = preds[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -5,7 +6,7 @@ import re
 
 import pytest
 
-from avtestbed import presets
+from avtestbed import presets, scenario
 from avtestbed.scenario import (
     ControllerParameter,
     HeartbeatConfig,
@@ -68,21 +69,21 @@ class TestDefaults:
         assert config.server_port == 10021
         assert config.server_ip == "127.0.0.1"
         assert config.sim_duration_ms == 50000
-        assert config.sim_step_size_ms == 10
-        assert config.run_configs == []
-        assert RunConfig().run_mode is RunMode.FAST_NO_GRAPHICS
+        assert config.sim_step_size == 10
+        assert config.run_config_arr == []
+        assert RunConfig().simulation_run_mode is RunMode.FAST_NO_GRAPHICS
 
     def test_environment_defaults(self):
         env = SimEnvironment()
-        assert env.heartbeat_config is None
+        assert env.heart_beat_config is None
         for attr in (
-            "ego_vehicles",
-            "agent_vehicles",
-            "pedestrians",
-            "road_disturbances",
-            "controller_params",
-            "initial_state_configs",
-            "data_log_descriptions",
+            "ego_vehicles_list",
+            "agent_vehicles_list",
+            "pedestrians_list",
+            "road_disturbances_list",
+            "control_params_list",
+            "initial_state_config_list",
+            "data_log_description_list",
         ):
             assert getattr(env, attr) == []
         assert env.data_log_period_ms is None
@@ -93,23 +94,23 @@ class TestValidation:
         assert validate_environment(SimEnvironment()) == []
 
     def test_duplicate_vehicle_id(self):
-        env = SimEnvironment(ego_vehicles=[Vehicle(vhc_id=1), Vehicle(vhc_id=1)])
+        env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1), Vehicle(vhc_id=1)])
         report = validate_environment(env)
         assert len(report) == 1
         assert "duplicate vehicle id" in report[0].message
-        assert report[0].path == "ego_vehicles[1]"
+        assert report[0].path == "ego_vehicles_list[1]"
 
     def test_duplicate_id_across_ego_and_agent(self):
         env = SimEnvironment(
-            ego_vehicles=[Vehicle(vhc_id=7)], agent_vehicles=[Vehicle(vhc_id=7)]
+            ego_vehicles_list=[Vehicle(vhc_id=7)], agent_vehicles_list=[Vehicle(vhc_id=7)]
         )
         assert any("duplicate vehicle id" in v.message for v in validate_environment(env))
 
     def test_dangling_log_index(self):
         env = SimEnvironment(
-            ego_vehicles=[Vehicle(vhc_id=1)],
-            agent_vehicles=[Vehicle(vhc_id=2)],
-            data_log_descriptions=[
+            ego_vehicles_list=[Vehicle(vhc_id=1)],
+            agent_vehicles_list=[Vehicle(vhc_id=2)],
+            data_log_description_list=[
                 LogItemDescription(ItemType.VEHICLE, 5, StateId.POSITION_X)
             ],
         )
@@ -118,16 +119,16 @@ class TestValidation:
         assert "dangling vehicle index 5" in report[0].message
 
     def test_unknown_controller(self):
-        env = SimEnvironment(ego_vehicles=[Vehicle(controller="no_such_ctrl")])
+        env = SimEnvironment(ego_vehicles_list=[Vehicle(controller="no_such_ctrl")])
         assert any("unknown vehicle controller" in v.message for v in validate_environment(env))
 
     def test_odd_pedestrian_trajectory(self):
-        env = SimEnvironment(pedestrians=[Pedestrian(trajectory=[1.0, 2.0, 3.0])])
+        env = SimEnvironment(pedestrians_list=[Pedestrian(trajectory=[1.0, 2.0, 3.0])])
         assert any("even length" in v.message for v in validate_environment(env))
 
     def test_initial_state_cannot_target_time(self):
         env = SimEnvironment(
-            initial_state_configs=[
+            initial_state_config_list=[
                 InitialStateConfig(item=LogItemDescription(ItemType.TIME), value=1.0)
             ]
         )
@@ -135,59 +136,59 @@ class TestValidation:
 
     def test_pedestrian_orientation_initial_state_reported(self):
         env = presets.demo_environment()
-        env.initial_state_configs.append(
+        env.initial_state_config_list.append(
             InitialStateConfig(LogItemDescription(ItemType.PEDESTRIAN, 0, StateId.ORIENTATION), 1.0)
         )
         report = validate_environment(env)
         assert [(v.path, "ORIENTATION" in v.message) for v in report] == [
-            ("initial_state_configs[1]", True)
+            ("initial_state_config_list[1]", True)
         ]
 
     @pytest.mark.parametrize("state", [s for s in StateId if s is not StateId.ORIENTATION])
     def test_other_pedestrian_initial_states_accepted(self, state):
         env = presets.demo_environment()
-        env.initial_state_configs.append(
+        env.initial_state_config_list.append(
             InitialStateConfig(LogItemDescription(ItemType.PEDESTRIAN, 0, state), 1.0)
         )
         assert validate_environment(env) == []
 
     def test_void_controller_arguments_reported(self):
         env = presets.demo_environment()
-        env.agent_vehicles[0].controller = "void"
+        env.agent_vehicles_list[0].controller = "void"
         report = validate_environment(env)
         assert [(v.path, "void" in v.message) for v in report] == [
-            ("agent_vehicles[0].controller_arguments", True)
+            ("agent_vehicles_list[0].controller_arguments", True)
         ]
-        env.agent_vehicles[0].controller_arguments = []
+        env.agent_vehicles_list[0].controller_arguments = []
         assert validate_environment(env) == []
 
     def test_empty_parameter_name(self):
-        env = SimEnvironment(controller_params=[ControllerParameter(parameter_name="")])
+        env = SimEnvironment(control_params_list=[ControllerParameter(parameter_name="")])
         assert any("parameter_name" in v.message for v in validate_environment(env))
 
     def test_controller_param_other_than_target_position_reported(self):
         env = presets.demo_environment()
-        env.controller_params[1].parameter_name = "target_speed"
+        env.control_params_list[1].parameter_name = "target_speed"
         report = validate_environment(env)
         assert [(v.path, "target_speed" in v.message) for v in report] == [
-            ("controller_params[1]", True)
+            ("control_params_list[1]", True)
         ]
 
     @pytest.mark.parametrize("data", [[], [5.0], [5.0, 1.0, 9.0]])
     def test_controller_param_that_is_not_one_point_reported(self, data):
         env = presets.demo_environment()
-        env.controller_params[2].parameter_data = data
+        env.control_params_list[2].parameter_data = data
         report = validate_environment(env)
         assert [(v.path, "x,y pair" in v.message) for v in report] == [
-            ("controller_params[2]", True)
+            ("control_params_list[2]", True)
         ]
 
     def test_controller_param_for_missing_vehicle_reported(self):
         env = presets.demo_environment()
-        env.controller_params[0].vehicle_id = 9
+        env.control_params_list[0].vehicle_id = 9
         report = validate_environment(env)
         assert [(v.path, "vehicle_id 9" in v.message) for v in report] == [
-            ("controller_params[0]", True)
+            ("control_params_list[0]", True)
         ]
 
     def test_demo_scenario_is_valid(self):
@@ -196,28 +197,30 @@ class TestValidation:
 
     @pytest.mark.parametrize("attr", ["length", "width", "inter_object_spacing", "height"])
     def test_non_finite_disturbance_size_reported(self, attr):
-        env = SimEnvironment(road_disturbances=[RoadDisturbance(**{attr: math.inf})])
+        env = SimEnvironment(road_disturbances_list=[RoadDisturbance(**{attr: math.inf})])
         report = validate_environment(env)
-        assert [v.path for v in report] == [f"road_disturbances[0].{attr}"]
+        assert [v.path for v in report] == [f"road_disturbances_list[0].{attr}"]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
-        "doc_path, violation_path",
+        "doc_path",
         [
-            ("ego_vehicles_list[0].current_position[0]", "ego_vehicles[0].current_position"),
-            ("ego_vehicles_list[0].current_orientation", "ego_vehicles[0].current_orientation"),
-            ("pedestrians_list[0].current_position[2]", "pedestrians[0].current_position"),
-            ("pedestrians_list[0].target_speed", "pedestrians[0].target_speed"),
-            ("pedestrians_list[0].trajectory[1]", "pedestrians[0].trajectory"),
-            ("control_params_list[0].parameter_data[0]", "controller_params[0].parameter_data"),
-            ("initial_state_config_list[0].value", "initial_state_configs[0].value"),
+            "ego_vehicles_list[0].current_position[0]",
+            "ego_vehicles_list[0].current_orientation",
+            "pedestrians_list[0].current_position[2]",
+            "pedestrians_list[0].target_speed",
+            "pedestrians_list[0].trajectory[1]",
+            "control_params_list[0].parameter_data[0]",
+            "initial_state_config_list[0].value",
         ],
     )
-    def test_non_finite_kernel_input_reported(self, doc_path, violation_path, bad):
+    def test_non_finite_kernel_input_reported(self, doc_path, bad):
+        # a violation names the field by its binding path, less a component index
         env = presets.demo_environment()
         set_value, _ = resolve_binding(env, "environment." + doc_path)
         set_value(bad)
         report = validate_environment(env)
+        violation_path = re.sub(r"\[\d+\]$", "", doc_path)
         assert [v.path for v in report if "finite" in v.message] == [violation_path]
 
 
@@ -227,7 +230,7 @@ class TestBindingPaths:
         set_value, value = resolve_binding(env, "environment.pedestrians_list[0].target_speed")
         assert value == 3.0
         set_value(4.5)
-        assert env.pedestrians[0].target_speed == 4.5
+        assert env.pedestrians_list[0].target_speed == 4.5
 
     def test_set_vector_component(self):
         env = presets.demo_environment()
@@ -235,7 +238,7 @@ class TestBindingPaths:
         set_value, value = resolve_binding(env, path)
         assert value == 20.0
         set_value(25.0)
-        assert env.ego_vehicles[0].current_position == [25.0, 0.35, 0.0]
+        assert env.ego_vehicles_list[0].current_position == [25.0, 0.35, 0.0]
 
     @pytest.mark.parametrize(
         "path, message",
@@ -270,7 +273,7 @@ class TestBindingPaths:
 class TestTraceDict:
     # the trace-column mapping is column_names over the log descriptions
     def test_demo_log_layout(self):
-        names = column_names(presets.demo_environment().data_log_descriptions)
+        names = column_names(presets.demo_environment().data_log_description_list)
         assert len(names) == 11
         assert names[0] == "time_ms"
         assert names[1] == "vehicle0_position_x"
@@ -298,11 +301,11 @@ class TestTraceDict:
 
     def test_column_names_round_trip(self):
         env = presets.demo_environment()
-        names = column_names(env.data_log_descriptions)
+        names = column_names(env.data_log_description_list)
         assert names[0] == "time_ms"
         assert names[1] == "vehicle0_position_x"
         assert names[10] == "pedestrian0_position_y"
-        for name, desc in zip(names, env.data_log_descriptions):
+        for name, desc in zip(names, env.data_log_description_list):
             parsed = parse_column_name(name)
             assert parsed.key() == desc.key()
 
@@ -342,6 +345,28 @@ class TestDocuments:
     def test_demo_fixture_is_the_serialized_demo(self, demo_scenario_path):
         with open(demo_scenario_path, encoding="utf-8") as fh:
             assert fh.read() == serialize_scenario(*presets.demo_scenario())
+
+    def test_document_keys_are_the_field_names(self):
+        # one name per field: every model class serializes its dataclass
+        # fields, in order, under their own names
+        env, config = presets.demo_scenario()
+        doc = json.loads(serialize_scenario(env, config))
+        seen = set()
+
+        def check(obj, raw):
+            if dataclasses.is_dataclass(obj):
+                names = [f.name for f in dataclasses.fields(obj)]
+                assert list(raw) == names, type(obj).__name__
+                seen.add(type(obj))
+                for name in names:
+                    check(getattr(obj, name), raw[name])
+            elif isinstance(obj, list):
+                for item, raw_item in zip(obj, raw):
+                    check(item, raw_item)
+
+        check(env, doc["environment"])
+        check(config, doc["config"])
+        assert seen == set(scenario._SPECS)
 
     @pytest.mark.parametrize(
         "where, key, value", WEBOTS_ONLY_KEYS, ids=[f"{w}.{k}" for w, k, _ in WEBOTS_ONLY_KEYS]
@@ -398,7 +423,7 @@ class TestDocuments:
             parse_scenario(json.dumps(doc))
 
     def test_unknown_nested_field_rejected(self):
-        env = SimEnvironment(ego_vehicles=[Vehicle(vhc_id=1)])
+        env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1)])
         doc = json.loads(serialize_scenario(env, SimulationConfig()))
         doc["environment"]["ego_vehicles_list"][0]["wheels"] = 6
         with pytest.raises(ScenarioFormatError) as err:
@@ -419,7 +444,7 @@ class TestDocuments:
             parse_scenario('{"environment": {}, "config": \n !}')
 
     def test_bad_enum_value(self):
-        env = SimEnvironment(heartbeat_config=HeartbeatConfig())
+        env = SimEnvironment(heart_beat_config=HeartbeatConfig())
         doc = json.loads(serialize_scenario(env, SimulationConfig()))
         doc["environment"]["heart_beat_config"]["sync_type"] = "SQUARE"
         with pytest.raises(ScenarioFormatError, match="SQUARE"):

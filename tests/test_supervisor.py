@@ -24,6 +24,7 @@ from avtestbed.supervisor import (
     SetupError,
     apply_initial_states,
     build_world,
+    compile_log_row,
     detect_collisions,
     run,
     run_embedded,
@@ -38,7 +39,7 @@ from oracles import point_polyline_distance
 
 def simple_config(duration_ms=1000, step_ms=10):
     return SimulationConfig(
-        sim_duration_ms=duration_ms, sim_step_size_ms=step_ms, run_configs=[RunConfig()]
+        sim_duration_ms=duration_ms, sim_step_size=step_ms, run_config_arr=[RunConfig()]
     )
 
 
@@ -66,12 +67,12 @@ class TestBuildWorld:
         assert world.sim_time_ms == 0
 
     def test_unknown_controller_is_setup_error(self):
-        env = SimEnvironment(ego_vehicles=[Vehicle(vhc_id=1, controller="no_such_ctrl")])
+        env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1, controller="no_such_ctrl")])
         with pytest.raises(SetupError, match="no_such_ctrl"):
             build_world(env, simple_config())
 
     def test_invalid_environment_rejected(self):
-        env = SimEnvironment(ego_vehicles=[Vehicle(vhc_id=1), Vehicle(vhc_id=1)])
+        env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1), Vehicle(vhc_id=1)])
         with pytest.raises(SetupError, match="duplicate"):
             build_world(env, simple_config())
 
@@ -85,13 +86,13 @@ class TestInitialStates:
 
     def test_build_world_applies_them_and_reapplying_changes_nothing(self):
         env, config = presets.demo_scenario()
-        env.initial_state_configs.append(
+        env.initial_state_config_list.append(
             InitialStateConfig(LogItemDescription(ItemType.PEDESTRIAN, 0, StateId.POSITION_Y), -1.0)
         )
         world = build_world(env, config)
         assert (world.vehicles[0].speed, world.pedestrians[0].y) == (10.0, -1.0)
         before = [(v.x, v.y, v.heading, v.speed) for v in world.vehicles]
-        apply_initial_states(world, env.initial_state_configs)
+        apply_initial_states(world, env.initial_state_config_list)
         assert [(v.x, v.y, v.heading, v.speed) for v in world.vehicles] == before
         assert world.pedestrians[0].y == -1.0
 
@@ -103,7 +104,7 @@ class TestInitialStates:
         assert [(v.x, v.y, v.heading, v.speed) for v in world.vehicles] == before
 
     def test_position_y_assignment(self):
-        env = SimEnvironment(ego_vehicles=[Vehicle(vhc_id=1)])
+        env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1)])
         world = build_world(env, simple_config())
         apply_initial_states(
             world,
@@ -116,7 +117,7 @@ class TestInitialStates:
         assert world.vehicles[0].y == -3.5
 
     def test_negative_velocity_gives_absolute_speed(self):
-        env = SimEnvironment(ego_vehicles=[Vehicle(vhc_id=1)])
+        env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1)])
         world = build_world(env, simple_config())
         world.vehicles[0].heading = 0.25
         apply_initial_states(
@@ -129,7 +130,7 @@ class TestInitialStates:
 
 class TestStep:
     def test_straight_line_advance(self):
-        env = SimEnvironment(ego_vehicles=[Vehicle(vhc_id=1)])
+        env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1)])
         world = build_world(env, simple_config())
         world.vehicles[0].speed = 10.0
         step(world, 10)
@@ -142,7 +143,7 @@ class TestStep:
             def control(self, state, radar, dt):
                 return (0.0, -5.0)
 
-        env = SimEnvironment(ego_vehicles=[Vehicle(vhc_id=1)])
+        env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1)])
         world = build_world(env, simple_config())
         world.vehicles[0].controller = HardBrake()
         world.vehicles[0].speed = 0.0
@@ -153,7 +154,7 @@ class TestStep:
 
     def test_pedestrian_moves_toward_waypoint(self):
         env = SimEnvironment(
-            pedestrians=[
+            pedestrians_list=[
                 Pedestrian(
                     ped_id=1,
                     controller="pedestrian_control",
@@ -173,7 +174,7 @@ class TestStep:
 
     def test_void_pedestrian_stays_put(self):
         env = SimEnvironment(
-            pedestrians=[Pedestrian(ped_id=1, target_speed=3.0, trajectory=[10.0, 0.0])]
+            pedestrians_list=[Pedestrian(ped_id=1, target_speed=3.0, trajectory=[10.0, 0.0])]
         )
         world = build_world(env, simple_config())
         step(world, 10)
@@ -229,25 +230,25 @@ class TestCollisions:
 
 class TestSampling:
     def test_velocity_projection(self):
-        env = SimEnvironment(ego_vehicles=[Vehicle(vhc_id=1)])
+        env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1)])
         world = build_world(env, simple_config())
         world.vehicles[0].x = 20.0
         world.vehicles[0].heading = math.pi / 2
         world.vehicles[0].speed = 10.0
-        row = sample_log_row(
+        row = sample_log_row(compile_log_row(
             world, [LogItemDescription(ItemType.VEHICLE, 0, StateId.VELOCITY_X)]
-        )
+        ))
         assert abs(row[0]) < 1e-12
 
     def test_time_column(self):
         world = supervisor.WorldState(sim_time_ms=2000)
-        row = sample_log_row(world, [LogItemDescription(ItemType.TIME)])
+        row = sample_log_row(compile_log_row(world, [LogItemDescription(ItemType.TIME)]))
         assert row == [2000.0]
 
     def test_demo_row_layout(self):
         env, config = presets.demo_scenario()
         world = build_world(env, config)
-        row = sample_log_row(world, env.data_log_descriptions)
+        row = sample_log_row(compile_log_row(world, env.data_log_description_list))
         assert len(row) == 11
         assert row[0] == 0.0
         assert row[1] == 20.0  # ego x
@@ -258,39 +259,39 @@ class TestSampling:
         assert row[9] == 50.0  # pedestrian x
 
     def test_orientation_wrapped(self):
-        env = SimEnvironment(ego_vehicles=[Vehicle(vhc_id=1)])
+        env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1)])
         world = build_world(env, simple_config())
         world.vehicles[0].heading = 3 * math.pi
-        row = sample_log_row(
+        row = sample_log_row(compile_log_row(
             world, [LogItemDescription(ItemType.VEHICLE, 0, StateId.ORIENTATION)]
-        )
+        ))
         assert row[0] == pytest.approx(math.pi)
         assert -math.pi < row[0] <= math.pi
 
     def test_disturbance_offsets_logged_y_only(self):
-        env = SimEnvironment(ego_vehicles=[Vehicle(vhc_id=1)])
-        env.road_disturbances = [
+        env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1)])
+        env.road_disturbances_list = [
             RoadDisturbance(position=[40.0, 0.0, 0.0], length=3.0, width=3.5,
                             height=0.04, inter_object_spacing=0.5)
         ]
         world = build_world(env, simple_config())
         world.vehicles[0].x = 41.3
         world.vehicles[0].y = 0.2
-        row = sample_log_row(
+        row = sample_log_row(compile_log_row(
             world,
             [
                 LogItemDescription(ItemType.VEHICLE, 0, StateId.POSITION_X),
                 LogItemDescription(ItemType.VEHICLE, 0, StateId.POSITION_Y),
             ],
-        )
+        ))
         expected = 0.2 + 0.04 * math.sin(2 * math.pi * 41.3 / 0.5)
         assert row[1] == pytest.approx(expected, abs=1e-15)
         assert world.vehicles[0].y == 0.2  # dynamics untouched
         # outside the region there is no offset
         world.vehicles[0].x = 50.0
-        row = sample_log_row(
+        row = sample_log_row(compile_log_row(
             world, [LogItemDescription(ItemType.VEHICLE, 0, StateId.POSITION_Y)]
-        )
+        ))
         assert row[0] == 0.2
 
 
@@ -336,7 +337,7 @@ class TestRun:
 
     def test_requires_a_run_config(self):
         env, config = presets.demo_scenario()
-        config.run_configs = []
+        config.run_config_arr = []
         with pytest.raises(SetupError, match="run_config_arr"):
             run_embedded(env, config)
 
@@ -346,7 +347,7 @@ class TestRun:
         env, config = presets.demo_scenario()
         config.sim_duration_ms = 100
         fast = run_embedded(env, config).trajectory
-        config.run_configs = [RunConfig(run_mode=RunMode.REAL_TIME)]
+        config.run_config_arr = [RunConfig(simulation_run_mode=RunMode.REAL_TIME)]
         t0 = time.monotonic()
         paced = run_embedded(env, config).trajectory
         elapsed = time.monotonic() - t0
@@ -363,7 +364,7 @@ class TestRun:
     def test_beat_receives_heartbeats(self):
         beats = []
         env, config = presets.demo_scenario()
-        env.heartbeat_config = HeartbeatConfig(sync_type=SyncType.WITHOUT_SYNC, period_ms=2000)
+        env.heart_beat_config = HeartbeatConfig(sync_type=SyncType.WITHOUT_SYNC, period_ms=2000)
         config.sim_duration_ms = 10000
         run(build_world(env, config), env, config, beat=lambda t, done: beats.append((t, done)))
         assert [t for t, _ in beats] == [2000, 4000, 6000, 8000, 10000]
@@ -379,7 +380,7 @@ class TestRun:
     def test_beats_reach_run_embedded_caller(self):
         beats = []
         env, config = presets.demo_scenario()
-        env.heartbeat_config = HeartbeatConfig(sync_type=SyncType.WITH_SYNC, period_ms=500)
+        env.heart_beat_config = HeartbeatConfig(sync_type=SyncType.WITH_SYNC, period_ms=500)
         config.sim_duration_ms = 1000
         run_embedded(env, config, beat=lambda t, done: beats.append((t, done)))
         assert beats == [(500, False), (1000, True)]
@@ -388,7 +389,7 @@ class TestRun:
         # period 25 with step 10: only step boundaries divisible by 25 beat
         beats = []
         env, config = presets.demo_scenario()
-        env.heartbeat_config = HeartbeatConfig(sync_type=SyncType.WITHOUT_SYNC, period_ms=25)
+        env.heart_beat_config = HeartbeatConfig(sync_type=SyncType.WITHOUT_SYNC, period_ms=25)
         config.sim_duration_ms = 200
         run(build_world(env, config), env, config, beat=lambda t, done: beats.append(t))
         assert beats == [50, 100, 150, 200]
@@ -396,7 +397,7 @@ class TestRun:
     def test_run_index_selects_the_run_config(self):
         env, config = presets.demo_scenario()
         config.sim_duration_ms = 100
-        config.run_configs = [RunConfig(RunMode.REAL_TIME), RunConfig(RunMode.FAST_NO_GRAPHICS)]
+        config.run_config_arr = [RunConfig(RunMode.REAL_TIME), RunConfig(RunMode.FAST_NO_GRAPHICS)]
         world = build_world(env, config)
         import time
 
@@ -412,10 +413,10 @@ class TestPedestrianAdherence:
         env, config = presets.demo_scenario()
         world = build_world(env, config)
         waypoints = [(50.0, 0.0), (80.0, -3.0), (200.0, 0.0)]
-        dt = config.sim_step_size_ms / 1000.0
+        dt = config.sim_step_size / 1000.0
         bound = 3.0 * dt
         for _ in range(1500):
-            step(world, config.sim_step_size_ms)
+            step(world, config.sim_step_size)
             ped = world.pedestrians[0]
             assert point_polyline_distance(ped.x, ped.y, waypoints) <= bound + 1e-12
 

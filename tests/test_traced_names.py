@@ -34,12 +34,14 @@ def test_instrument_patches_every_traced_name_and_unpatches(tracing):
         tracer.unpatch()
     assert (supervisor.run, supervisor.step, controllers.radar_sense) == originals
 
-    names = {row[1] for row in tracer.rows()}
+    names = [row[1] for row in tracer.rows()]
     assert {
         "supervisor.run", "supervisor.step", "supervisor.build_world",
         "supervisor.detect_collisions", "controllers.radar_sense", "controllers.control",
         "controllers.pedestrian_step", "scenario.validate_environment",
-    } <= names
+    } <= set(names)
+    # the run samples every log row through the patched name: t = 0, 10, ..., 50 ms
+    assert names.count("supervisor.sample_log_row") == 6
     assert traced.trajectory == supervisor.run_embedded(env, config).trajectory
 
 

@@ -20,6 +20,12 @@ def server():
     srv.stop()
 
 
+def test_server_never_started_stops_and_frees_its_port():
+    srv = supervisor.SupervisorServer(host="127.0.0.1", port=0)
+    srv.stop()
+    supervisor.SupervisorServer(host="127.0.0.1", port=srv.port).stop()
+
+
 class TestFraming:
     def test_ack_frame_is_exactly_five_bytes(self):
         frame = wire.encode_message(wire.Ack())
@@ -108,7 +114,7 @@ class TestClientSession:
 
     def test_with_sync_exchanges_one_continue_per_heartbeat(self, server):
         env, config = presets.demo_scenario()
-        env.heartbeat_config = HeartbeatConfig(sync_type=SyncType.WITH_SYNC, period_ms=10)
+        env.heart_beat_config = HeartbeatConfig(sync_type=SyncType.WITH_SYNC, period_ms=10)
         config.sim_duration_ms = 100
         beats = []
         trajectory = wire.client_session(
@@ -129,7 +135,7 @@ class TestClientSession:
 
     def test_without_sync_heartbeats_arrive_but_need_no_reply(self, server):
         env, config = presets.demo_scenario()
-        env.heartbeat_config = HeartbeatConfig(sync_type=SyncType.WITHOUT_SYNC, period_ms=20)
+        env.heart_beat_config = HeartbeatConfig(sync_type=SyncType.WITHOUT_SYNC, period_ms=20)
         config.sim_duration_ms = 100
         beats = []
         wire.client_session(("127.0.0.1", server.port), env, config, on_heartbeat=beats.append)
@@ -137,14 +143,14 @@ class TestClientSession:
 
     def test_invalid_environment_reports_error_100(self, server):
         env, config = presets.demo_scenario()
-        env.ego_vehicles[0].controller = "no_such_ctrl"
+        env.ego_vehicles_list[0].controller = "no_such_ctrl"
         with pytest.raises(wire.ProtocolSessionError) as err:
             wire.client_session(("127.0.0.1", server.port), env, config)
         assert err.value.code == wire.ERR_SETUP
 
     def test_pedestrian_orientation_initial_state_reports_error_100(self, server):
         env, config = presets.demo_scenario()
-        env.initial_state_configs.append(
+        env.initial_state_config_list.append(
             scenario.InitialStateConfig(
                 scenario.LogItemDescription(
                     scenario.ItemType.PEDESTRIAN, 0, scenario.StateId.ORIENTATION
@@ -152,7 +158,7 @@ class TestClientSession:
                 1.0,
             )
         )
-        with pytest.raises(wire.ProtocolSessionError, match=r"initial_state_configs\[1\]") as err:
+        with pytest.raises(wire.ProtocolSessionError, match=r"initial_state_config_list\[1\]") as err:
             wire.client_session(("127.0.0.1", server.port), env, config)
         assert err.value.code == wire.ERR_SETUP
 
@@ -193,6 +199,21 @@ class TestClientSession:
         finally:
             sock.close()
 
+    def test_other_protocol_version_is_refused_with_error_102(self, server):
+        import socket as socket_module
+
+        sock = socket_module.create_connection(("127.0.0.1", server.port), timeout=5.0)
+        try:
+            wire.send_message(sock, wire.Hello(protocol_version=999))
+            reply = wire.recv_message(sock)
+            assert isinstance(reply, wire.ProtocolErrorMsg)
+            assert reply.code == wire.ERR_UNEXPECTED_MESSAGE
+            assert "version 999" in reply.message
+            assert f"version {wire.PROTOCOL_VERSION}" in reply.message
+            assert sock.recv(1) == b""  # the session is over
+        finally:
+            sock.close()
+
     def test_failed_session_is_logged_and_server_stays_up(self, server, monkeypatch, caplog):
         def broken_run(*args, **kwargs):
             raise ZeroDivisionError("kernel fault")
@@ -224,8 +245,8 @@ class TestClientSession:
         for seed in range(12):
             env, config = random_kernel_scene(random.Random(seed))
             assert config.sim_duration_ms <= 3000
-            env.heartbeat_config = HeartbeatConfig(
-                sync_type=sync, period_ms=config.sim_step_size_ms * (1 + seed % 3)
+            env.heart_beat_config = HeartbeatConfig(
+                sync_type=sync, period_ms=config.sim_step_size * (1 + seed % 3)
             )
             beats = []
             over_socket = wire.client_session(
@@ -238,7 +259,7 @@ class TestClientSession:
                 embedded
             )
             expected_beats = 0 if sync is SyncType.NO_HEART_BEAT else (
-                config.sim_duration_ms // env.heartbeat_config.period_ms
+                config.sim_duration_ms // env.heart_beat_config.period_ms
             )
             assert len(beats) == expected_beats
 
@@ -263,7 +284,7 @@ class TestClientSession:
 
     def test_finished_heartbeat_is_last_before_trace(self, server):
         env, config = presets.demo_scenario()
-        env.heartbeat_config = HeartbeatConfig(sync_type=SyncType.WITH_SYNC, period_ms=50)
+        env.heart_beat_config = HeartbeatConfig(sync_type=SyncType.WITH_SYNC, period_ms=50)
         config.sim_duration_ms = 200
         statuses = []
         wire.client_session(
@@ -282,7 +303,7 @@ class TestClientSession:
         srv.start()
         try:
             env, config = presets.demo_scenario()
-            env.heartbeat_config = HeartbeatConfig(sync_type=SyncType.WITH_SYNC, period_ms=10)
+            env.heart_beat_config = HeartbeatConfig(sync_type=SyncType.WITH_SYNC, period_ms=10)
             config.sim_duration_ms = 100
             sock = socket_module.create_connection(("127.0.0.1", srv.port), timeout=5.0)
             try:
