@@ -114,10 +114,15 @@ def cmd_run_scenario(args: argparse.Namespace) -> CommandOutcome:
 
 
 def cmd_run_ca(args: argparse.Namespace) -> CommandOutcome:
+    if args.header_lines < 0:
+        raise CommandError(f"--header-lines must be >= 0, got {args.header_lines}")
     if not os.path.exists(args.bindings):
         raise CommandError(f"bindings file not found: {args.bindings}")
-    with open(args.bindings, "r", encoding="utf-8") as fh:
-        binding = json.load(fh)
+    try:
+        with open(args.bindings, "r", encoding="utf-8") as fh:
+            binding = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CommandError(f"cannot load bindings file: {exc}")
     if not isinstance(binding, dict):
         raise CommandError("bindings file must map parameter names to scenario paths")
 

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence, get_type_hints
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +66,10 @@ class FalsifyConfig:
     proposal_scale: float = 0.25
 
     def __post_init__(self) -> None:
+        for name in ("sim_duration_s", "samp_time_s", "init_temperature", "proposal_scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_tests < 1:
             raise ValueError("n_tests must be >= 1")
         if self.runs < 1:
@@ -84,9 +88,9 @@ class FalsificationResult:
     n_simulations_used: int
     history: list[tuple[list[float], float]]
     seed: int
-    space: Optional[SearchSpace] = None
+    space: Optional[list[SearchDim]] = None
     config: Optional[FalsifyConfig] = None
-    formula_text: Optional[str] = None
+    formula: Optional[str] = None
 
 
 class AllEvaluationsFailedError(RuntimeError):
@@ -130,9 +134,9 @@ def _finish(
         n_simulations_used=len(history),
         history=history,
         seed=seed,
-        space=space,
+        space=list(space.dims),
         config=config,
-        formula_text=rb.format_formula(formula),
+        formula=rb.format_formula(formula),
     )
 
 
@@ -234,47 +238,13 @@ def grid_oracle(
 # Persistence
 
 
-def _result_to_json(result: FalsificationResult) -> dict:
-    return {
-        "best_sample": result.best_sample,
-        "best_robustness": result.best_robustness,
-        "falsified": result.falsified,
-        "n_simulations_used": result.n_simulations_used,
-        "history": [[list(sample), rob] for sample, rob in result.history],
-        "seed": result.seed,
-        "space": None if result.space is None else [asdict(d) for d in result.space.dims],
-        "config": None if result.config is None else asdict(result.config),
-        "formula": result.formula_text,
-    }
-
-
-def _result_from_json(data: dict) -> FalsificationResult:
-    space = None
-    if data.get("space") is not None:
-        space = SearchSpace([SearchDim(**d) for d in data["space"]])
-    config = None
-    if data.get("config") is not None:
-        config = FalsifyConfig(**data["config"])
-    return FalsificationResult(
-        best_sample=[float(v) for v in data["best_sample"]],
-        best_robustness=float(data["best_robustness"]),
-        falsified=bool(data["falsified"]),
-        n_simulations_used=int(data["n_simulations_used"]),
-        history=[([float(v) for v in sample], float(rob)) for sample, rob in data["history"]],
-        seed=int(data["seed"]),
-        space=space,
-        config=config,
-        formula_text=data.get("formula"),
-    )
-
-
 def save_results(results, path: str) -> None:
     """Write one result or a list of per-run results as self-describing JSON."""
     if isinstance(results, FalsificationResult):
         results = [results]
     payload = {
         "format": "falsification-results",
-        "results": [_result_to_json(r) for r in results],
+        "results": scenario.value_to_json(results, list[FalsificationResult]),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -292,7 +262,9 @@ def load_results(path: str):
             raise ValueError(f"corrupt results file {path}: {exc}") from None
     if not isinstance(data, dict) or data.get("format") != "falsification-results":
         raise ValueError(f"corrupt results file {path}: missing format marker")
-    results = [_result_from_json(r) for r in data.get("results", [])]
+    results = scenario.value_from_json(
+        data.get("results", []), list[FalsificationResult], "results"
+    )
     if len(results) == 1:
         return results[0]
     return results
@@ -309,28 +281,6 @@ class Study:
     requirement: rb.Requirement
     space: SearchSpace
     config: FalsifyConfig
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _falsify_config(raw) -> FalsifyConfig:
-    """FalsifyConfig from a study's config object, each field type-checked."""
-    if not isinstance(raw, dict):
-        raise ValueError("'config' must be an object")
-    kinds = get_type_hints(FalsifyConfig)
-    for key, value in raw.items():
-        kind = kinds.get(key)
-        if kind is None:
-            raise ValueError(f"config has unknown field {key!r}")
-        if kind is bool:
-            ok = isinstance(value, bool)
-        else:
-            ok = _is_number(value) and (kind is float or isinstance(value, int))
-        if not ok:
-            raise ValueError(f"config.{key} must be {kind.__name__}, got {type(value).__name__}")
-    return FalsifyConfig(**raw)
 
 
 def load_study(path: str) -> Study:
@@ -355,21 +305,13 @@ def load_study(path: str) -> Study:
 
     env, sim_config = scenario.load_scenario(resolve(data["scenario"]))
     requirement = rb.load_requirement(resolve(data["requirement"]))
-    if not isinstance(data["space"], list):
-        raise ValueError("'space' must be an array of dimensions")
-    dims = []
-    for i, d in enumerate(data["space"]):
-        if not isinstance(d, dict) or not {"name", "lo", "hi", "binding"} <= d.keys():
-            raise ValueError(f"space[{i}] needs name, lo, hi, binding")
-        if not (isinstance(d["name"], str) and _is_number(d["lo"]) and _is_number(d["hi"])):
-            raise ValueError(f"space[{i}]: name must be a string, lo and hi numbers")
-        dims.append(SearchDim(d["name"], float(d["lo"]), float(d["hi"]), d["binding"]))
+    dims = scenario.value_from_json(data["space"], list[SearchDim], "space")
     return Study(
         env=env,
         sim_config=sim_config,
         requirement=requirement,
         space=SearchSpace(dims),
-        config=_falsify_config(data["config"]),
+        config=scenario.value_from_json(data["config"], FalsifyConfig, "config"),
     )
 
 

@@ -27,11 +27,11 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 import numpy as np
 
-from .scenario import ItemType, Trajectory
+from .scenario import ItemType, Trajectory, value_from_json, value_to_json
 
 
 @dataclass
@@ -516,27 +516,24 @@ class Requirement:
         return out
 
 
+# A requirement document: its formula, and its predicates, each exactly a
+# name, coefficients by state-column name and a bound.
+_REQUIREMENT_KINDS = {
+    "formula": str,
+    "predicates": list[{"name": str, "a": dict[str, float], "b": float}],
+}
+
+
 def requirement_to_json(req: Requirement) -> dict:
-    return {
-        "formula": req.formula_text,
-        "predicates": [
-            {"name": p["name"], "a": dict(p["a"]), "b": float(p["b"])} for p in req.predicates
-        ],
-    }
+    doc = {"formula": req.formula_text, "predicates": req.predicates}
+    return value_to_json(doc, _REQUIREMENT_KINDS)
 
 
-def requirement_from_json(data: dict) -> Requirement:
-    if not isinstance(data, dict) or "formula" not in data:
-        raise ValueError("requirement file needs a 'formula' entry")
-    parse_formula(data["formula"])  # surface syntax errors at load time
-    predicates = []
-    for i, spec in enumerate(data.get("predicates", [])):
-        if not isinstance(spec, dict) or not {"name", "a", "b"} <= set(spec):
-            raise ValueError(f"predicates[{i}] needs 'name', 'a', and 'b'")
-        predicates.append(
-            {"name": str(spec["name"]), "a": dict(spec["a"]), "b": float(spec["b"])}
-        )
-    return Requirement(formula_text=data["formula"], predicates=predicates)
+def requirement_from_json(data: Any, path: str = "requirement") -> Requirement:
+    """Read a requirement document; ScenarioFormatError names a bad field's path."""
+    doc = value_from_json(data, _REQUIREMENT_KINDS, path)
+    parse_formula(doc["formula"])  # surface syntax errors at load time
+    return Requirement(formula_text=doc["formula"], predicates=doc["predicates"])
 
 
 def load_requirement(path: str) -> Requirement:

@@ -20,7 +20,7 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum, EnumMeta, IntEnum
 from typing import Any, Callable, NewType, Optional, Union, get_args, get_origin, get_type_hints
 
@@ -124,8 +124,8 @@ class LogItemDescription:
 
 @dataclass
 class InitialStateConfig:
-    item: LogItemDescription = field(default_factory=LogItemDescription)
-    value: float = 0.0
+    item: LogItemDescription
+    value: float
 
 
 @dataclass
@@ -369,20 +369,34 @@ def parse_column_name(name: str) -> LogItemDescription:
 
 
 # --------------------------------------------------------------------------
-# JSON document serialization
+# JSON documents
 #
-# A model class's fields are its document keys, in document order, and each
-# field's annotation is its kind: str, int, float, Vec3 (three numbers), an
-# enum, a model class in _SPECS (a nested object), list[kind] (an array of
-# kind) or Optional[kind] (kind or null).  Unknown-key rejection works off
-# the field names.
+# One converter reads and writes every JSON file: scenario documents here, and
+# the study, requirement and results files of the falsifier.  A value's kind
+# is str, int, float, bool, Vec3 (three numbers), an enum (by member name), a
+# dataclass (an object of its fields, in field order; a field with no default
+# is required), a record {key: kind} (an object of exactly those keys),
+# list[kind], tuple[kind1, kind2] (an array of one value of each kind),
+# dict[str, kind] (an object of any keys) or Optional[kind] (kind or null).
+# Unknown keys are rejected, and a __post_init__ check that fails is reported
+# at its object's path.  Only class kinds are looked up in _SPECS, so an
+# unhashable record may sit inside list[...].
 
 
+@functools.cache
 def _spec(cls: type) -> dict[str, Any]:
     hints = get_type_hints(cls)
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
+@functools.cache
+def _required(cls: type) -> tuple[str, ...]:
+    return tuple(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    )
+
+
+# the scenario model classes: a binding path walks only these
 _SPECS = {
     cls: _spec(cls)
     for cls in (
@@ -392,47 +406,44 @@ _SPECS = {
 }
 
 
-def _optional(kind: Any) -> Any:
-    """X for a kind Optional[X], else None."""
-    return get_args(kind)[0] if get_origin(kind) is Union else None
-
-
-def _value_to_json(value: Any, kind: Any) -> Any:
-    if kind is str or kind is int:
+def value_to_json(value: Any, kind: Any) -> Any:
+    """The JSON value of a value of the given kind."""
+    if kind is str or kind is int or kind is bool:
         return value
     if kind is float:
         return float(value)
+    if isinstance(kind, type):
+        if isinstance(kind, EnumMeta):
+            return value.name
+        spec = _SPECS.get(kind) or _spec(kind)
+        return {name: value_to_json(getattr(value, name), k) for name, k in spec.items()}
     if kind is Vec3:
         return [float(v) for v in value]
-    if kind in _SPECS:
-        return _obj_to_json(value)
-    if isinstance(kind, EnumMeta):
-        return value.name
-    if get_origin(kind) is list:
-        item_kind = get_args(kind)[0]
-        return [_value_to_json(v, item_kind) for v in value]
-    inner = _optional(kind)
-    if inner is not None:
-        return None if value is None else _value_to_json(value, inner)
+    if isinstance(kind, dict):
+        return {name: value_to_json(value[name], k) for name, k in kind.items()}
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is list:
+        return [value_to_json(v, args[0]) for v in value]
+    if origin is Union:
+        return None if value is None else value_to_json(value, args[0])
+    if origin is tuple:
+        return [value_to_json(v, k) for v, k in zip(value, args)]
+    if origin is dict:
+        return {key: value_to_json(v, args[1]) for key, v in value.items()}
     raise AssertionError(f"unhandled kind {kind!r}")
 
 
-def _obj_to_json(obj: Any) -> dict:
-    spec = _SPECS[type(obj)]
-    return {name: _value_to_json(getattr(obj, name), kind) for name, kind in spec.items()}
-
-
 def environment_to_json(env: SimEnvironment) -> dict:
-    return _obj_to_json(env)
+    return value_to_json(env, SimEnvironment)
 
 
 def config_to_json(config: SimulationConfig) -> dict:
-    return _obj_to_json(config)
+    return value_to_json(config, SimulationConfig)
 
 
 def trajectory_to_json(traj: Trajectory) -> dict:
     return {
-        "column_labels": [_obj_to_json(d) for d in traj.column_labels],
+        "column_labels": value_to_json(traj.column_labels, list[LogItemDescription]),
         "rows": traj.rows.astype(np.float64, copy=False).tolist(),
     }
 
@@ -452,64 +463,101 @@ def _require_keys(data: dict, spec_keys, path: str) -> None:
         raise ScenarioFormatError(f"{path}.{unknown[0]}", "unknown field")
 
 
-def _value_from_json(raw: Any, kind: Any, path: str) -> Any:
+_JSON_TYPE_NAMES = {
+    type(None): "null", bool: "boolean", int: "number", float: "number",
+    str: "string", list: "array", dict: "object",
+}
+
+
+def _type_error(path: str, expected: str, raw: Any) -> ScenarioFormatError:
+    got = _JSON_TYPE_NAMES.get(type(raw), type(raw).__name__)
+    return ScenarioFormatError(path, f"expected {expected}, got {got}")
+
+
+def value_from_json(raw: Any, kind: Any, path: str) -> Any:
+    """The value of the given kind that raw, found at path, holds.
+
+    Raises ScenarioFormatError naming the path of the first value that does
+    not fit its kind.
+    """
     if kind is str:
         if not isinstance(raw, str):
-            raise ScenarioFormatError(path, f"expected string, got {type(raw).__name__}")
+            raise _type_error(path, "string", raw)
         return raw
     if kind is int:
         if not isinstance(raw, int) or isinstance(raw, bool):
-            raise ScenarioFormatError(path, f"expected integer, got {type(raw).__name__}")
+            raise _type_error(path, "integer", raw)
         return raw
     if kind is float:
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ScenarioFormatError(path, f"expected number, got {type(raw).__name__}")
+            raise _type_error(path, "number", raw)
         return float(raw)
+    if isinstance(kind, type):
+        spec = _SPECS.get(kind)
+        if spec is None:
+            if isinstance(kind, EnumMeta):
+                if not isinstance(raw, str):
+                    raise ScenarioFormatError(path, "expected an enum name string")
+                try:
+                    return kind[raw]
+                except KeyError:
+                    valid = ", ".join(m.name for m in kind)
+                    message = f"unknown value {raw!r} (expected one of {valid})"
+                    raise ScenarioFormatError(path, message) from None
+            if kind is bool:
+                if not isinstance(raw, bool):
+                    raise _type_error(path, "boolean", raw)
+                return raw
+            spec = _spec(kind)
+        kwargs = _fields_from_json(raw, spec, _required(kind), path)
+        try:
+            return kind(**kwargs)
+        except ValueError as exc:  # a __post_init__ check
+            raise ScenarioFormatError(path, str(exc)) from None
     if kind is Vec3:
         if not isinstance(raw, list) or len(raw) != 3:
             raise ScenarioFormatError(path, "expected a 3-element number array")
-        return [_value_from_json(v, float, f"{path}[{i}]") for i, v in enumerate(raw)]
-    if kind in _SPECS:
-        return _obj_from_json(raw, kind, path)
-    if isinstance(kind, EnumMeta):
-        if not isinstance(raw, str):
-            raise ScenarioFormatError(path, "expected an enum name string")
-        try:
-            return kind[raw]
-        except KeyError:
-            valid = ", ".join(m.name for m in kind)
-            raise ScenarioFormatError(path, f"unknown value {raw!r} (expected one of {valid})")
-    if get_origin(kind) is list:
+        return [value_from_json(v, float, f"{path}[{i}]") for i, v in enumerate(raw)]
+    if isinstance(kind, dict):
+        return _fields_from_json(raw, kind, kind, path)
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is list:
         if not isinstance(raw, list):
             raise ScenarioFormatError(path, "expected an array")
-        item_kind = get_args(kind)[0]
-        return [_value_from_json(v, item_kind, f"{path}[{i}]") for i, v in enumerate(raw)]
-    inner = _optional(kind)
-    if inner is not None:
-        return None if raw is None else _value_from_json(raw, inner, path)
+        return [value_from_json(v, args[0], f"{path}[{i}]") for i, v in enumerate(raw)]
+    if origin is Union:
+        return None if raw is None else value_from_json(raw, args[0], path)
+    if origin is tuple:
+        if not isinstance(raw, list) or len(raw) != len(args):
+            raise ScenarioFormatError(path, f"expected an array of {len(args)} values")
+        return tuple(value_from_json(v, args[i], f"{path}[{i}]") for i, v in enumerate(raw))
+    if origin is dict:
+        if not isinstance(raw, dict):
+            raise _type_error(path, "an object", raw)
+        return {key: value_from_json(v, args[1], f"{path}.{key}") for key, v in raw.items()}
     raise AssertionError(f"unhandled kind {kind!r}")
 
 
-def _obj_from_json(data: Any, cls: type, path: str) -> Any:
+def _fields_from_json(data: Any, spec: dict[str, Any], required, path: str) -> dict:
     if not isinstance(data, dict):
-        raise ScenarioFormatError(path, f"expected an object, got {type(data).__name__}")
-    spec = _SPECS[cls]
+        raise _type_error(path, "an object", data)
     _require_keys(data, spec, path)
-    if cls is InitialStateConfig and not {"item", "value"} <= data.keys():
-        raise ScenarioFormatError(path, "requires 'item' and 'value'")
-    kwargs = {}
+    for name in required:
+        if name not in data:
+            raise ScenarioFormatError(f"{path}.{name}", "missing field")
+    values = {}
     for name, kind in spec.items():
         if name in data:
-            kwargs[name] = _value_from_json(data[name], kind, f"{path}.{name}")
-    return cls(**kwargs)
+            values[name] = value_from_json(data[name], kind, f"{path}.{name}")
+    return values
 
 
 def environment_from_json(data: Any, path: str = "environment") -> SimEnvironment:
-    return _obj_from_json(data, SimEnvironment, path)
+    return value_from_json(data, SimEnvironment, path)
 
 
 def config_from_json(data: Any, path: str = "config") -> SimulationConfig:
-    config = _obj_from_json(data, SimulationConfig, path)
+    config = value_from_json(data, SimulationConfig, path)
     problems = validate_config(config)
     if problems:
         raise ScenarioFormatError(problems[0].path, problems[0].message)
@@ -520,10 +568,9 @@ def trajectory_from_json(data: Any, path: str = "trajectory") -> Trajectory:
     if not isinstance(data, dict):
         raise ScenarioFormatError(path, "expected an object")
     _require_keys(data, {"column_labels", "rows"}, path)
-    labels = [
-        _obj_from_json(d, LogItemDescription, f"{path}.column_labels[{i}]")
-        for i, d in enumerate(data.get("column_labels", []))
-    ]
+    labels = value_from_json(
+        data.get("column_labels", []), list[LogItemDescription], f"{path}.column_labels"
+    )
     raw_rows = data.get("rows", [])
     if not isinstance(raw_rows, list):
         raise ScenarioFormatError(f"{path}.rows", "expected an array of rows")
@@ -614,7 +661,9 @@ def resolve_binding(env: SimEnvironment, path: str) -> tuple[Callable[[float], N
             owner, key, kind = value, token, get_args(kind)[0] if is_list else float
             value = value[token]
         else:
-            spec = _SPECS.get(_optional(kind) or kind) if value is not None else None
+            if get_origin(kind) is Union:
+                kind = get_args(kind)[0]
+            spec = _SPECS.get(kind) if value is not None else None
             if spec is None or token not in spec:
                 raise ValueError(f"path {path!r} does not resolve at segment {token!r}")
             owner, key, kind = value, token, spec[token]

@@ -525,8 +525,10 @@ class SupervisorServer(socketserver.ThreadingTCPServer):
         self._serving: Optional[threading.Thread] = None
 
     def start(self) -> None:
-        """Serve on a daemon thread until stop()."""
-        self._serving = threading.Thread(target=self.serve_forever, daemon=True)
+        """Serve on a daemon thread until stop(), which returns within one poll."""
+        self._serving = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._serving.start()
 
     def stop(self) -> None:

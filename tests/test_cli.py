@@ -301,6 +301,24 @@ class TestRunCa:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["rows"] == []
 
+    def test_bindings_file_that_is_not_json_exits_2(self, tmp_path, capsys):
+        csv_path, scenario_path, bindings = self.make_inputs(tmp_path, ["0,20,2"])
+        with open(bindings, "w") as fh:
+            fh.write('{"ego_init_speed": ')
+        out_dir = tmp_path / "out"
+        assert main(["run-ca", csv_path, scenario_path, bindings, "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: cannot load bindings file: ")
+        assert not out_dir.exists()
+
+    def test_negative_header_lines_exits_2(self, tmp_path, capsys):
+        csv_path, scenario_path, bindings = self.make_inputs(tmp_path, ["0,20,2"])
+        out_dir = tmp_path / "out"
+        argv = ["run-ca", csv_path, scenario_path, bindings, "--out-dir", str(out_dir)]
+        assert main([*argv, "--header-lines", "-3"]) == 2
+        assert capsys.readouterr().err == "error: --header-lines must be >= 0, got -3\n"
+        assert not out_dir.exists()
+
     def test_binding_to_unknown_parameter_exits_2(self, tmp_path, fixtures_dir, capsys):
         bindings_path = tmp_path / "bindings.json"
         bindings_path.write_text(json.dumps({"nope": "config.server_port"}))
@@ -512,15 +530,19 @@ class TestFalsifyCommand:
         "edit, message",
         [
             (lambda study: study.update(config={"n_test": 3}),
-             "config has unknown field 'n_test'"),
+             "config.n_test: unknown field"),
             (lambda study: study.update(space=[1]),
-             "space[0] needs name, lo, hi, binding"),
+             "space[0]: expected an object, got number"),
             (lambda study: study["config"].update(n_tests="3"),
-             "config.n_tests must be int, got str"),
+             "config.n_tests: expected integer, got string"),
             (lambda study: study["space"][0].update(name=["a"]),
-             "space[0]: name must be a string, lo and hi numbers"),
+             "space[0].name: expected string, got array"),
+            (lambda study: study["space"][1].pop("lo"), "space[1].lo: missing field"),
+            (lambda study: study["config"].update(falsification_mode=1),
+             "config.falsification_mode: expected boolean, got number"),
         ],
-        ids=["misspelt_config_key", "space_entry_not_an_object", "string_n_tests", "list_name"],
+        ids=["misspelt_config_key", "space_entry_not_an_object", "string_n_tests", "list_name",
+             "missing_lo", "numeric_flag"],
     )
     def test_malformed_study_exits_2(self, tmp_path, fixtures_dir, capsys, edit, message):
         study_path = self.make_study(tmp_path, fixtures_dir)
@@ -531,6 +553,26 @@ class TestFalsifyCommand:
         out = tmp_path / "results.json"
         assert main(["falsify", study_path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: invalid study: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, literal, message",
+        [
+            ("sim_duration_s", "1e400", "sim_duration_s must be finite, got inf"),
+            ("samp_time_s", "NaN", "samp_time_s must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_study_number_exits_2(
+        self, tmp_path, fixtures_dir, capsys, field, literal, message
+    ):
+        study_path = self.make_study(tmp_path, fixtures_dir)
+        study = json.loads(open(study_path).read())
+        study["config"][field] = "LITERAL"
+        with open(study_path, "w") as fh:
+            fh.write(json.dumps(study).replace('"LITERAL"', literal))
+        out = tmp_path / "results.json"
+        assert main(["falsify", study_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: invalid study: config: {message}\n"
         assert not out.exists()
 
     def test_study_top_level_not_an_object_exits_2(self, tmp_path, capsys):

@@ -209,7 +209,102 @@ class TestGridOracle:
         assert best == 0.0
 
 
+def pinned_results():
+    """Two runs over a box of single points, with a failed evaluation, an
+    unbound dimension and every config field set."""
+    space = SearchSpace([
+        SearchDim("speed", 2.0, 2.0),
+        SearchDim("gap", 0.5, 0.5, "environment.pedestrians_list[0].target_speed"),
+    ])
+    preds = [LinearPredicate("p", np.array([-1.0, 0.0]), 0.0)]
+    formula = rb.parse_formula("[]_[0.0,1.0] p")
+    margins = iter([1.5, None, -0.25, 0.75])
+
+    def system(sample):
+        margin = next(margins)
+        if margin is None:
+            raise ValueError("simulation failed")
+        return Trace(times=np.array([0.0]), states=np.array([[margin, sample[1]]]))
+
+    return [
+        falsify(system, formula, preds, space, FalsifyConfig(
+            n_tests=2, runs=2, seed=seed, falsification_mode=False, sim_duration_s=0.5,
+            samp_time_s=0.02, init_temperature=2.0, cooling=0.5, proposal_scale=0.125,
+        ))
+        for seed in (11, 12)
+    ]
+
+
+PINNED_RUN = """\
+    {
+      "best_sample": [
+        2.0,
+        0.5
+      ],
+      "best_robustness": %(best)s,
+      "falsified": %(falsified)s,
+      "n_simulations_used": 2,
+      "history": [
+        [
+          [
+            2.0,
+            0.5
+          ],
+          %(first)s
+        ],
+        [
+          [
+            2.0,
+            0.5
+          ],
+          %(second)s
+        ]
+      ],
+      "seed": %(seed)s,
+      "space": [
+        {
+          "name": "speed",
+          "lo": 2.0,
+          "hi": 2.0,
+          "binding": null
+        },
+        {
+          "name": "gap",
+          "lo": 0.5,
+          "hi": 0.5,
+          "binding": "environment.pedestrians_list[0].target_speed"
+        }
+      ],
+      "config": {
+        "n_tests": 2,
+        "runs": 2,
+        "seed": %(seed)s,
+        "falsification_mode": false,
+        "sim_duration_s": 0.5,
+        "samp_time_s": 0.02,
+        "init_temperature": 2.0,
+        "cooling": 0.5,
+        "proposal_scale": 0.125
+      },
+      "formula": "[]_[0.0,1.0] p"
+    }"""
+
+PINNED_RESULTS_FILE = (
+    '{\n  "format": "falsification-results",\n  "results": [\n'
+    + PINNED_RUN % dict(best="1.5", falsified="false", first="1.5", second="Infinity", seed=11)
+    + ",\n"
+    + PINNED_RUN % dict(best="-0.25", falsified="true", first="-0.25", second="0.75", seed=12)
+    + "\n  ]\n}\n"
+)
+
+
 class TestPersistence:
+    def test_results_file_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "results.json"
+        save_results(pinned_results(), str(path))
+        assert path.read_text() == PINNED_RESULTS_FILE
+        assert load_results(str(path)) == pinned_results()
+
     def result_fixture(self):
         config = FalsifyConfig(n_tests=30, seed=21)
         return falsify(x1_system, PHI_P, X1_MINUS_5_PREDS, BOX3, config)

@@ -30,7 +30,7 @@ from avtestbed.robustness import (
     robustness,
     robustness_signal,
 )
-from avtestbed.scenario import column_names
+from avtestbed.scenario import ScenarioFormatError, column_names
 
 from oracles import (
     naive_boolean,
@@ -485,6 +485,21 @@ class TestRequirementFiles:
         rb.save_requirement(req, str(path))
         back = rb.load_requirement(str(path))
         assert back == req
+
+    @pytest.mark.parametrize(
+        "predicate, message",
+        [
+            ({"name": "p", "a": {}, "b": 0.0, "c": 1}, "requirement.predicates[0].c: unknown field"),
+            ({"name": "p", "a": {}}, "requirement.predicates[0].b: missing field"),
+            ({"name": "p", "a": {"vehicle0_speed": "1"}, "b": 0.0},
+             "requirement.predicates[0].a.vehicle0_speed: expected number, got string"),
+        ],
+        ids=["extra_key", "missing_bound", "string_coefficient"],
+    )
+    def test_malformed_predicate_rejected_with_its_path(self, predicate, message):
+        with pytest.raises(ScenarioFormatError) as err:
+            requirement_from_json({"formula": "p", "predicates": [predicate]})
+        assert str(err.value) == message
 
     def test_bad_formula_rejected_at_load(self):
         with pytest.raises(FormulaSyntaxError):

@@ -394,6 +394,14 @@ class TestDocuments:
             parse_scenario(json.dumps(doc))
         assert str(err.value) == "environment.initial_state_config_list: expected an array"
 
+    @pytest.mark.parametrize("key", ["item", "value"])
+    def test_initial_state_without_a_required_field_rejected(self, key):
+        doc = json.loads(serialize_scenario(*presets.demo_scenario()))
+        del doc["environment"]["initial_state_config_list"][0][key]
+        with pytest.raises(ScenarioFormatError) as err:
+            parse_scenario(json.dumps(doc))
+        assert str(err.value) == f"environment.initial_state_config_list[0].{key}: missing field"
+
     def test_default_config_document_values(self):
         text = serialize_scenario(SimEnvironment(), SimulationConfig(sim_duration_ms=50000))
         doc = json.loads(text)
