@@ -529,9 +529,9 @@ def requirement_to_json(req: Requirement) -> dict:
     return value_to_json(doc, _REQUIREMENT_KINDS)
 
 
-def requirement_from_json(data: Any, path: str = "requirement") -> Requirement:
+def requirement_from_json(data: Any) -> Requirement:
     """Read a requirement document; ScenarioFormatError names a bad field's path."""
-    doc = value_from_json(data, _REQUIREMENT_KINDS, path)
+    doc = value_from_json(data, _REQUIREMENT_KINDS, "requirement")
     parse_formula(doc["formula"])  # surface syntax errors at load time
     return Requirement(formula_text=doc["formula"], predicates=doc["predicates"])
 

@@ -379,26 +379,23 @@ def parse_column_name(name: str) -> LogItemDescription:
 # list[kind], tuple[kind1, kind2] (an array of one value of each kind),
 # dict[str, kind] (an object of any keys) or Optional[kind] (kind or null).
 # Unknown keys are rejected, and a __post_init__ check that fails is reported
-# at its object's path.  Only class kinds are looked up in _SPECS, so an
-# unhashable record may sit inside list[...].
+# at its object's path.
 
 
 @functools.cache
-def _spec(cls: type) -> dict[str, Any]:
+def _spec(cls: type) -> tuple[dict[str, Any], tuple[str, ...]]:
+    """The kind of each field of a dataclass, and the names of its required fields."""
     hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
-
-
-@functools.cache
-def _required(cls: type) -> tuple[str, ...]:
-    return tuple(
+    kinds = {f.name: hints[f.name] for f in fields(cls)}
+    required = tuple(
         f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
     )
+    return kinds, required
 
 
 # the scenario model classes: a binding path walks only these
 _SPECS = {
-    cls: _spec(cls)
+    cls: _spec(cls)[0]
     for cls in (
         SimEnvironment, SimulationConfig, HeartbeatConfig, Vehicle, Pedestrian,
         RoadDisturbance, ControllerParameter, InitialStateConfig, LogItemDescription, RunConfig,
@@ -412,11 +409,10 @@ def value_to_json(value: Any, kind: Any) -> Any:
         return value
     if kind is float:
         return float(value)
-    if isinstance(kind, type):
-        if isinstance(kind, EnumMeta):
-            return value.name
-        spec = _SPECS.get(kind) or _spec(kind)
-        return {name: value_to_json(getattr(value, name), k) for name, k in spec.items()}
+    if type(kind) is type:  # a dataclass; list[X] passes isinstance(kind, type) on 3.10
+        return {name: value_to_json(getattr(value, name), k) for name, k in _spec(kind)[0].items()}
+    if isinstance(kind, EnumMeta):
+        return value.name
     if kind is Vec3:
         return [float(v) for v in value]
     if isinstance(kind, dict):
@@ -492,28 +488,25 @@ def value_from_json(raw: Any, kind: Any, path: str) -> Any:
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise _type_error(path, "number", raw)
         return float(raw)
-    if isinstance(kind, type):
-        spec = _SPECS.get(kind)
-        if spec is None:
-            if isinstance(kind, EnumMeta):
-                if not isinstance(raw, str):
-                    raise ScenarioFormatError(path, "expected an enum name string")
-                try:
-                    return kind[raw]
-                except KeyError:
-                    valid = ", ".join(m.name for m in kind)
-                    message = f"unknown value {raw!r} (expected one of {valid})"
-                    raise ScenarioFormatError(path, message) from None
-            if kind is bool:
-                if not isinstance(raw, bool):
-                    raise _type_error(path, "boolean", raw)
-                return raw
-            spec = _spec(kind)
-        kwargs = _fields_from_json(raw, spec, _required(kind), path)
+    if kind is bool:
+        if not isinstance(raw, bool):
+            raise _type_error(path, "boolean", raw)
+        return raw
+    if type(kind) is type:  # a dataclass; list[X] passes isinstance(kind, type) on 3.10
+        kwargs = _fields_from_json(raw, *_spec(kind), path)
         try:
             return kind(**kwargs)
         except ValueError as exc:  # a __post_init__ check
             raise ScenarioFormatError(path, str(exc)) from None
+    if isinstance(kind, EnumMeta):
+        if not isinstance(raw, str):
+            raise ScenarioFormatError(path, "expected an enum name string")
+        try:
+            return kind[raw]
+        except KeyError:
+            valid = ", ".join(m.name for m in kind)
+            message = f"unknown value {raw!r} (expected one of {valid})"
+            raise ScenarioFormatError(path, message) from None
     if kind is Vec3:
         if not isinstance(raw, list) or len(raw) != 3:
             raise ScenarioFormatError(path, "expected a 3-element number array")

@@ -1,7 +1,7 @@
 """No malformed study or requirement file ends in a traceback.
 
-Each case replaces one value, anywhere in the demo study or its requirement,
-and runs ``avtestbed falsify``: it must exit 0, or exit 2 with exactly one
+Each case replaces one value of the demo study or its requirement, every
+value in turn by each of a few JSON values, and runs ``avtestbed falsify``: it must exit 0, or exit 2 with exactly one
 ``error:`` line.  The study is cut to 2 evaluations of a 50 ms scene.
 """
 
@@ -12,7 +12,6 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from avtestbed.cli import main
 
@@ -76,11 +75,8 @@ def run_falsify(name: str, path: tuple, new) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-@settings(
-    max_examples=200, deadline=None, derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(st.sampled_from(LOCATIONS), st.sampled_from(REPLACEMENTS))
+@pytest.mark.parametrize("new", REPLACEMENTS, ids=repr)
+@pytest.mark.parametrize("location", LOCATIONS, ids=lambda loc: "/".join(map(str, (loc[0],) + loc[1])))
 def test_a_replaced_value_exits_0_or_with_one_error_line(location, new):
     code, err = run_falsify(*location, new)
     assert code in (0, 2)

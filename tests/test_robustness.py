@@ -501,6 +501,11 @@ class TestRequirementFiles:
             requirement_from_json({"formula": "p", "predicates": [predicate]})
         assert str(err.value) == message
 
+    def test_requirement_without_predicates_rejected(self):
+        with pytest.raises(ScenarioFormatError) as err:
+            requirement_from_json({"formula": "p"})
+        assert str(err.value) == "requirement.predicates: missing field"
+
     def test_bad_formula_rejected_at_load(self):
         with pytest.raises(FormulaSyntaxError):
             requirement_from_json({"formula": "p /\\", "predicates": []})
