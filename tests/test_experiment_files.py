@@ -1,8 +1,9 @@
 """No malformed study or requirement file ends in a traceback.
 
 Each case replaces one value of the demo study or its requirement, every
-value in turn by each of a few JSON values, and runs ``avtestbed falsify``: it must exit 0, or exit 2 with exactly one
-``error:`` line.  The study is cut to 2 evaluations of a 50 ms scene.
+value in turn by each of a few JSON values, and runs ``avtestbed falsify``:
+it must exit 0, or exit 2 with exactly one ``error:`` line.  The study is cut
+to 2 evaluations of a 50 ms scene.
 """
 
 import contextlib
@@ -76,7 +77,9 @@ def run_falsify(name: str, path: tuple, new) -> tuple[int, str]:
 
 
 @pytest.mark.parametrize("new", REPLACEMENTS, ids=repr)
-@pytest.mark.parametrize("location", LOCATIONS, ids=lambda loc: "/".join(map(str, (loc[0],) + loc[1])))
+@pytest.mark.parametrize(
+    "location", LOCATIONS, ids=lambda loc: "/".join(map(str, (loc[0],) + loc[1]))
+)
 def test_a_replaced_value_exits_0_or_with_one_error_line(location, new):
     code, err = run_falsify(*location, new)
     assert code in (0, 2)
