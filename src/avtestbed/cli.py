@@ -204,6 +204,9 @@ def cmd_falsify(args: argparse.Namespace) -> CommandOutcome:
     except (ValueError, OSError, scenario.ScenarioFormatError) as exc:
         raise CommandError(f"invalid study: {exc}")
     if args.seed is not None:
+        # set after the config is built, so its own check does not see it
+        if args.seed < 0:
+            raise CommandError(f"--seed must be >= 0, got {args.seed}")
         study.config.seed = args.seed
 
     try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 # actuator limits; the kernel clamps every raw command to them
 STEERING_LIMIT_RAD = 0.6
@@ -28,8 +29,10 @@ LOOKAHEAD_MIN_M = 5.0
 LOOKAHEAD_TIME_S = 1.5
 SPEED_GAIN = 1.0
 
+_TWO_PI = 2.0 * math.pi
 
-@dataclass
+
+@dataclass(slots=True)
 class RadarDetection:
     """A target in the sensing vehicle's frame.
 
@@ -47,9 +50,9 @@ class ControllerConfigError(ValueError):
 
 def wrap_angle(a: float) -> float:
     """Normalize to (-pi, pi]."""
-    a = math.fmod(a + math.pi, 2.0 * math.pi)
+    a = math.fmod(a + math.pi, _TWO_PI)
     if a <= 0.0:
-        a += 2.0 * math.pi
+        a += _TWO_PI
     return a - math.pi
 
 
@@ -80,33 +83,6 @@ def _path_segments(path: list[tuple[float, float]]) -> list[PathSegment]:
     return segments
 
 
-def _project_onto_path(segments: list[PathSegment], x: float, y: float) -> float:
-    """Arc-length position of the closest path point (earliest segment wins ties)."""
-    best_dist = math.inf
-    best_arc = 0.0
-    for ax, ay, vx, vy, seg_len, seg_len_sq, arc in segments:
-        t = ((x - ax) * vx + (y - ay) * vy) / seg_len_sq
-        t = max(0.0, min(1.0, t))
-        dist = math.hypot(x - (ax + t * vx), y - (ay + t * vy))
-        if dist < best_dist - 1e-12:
-            best_dist = dist
-            best_arc = arc + t * seg_len
-    return best_arc
-
-
-def _point_at_arc(
-    path: list[tuple[float, float]], segments: list[PathSegment], s: float
-) -> tuple[float, float]:
-    """Point at arc length s, clamped to the path ends."""
-    if s <= 0.0:
-        return path[0]
-    for ax, ay, vx, vy, seg_len, _, arc in segments:
-        if s <= arc + seg_len:
-            t = (s - arc) / seg_len
-            return (ax + t * vx, ay + t * vy)
-    return path[-1]
-
-
 def _pursue(
     x: float,
     y: float,
@@ -116,17 +92,51 @@ def _pursue(
     segments: list[PathSegment],
 ) -> float:
     """Steering angle toward a lookahead point on the path (0 if no path),
-    with segments = _path_segments(path) resolved once by the caller."""
+    with segments = _path_segments(path) resolved once by the caller.
+
+    The lookahead point lies the lookahead distance of arc beyond the closest
+    path point (the earliest segment wins ties), clamped to the path ends.
+    Each clamp below returns what max(lo, min(hi, v)) returns, NaN included:
+    min and max keep their first argument unless the second compares less or
+    greater.
+    """
     if len(path) < 2:
         return 0.0
-    lookahead = max(LOOKAHEAD_MIN_M, LOOKAHEAD_TIME_S * speed)
-    s = _project_onto_path(segments, x, y)
-    tx, ty = _point_at_arc(path, segments, s + lookahead)
+    lookahead = LOOKAHEAD_TIME_S * speed
+    if not lookahead > LOOKAHEAD_MIN_M:
+        lookahead = LOOKAHEAD_MIN_M
+
+    best_dist = math.inf
+    s = 0.0
+    for ax, ay, vx, vy, seg_len, seg_len_sq, arc in segments:
+        t = ((x - ax) * vx + (y - ay) * vy) / seg_len_sq
+        if not t < 1.0:
+            t = 1.0
+        elif t <= 0.0:
+            t = 0.0
+        dist = math.hypot(x - (ax + t * vx), y - (ay + t * vy))
+        if dist < best_dist - 1e-12:
+            best_dist = dist
+            s = arc + t * seg_len
+
+    s += lookahead
+    if s <= 0.0:
+        tx, ty = path[0]
+    else:
+        tx, ty = path[-1]
+        for ax, ay, vx, vy, seg_len, _, arc in segments:
+            if s <= arc + seg_len:
+                t = (s - arc) / seg_len
+                tx, ty = ax + t * vx, ay + t * vy
+                break
     dx, dy = tx - x, ty - y
     if dx == 0.0 and dy == 0.0:
         return 0.0
-    alpha = wrap_angle(math.atan2(dy, dx) - heading)
-    return math.atan2(2.0 * WHEELBASE_M * math.sin(alpha), lookahead)
+    # alpha = wrap_angle(atan2(dy, dx) - heading)
+    alpha = math.fmod(math.atan2(dy, dx) - heading + math.pi, _TWO_PI)
+    if alpha <= 0.0:
+        alpha += _TWO_PI
+    return math.atan2(2.0 * WHEELBASE_M * math.sin(alpha - math.pi), lookahead)
 
 
 # --------------------------------------------------------------------------
@@ -246,7 +256,10 @@ def pedestrian_step(
         waypoint_index += 1
     else:
         return x, y, waypoint_index
-    step_len = min(target_speed * dt, remaining)
+    # min(target_speed * dt, remaining): remaining only where it is less
+    step_len = target_speed * dt
+    if remaining < step_len:
+        step_len = remaining
     x += (wx - x) / remaining * step_len
     y += (wy - y) / remaining * step_len
     if step_len == remaining:
@@ -263,36 +276,52 @@ def radar_sense(world, me) -> list[RadarDetection]:
     and of the pedestrians in world.
 
     Targets beyond RADAR_RANGE_M or outside the +-45 degree field of view are
-    dropped.
+    dropped.  Ties in range go to vehicles before pedestrians, then to the
+    lower id.
     """
-    mvx = me.speed * math.cos(me.heading)
-    mvy = me.speed * math.sin(me.heading)
+    mx, my, mheading = me.x, me.y, me.heading
+    mvx = me.speed * math.cos(mheading)
+    mvy = me.speed * math.sin(mheading)
     detections: list[tuple[tuple, RadarDetection]] = []
 
-    def consider(kind_rank: int, ident: int, tx, ty, tvx, tvy):
-        dx, dy = tx - me.x, ty - me.y
+    targets = []
+    for vhc in world.vehicles:
+        if vhc is not me:
+            speed, heading = vhc.speed, vhc.heading
+            targets.append(
+                (0, vhc.id, vhc.x, vhc.y, speed * math.cos(heading), speed * math.sin(heading))
+            )
+    for ped in world.pedestrians:
+        # the pedestrian walks at its target speed toward its current
+        # waypoint, heading 0 while it stands on it, and is still once stopped
+        index, waypoints = ped.waypoint_index, ped.waypoints
+        if ped.walking and index < len(waypoints):
+            px, py = ped.x, ped.y
+            wx, wy = waypoints[index]
+            heading = math.atan2(wy - py, wx - px) if wx != px or wy != py else 0.0
+            speed = ped.target_speed
+            targets.append((1, ped.id, px, py, speed * math.cos(heading), speed * math.sin(heading)))
+        else:
+            targets.append((1, ped.id, ped.x, ped.y, 0.0, 0.0))
+
+    for kind_rank, ident, tx, ty, tvx, tvy in targets:
+        dx, dy = tx - mx, ty - my
         rng = math.hypot(dx, dy)
         if rng == 0.0 or rng > RADAR_RANGE_M:
-            return
-        bearing = wrap_angle(math.atan2(dy, dx) - me.heading)
+            continue
+        # bearing = wrap_angle(atan2(dy, dx) - mheading)
+        bearing = math.fmod(math.atan2(dy, dx) - mheading + math.pi, _TWO_PI)
+        if bearing <= 0.0:
+            bearing += _TWO_PI
+        bearing -= math.pi
         if abs(bearing) > RADAR_FOV_RAD:
-            return
+            continue
         # closing speed: negative range rate
         closing = -((dx * (tvx - mvx) + dy * (tvy - mvy)) / rng)
-        detections.append(
-            ((rng, kind_rank, ident), RadarDetection(rng, bearing, closing))
-        )
+        detections.append(((rng, kind_rank, ident), RadarDetection(rng, bearing, closing)))
 
-    for vhc in world.vehicles:
-        if vhc is me:
-            continue
-        consider(0, vhc.id, vhc.x, vhc.y, vhc.speed * math.cos(vhc.heading),
-                 vhc.speed * math.sin(vhc.heading))
-    for ped in world.pedestrians:
-        pvx, pvy = ped.velocity()
-        consider(1, ped.id, ped.x, ped.y, pvx, pvy)
-
-    detections.sort(key=lambda item: item[0])
+    if len(detections) > 1:
+        detections.sort(key=itemgetter(0))
     return [det for _, det in detections]
 
 

@@ -46,7 +46,9 @@ class SearchSpace:
     def __post_init__(self) -> None:
         names = [d.name for d in self.dims]
         if len(set(names)) != len(names):
-            raise ValueError("search dimension names must be unique")
+            name = next(n for n in names if names.count(n) > 1)
+            where = ", ".join(f"space[{i}]" for i, n in enumerate(names) if n == name)
+            raise ValueError(f"search dimension name {name!r} repeats at {where}")
 
     @property
     def n_dims(self) -> int:
@@ -74,6 +76,8 @@ class FalsifyConfig:
             raise ValueError("n_tests must be >= 1")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.cooling < 1.0:
             raise ValueError("cooling must lie in (0, 1)")
         if self.init_temperature <= 0.0:

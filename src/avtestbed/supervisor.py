@@ -113,10 +113,6 @@ class PedestrianState:
             return self.target_speed
         return 0.0
 
-    def velocity(self) -> tuple[float, float]:
-        v, h = self.speed(), self.heading()
-        return (v * math.cos(h), v * math.sin(h))
-
 
 @dataclass
 class WorldState:
@@ -229,18 +225,26 @@ def step(world: WorldState, dt_ms: int) -> WorldState:
     Control commands are computed from the pre-step snapshot for all vehicles
     before any state is integrated, so in-step ordering cannot leak.  Each
     raw command is clamped here to the actuator limits, the only place they
-    apply.
+    apply.  Each clamp returns what max(lo, min(hi, command)) returns, NaN
+    included: min and max keep their first argument unless the second
+    compares less or greater.
     """
     dt = dt_ms / 1000.0
 
     commands = []
     for vhc in world.vehicles:
-        radar = controllers.radar_sense(world, vhc) if vhc.controller.uses_radar else []
-        steering, acceleration = vhc.controller.control(vhc, radar, dt)
-        commands.append((
-            max(-STEERING_LIMIT_RAD, min(STEERING_LIMIT_RAD, steering)),
-            max(ACCEL_MIN, min(ACCEL_MAX, acceleration)),
-        ))
+        controller = vhc.controller
+        radar = controllers.radar_sense(world, vhc) if controller.uses_radar else []
+        steering, acceleration = controller.control(vhc, radar, dt)
+        if not steering < STEERING_LIMIT_RAD:
+            steering = STEERING_LIMIT_RAD
+        elif not steering > -STEERING_LIMIT_RAD:
+            steering = -STEERING_LIMIT_RAD
+        if not acceleration < ACCEL_MAX:
+            acceleration = ACCEL_MAX
+        elif not acceleration > ACCEL_MIN:
+            acceleration = ACCEL_MIN
+        commands.append((steering, acceleration))
 
     for vhc, (steering, acceleration) in zip(world.vehicles, commands):
         speed, heading = vhc.speed, vhc.heading
@@ -301,14 +305,25 @@ def detect_collisions(world: WorldState) -> list[Contact]:
 # Sampling
 
 
-def _disturbance_lateral_offset(world: WorldState, x: float, y: float) -> float:
-    """Logged bump offset while inside a disturbance region; dynamics untouched."""
-    offset = 0.0
-    for dist in world.disturbances:
-        x0, y0 = dist.position[0], dist.position[2]
-        if x0 <= x <= x0 + dist.length and abs(y - y0) <= dist.width / 2.0:
-            offset += dist.height * math.sin(2.0 * math.pi * x / dist.inter_object_spacing)
-    return offset
+def _bumped_y_getter(world: WorldState, vhc: VehicleState) -> Callable[[], float]:
+    """The logged y of vhc: its y plus the bump offset of every disturbance
+    region it is inside, with the regions resolved once.  The dynamics never
+    see the offset, and adding a zero one logs -0.0 as 0.0."""
+    regions = [
+        (dist.position[0], dist.position[0] + dist.length, dist.position[2],
+         dist.width / 2.0, dist.height, dist.inter_object_spacing)
+        for dist in world.disturbances
+    ]
+
+    def bumped_y() -> float:
+        x, y = vhc.x, vhc.y
+        offset = 0.0
+        for x0, x1, y0, half_width, height, spacing in regions:
+            if x0 <= x <= x1 and abs(y - y0) <= half_width:
+                offset += height * math.sin(2.0 * math.pi * x / spacing)
+        return y + offset
+
+    return bumped_y
 
 
 def _column_getter(world: WorldState, desc: LogItemDescription) -> Callable[[], float]:
@@ -321,7 +336,7 @@ def _column_getter(world: WorldState, desc: LogItemDescription) -> Callable[[], 
         if state is StateId.POSITION_X:
             return lambda: vhc.x
         if state is StateId.POSITION_Y:
-            return lambda: vhc.y + _disturbance_lateral_offset(world, vhc.x, vhc.y)
+            return _bumped_y_getter(world, vhc)
         if state is StateId.ORIENTATION:
             return lambda: wrap_angle(vhc.heading)
         if state is StateId.SPEED:
@@ -339,7 +354,7 @@ def _column_getter(world: WorldState, desc: LogItemDescription) -> Callable[[], 
     if state is StateId.ORIENTATION:
         return lambda: wrap_angle(ped.heading())
     if state is StateId.SPEED:
-        return lambda: ped.speed()
+        return ped.speed
     if state is StateId.VELOCITY_X:
         return lambda: ped.speed() * math.cos(ped.heading())
     return lambda: ped.speed() * math.sin(ped.heading())
@@ -371,12 +386,15 @@ def _track_contacts(world: WorldState, seen_pairs: set) -> None:
         if key not in seen_pairs:
             seen_pairs.add(key)
             world.contacts.append(contact)
-    for i in range(len(world.vehicles)):
-        for j in range(i + 1, len(world.vehicles)):
-            a, b = world.vehicles[i], world.vehicles[j]
-            gap = math.hypot(a.x - b.x, a.y - b.y)
-            if gap < world.min_vehicle_gap:
-                world.min_vehicle_gap = gap
+    vehicles = world.vehicles
+    min_gap = world.min_vehicle_gap
+    for i, a in enumerate(vehicles):
+        ax, ay = a.x, a.y
+        for b in vehicles[i + 1:]:
+            gap = math.hypot(ax - b.x, ay - b.y)
+            if gap < min_gap:
+                min_gap = gap
+    world.min_vehicle_gap = min_gap
 
 
 def run(

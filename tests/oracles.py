@@ -624,6 +624,11 @@ def _reference_control(controller, state, radar, dt: float) -> tuple[float, floa
     return _reference_saturate((steering, accel))
 
 
+def reference_pedestrian_velocity(ped) -> tuple[float, float]:
+    v, h = ped.speed(), ped.heading()
+    return (v * math.cos(h), v * math.sin(h))
+
+
 def reference_radar_sense(world, me):
     mvx = me.speed * math.cos(me.heading)
     mvy = me.speed * math.sin(me.heading)
@@ -646,7 +651,7 @@ def reference_radar_sense(world, me):
         consider(0, vhc.id, vhc.x, vhc.y, vhc.speed * math.cos(vhc.heading),
                  vhc.speed * math.sin(vhc.heading))
     for ped in world.pedestrians:
-        pvx, pvy = ped.velocity()
+        pvx, pvy = reference_pedestrian_velocity(ped)
         consider(1, ped.id, ped.x, ped.y, pvx, pvy)
 
     detections.sort(key=lambda item: item[0])

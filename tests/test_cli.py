@@ -579,6 +579,40 @@ class TestFalsifyCommand:
         assert capsys.readouterr().err == f"error: invalid study: config: {message}\n"
         assert not out.exists()
 
+    def test_negative_study_seed_exits_2(self, tmp_path, fixtures_dir, capsys):
+        study_path = self.make_study(tmp_path, fixtures_dir)
+        study = json.loads(open(study_path).read())
+        study["config"]["seed"] = -1
+        with open(study_path, "w") as fh:
+            json.dump(study, fh)
+        out = tmp_path / "results.json"
+        assert main(["falsify", study_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid study: config: seed must be >= 0, got -1\n"
+        )
+        assert not out.exists()
+
+    def test_negative_seed_override_exits_2(self, tmp_path, fixtures_dir, capsys):
+        study_path = self.make_study(tmp_path, fixtures_dir)
+        out = tmp_path / "results.json"
+        assert main(["falsify", study_path, "--out", str(out), "--seed", "-5"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -5\n"
+        assert not out.exists()
+
+    def test_repeated_dimension_name_exits_2(self, tmp_path, fixtures_dir, capsys):
+        study_path = self.make_study(tmp_path, fixtures_dir)
+        study = json.loads(open(study_path).read())
+        study["space"][2]["name"] = "ego_init_speed"
+        with open(study_path, "w") as fh:
+            json.dump(study, fh)
+        out = tmp_path / "results.json"
+        assert main(["falsify", study_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid study: search dimension name 'ego_init_speed' "
+            "repeats at space[0], space[2]\n"
+        )
+        assert not out.exists()
+
     def test_study_top_level_not_an_object_exits_2(self, tmp_path, capsys):
         study_path = tmp_path / "study.json"
         study_path.write_text("[1, 2]")

@@ -10,6 +10,7 @@ import csv
 import io
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from oracles import (
     random_kernel_scene,
     reference_detect_collisions,
     reference_pure_pursuit_steering,
+    reference_radar_sense,
     reference_run,
 )
 
@@ -223,6 +225,87 @@ def test_segment_with_underflowing_squared_length_is_skipped():
     agent_params[-1].parameter_data = [0.0, 1e-200]
     result = assert_same_run(env, config)
     assert result.trajectory.rows.shape == (1501, 11)
+
+
+# --------------------------------------------------------------------------
+# Radar against the reference sensor
+
+# offsets of exactly RADAR_RANGE_M from a sensor at whole-metre coordinates
+RANGE_EDGE_OFFSETS = [(80.0, 0.0), (0.0, 80.0), (-80.0, 0.0), (0.0, -80.0), (48.0, -64.0)]
+sensor_coordinate = st.one_of(st.integers(-500, 500).map(float), st.floats(-500, 500))
+sensor_heading = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2]), angle)
+sign = st.sampled_from([1.0, -1.0])
+
+
+@st.composite
+def target_position(draw, me):
+    """Anywhere near me, on me (range 0), at exactly RADAR_RANGE_M, or on a
+    diagonal: the edge of the field of view while me heads along an axis."""
+    kind = draw(st.sampled_from(["near", "on", "range_edge", "diagonal"]))
+    if kind == "near":
+        dx, dy = draw(st.floats(-120, 120)), draw(st.floats(-120, 120))
+    elif kind == "on":
+        dx = dy = 0.0
+    elif kind == "range_edge":
+        dx, dy = draw(st.sampled_from(RANGE_EDGE_OFFSETS))
+    else:
+        dist = draw(st.floats(0.0, 100.0))
+        dx, dy = dist * draw(sign), dist * draw(sign)
+    return me.x + dx, me.y + dy
+
+
+@st.composite
+def radar_pedestrian(draw, ident, me):
+    """A pedestrian walking, stopped, standing on its waypoint or past its
+    last one."""
+    x, y = draw(target_position(me))
+    waypoints = draw(st.lists(point, min_size=1, max_size=3))
+    index = draw(st.integers(0, len(waypoints) - 1))
+    kind = draw(st.sampled_from(["walking", "stopped", "on_waypoint", "past_last"]))
+    if kind == "on_waypoint":
+        waypoints[index] = (x, y)
+    elif kind == "past_last":
+        index = len(waypoints)
+    return supervisor.PedestrianState(
+        id=ident, x=x, y=y, target_speed=draw(st.floats(0.0, 5.0)), waypoints=waypoints,
+        waypoint_index=index, walking=kind != "stopped",
+    )
+
+
+@st.composite
+def radar_worlds(draw):
+    """A world and the vehicle in it that senses."""
+    me = vehicle(0, draw(sensor_coordinate), draw(sensor_coordinate), draw(sensor_heading))
+    me.speed = draw(st.floats(0.0, 40.0))
+    others = []
+    for ident in range(1, draw(st.integers(0, 3)) + 1):
+        x, y = draw(target_position(me))
+        other = vehicle(ident, x, y, draw(angle))
+        other.speed = draw(st.floats(0.0, 40.0))
+        others.append(other)
+    world = supervisor.WorldState()
+    world.vehicles = others
+    world.vehicles.insert(draw(st.integers(0, len(others))), me)
+    world.pedestrians = [
+        draw(radar_pedestrian(ident, me)) for ident in range(1, draw(st.integers(0, 3)) + 1)
+    ]
+    return world, me
+
+
+def detection_bits(detections) -> list[bytes]:
+    return [
+        struct.pack("<3d", d.relative_range, d.relative_bearing, d.relative_speed)
+        for d in detections
+    ]
+
+
+@settings(max_examples=500, deadline=None)
+@given(radar_worlds())
+def test_radar_matches_reference(world_and_me):
+    world, me = world_and_me
+    detections = controllers.radar_sense(world, me)
+    assert all(type(d) is controllers.RadarDetection for d in detections)
+    assert detection_bits(detections) == detection_bits(reference_radar_sense(world, me))
 
 
 # --------------------------------------------------------------------------

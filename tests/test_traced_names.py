@@ -14,6 +14,17 @@ from avtestbed import controllers, covering, falsify, presets, supervisor
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
+# spans of each kernel name in one 50 ms demo run
+RATES = {
+    "supervisor.step": 5,
+    "controllers.radar_sense": 5,
+    "controllers.control": 10,
+    "controllers.pedestrian_step": 5,
+    "supervisor.detect_collisions": 6,
+    "supervisor.sample_log_row": 6,
+}
+
+
 @pytest.fixture
 def tracing(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
@@ -40,8 +51,12 @@ def test_instrument_patches_every_traced_name_and_unpatches(tracing):
         "supervisor.detect_collisions", "controllers.radar_sense", "controllers.control",
         "controllers.pedestrian_step", "scenario.validate_environment",
     } <= set(names)
-    # the run samples every log row through the patched name: t = 0, 10, ..., 50 ms
-    assert names.count("supervisor.sample_log_row") == 6
+    # every traced name is called through its module attribute or class at
+    # its own rate, so none of its per-layer figures reads 0: five 10 ms
+    # steps, each with the radar of the one fusion vehicle, the control of
+    # both vehicles and the walk of the pedestrian; contacts and log rows at
+    # t = 0, 10, ..., 50 ms
+    assert {name: names.count(name) for name in RATES} == RATES
     assert traced.trajectory == supervisor.run_embedded(env, config).trajectory
 
 
