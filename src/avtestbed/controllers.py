@@ -31,6 +31,9 @@ SPEED_GAIN = 1.0
 
 _TWO_PI = 2.0 * math.pi
 
+# a radar detection is held as (sort key, RadarDetection) until it is returned
+_KEY, _DETECTION = itemgetter(0), itemgetter(1)
+
 
 @dataclass(slots=True)
 class RadarDetection:
@@ -282,7 +285,6 @@ def radar_sense(world, me) -> list[RadarDetection]:
     mx, my, mheading = me.x, me.y, me.heading
     mvx = me.speed * math.cos(mheading)
     mvy = me.speed * math.sin(mheading)
-    detections: list[tuple[tuple, RadarDetection]] = []
 
     targets = []
     for vhc in world.vehicles:
@@ -294,16 +296,17 @@ def radar_sense(world, me) -> list[RadarDetection]:
     for ped in world.pedestrians:
         # the pedestrian walks at its target speed toward its current
         # waypoint, heading 0 while it stands on it, and is still once stopped
+        px, py = ped.x, ped.y
+        tvx = tvy = 0.0
         index, waypoints = ped.waypoint_index, ped.waypoints
         if ped.walking and index < len(waypoints):
-            px, py = ped.x, ped.y
             wx, wy = waypoints[index]
             heading = math.atan2(wy - py, wx - px) if wx != px or wy != py else 0.0
             speed = ped.target_speed
-            targets.append((1, ped.id, px, py, speed * math.cos(heading), speed * math.sin(heading)))
-        else:
-            targets.append((1, ped.id, ped.x, ped.y, 0.0, 0.0))
+            tvx, tvy = speed * math.cos(heading), speed * math.sin(heading)
+        targets.append((1, ped.id, px, py, tvx, tvy))
 
+    detections: list[tuple[tuple, RadarDetection]] = []
     for kind_rank, ident, tx, ty, tvx, tvy in targets:
         dx, dy = tx - mx, ty - my
         rng = math.hypot(dx, dy)
@@ -321,8 +324,8 @@ def radar_sense(world, me) -> list[RadarDetection]:
         detections.append(((rng, kind_rank, ident), RadarDetection(rng, bearing, closing)))
 
     if len(detections) > 1:
-        detections.sort(key=itemgetter(0))
-    return [det for _, det in detections]
+        detections.sort(key=_KEY)
+    return list(map(_DETECTION, detections))
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations, product
 from typing import Callable, Optional
 
 import numpy as np
@@ -271,33 +272,23 @@ def detect_collisions(world: WorldState) -> list[Contact]:
     touch and skip the exact tests.
     """
     contacts: list[Contact] = []
-    vehicles = world.vehicles
-    pedestrians = world.pedestrians
     time_ms = world.sim_time_ms
-    for i, a in enumerate(vehicles):
-        ax, ay = a.x, a.y
-        for b in vehicles[i + 1:]:
-            dx, dy = b.x - ax, b.y - ay
-            if dx * dx + dy * dy > _VEHICLE_PAIR_REACH_SQ:
-                continue
-            pen = geometry.rect_rect_penetration(a.footprint(), b.footprint())
-            if pen is not None and pen > 0.0:
-                contacts.append(
-                    Contact(ContactKind.VEHICLE_VEHICLE, (a.id, b.id), time_ms, pen)
-                )
-    for vhc in vehicles:
-        vx, vy = vhc.x, vhc.y
-        for ped in pedestrians:
-            dx, dy = ped.x - vx, ped.y - vy
-            if dx * dx + dy * dy > _PEDESTRIAN_PAIR_REACH_SQ:
-                continue
-            pen = geometry.rect_disc_penetration(
-                vhc.footprint(), ped.x, ped.y, PEDESTRIAN_RADIUS_M
+    for a, b in combinations(world.vehicles, 2):
+        dx, dy = b.x - a.x, b.y - a.y
+        if dx * dx + dy * dy > _VEHICLE_PAIR_REACH_SQ:
+            continue
+        pen = geometry.rect_rect_penetration(a.footprint(), b.footprint())
+        if pen is not None and pen > 0.0:
+            contacts.append(Contact(ContactKind.VEHICLE_VEHICLE, (a.id, b.id), time_ms, pen))
+    for vhc, ped in product(world.vehicles, world.pedestrians):
+        dx, dy = ped.x - vhc.x, ped.y - vhc.y
+        if dx * dx + dy * dy > _PEDESTRIAN_PAIR_REACH_SQ:
+            continue
+        pen = geometry.rect_disc_penetration(vhc.footprint(), ped.x, ped.y, PEDESTRIAN_RADIUS_M)
+        if pen is not None and pen > 0.0:
+            contacts.append(
+                Contact(ContactKind.VEHICLE_PEDESTRIAN, (vhc.id, ped.id), time_ms, pen)
             )
-            if pen is not None and pen > 0.0:
-                contacts.append(
-                    Contact(ContactKind.VEHICLE_PEDESTRIAN, (vhc.id, ped.id), time_ms, pen)
-                )
     return contacts
 
 
@@ -386,14 +377,11 @@ def _track_contacts(world: WorldState, seen_pairs: set) -> None:
         if key not in seen_pairs:
             seen_pairs.add(key)
             world.contacts.append(contact)
-    vehicles = world.vehicles
     min_gap = world.min_vehicle_gap
-    for i, a in enumerate(vehicles):
-        ax, ay = a.x, a.y
-        for b in vehicles[i + 1:]:
-            gap = math.hypot(ax - b.x, ay - b.y)
-            if gap < min_gap:
-                min_gap = gap
+    for a, b in combinations(world.vehicles, 2):
+        gap = math.hypot(a.x - b.x, a.y - b.y)
+        if gap < min_gap:
+            min_gap = gap
     world.min_vehicle_gap = min_gap
 
 
