@@ -294,8 +294,8 @@ def radar_sense(world, me) -> list[RadarDetection]:
                 (0, vhc.id, vhc.x, vhc.y, speed * math.cos(heading), speed * math.sin(heading))
             )
     for ped in world.pedestrians:
-        # the pedestrian walks at its target speed toward its current
-        # waypoint, heading 0 while it stands on it, and is still once stopped
+        # the velocity of PedestrianState.speed() and .heading(): target speed
+        # toward the current waypoint (heading 0 on it), 0 once stopped
         px, py = ped.x, ped.y
         tvx = tvy = 0.0
         index, waypoints = ped.waypoint_index, ped.waypoints
