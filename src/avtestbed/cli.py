@@ -2,8 +2,12 @@
 
 Commands: serve, run-scenario, run-ca, gen-ca, falsify, plot.  Exit codes:
 0 on success, 2 for usage or validation problems, 3 for protocol or session
-failures.  Simulation outputs are deterministic functions of the input files;
-gen-ca and falsify outputs also of their --seed.
+failures.  Each input file is read by one library loader through _load, so a
+file that cannot be read or parsed exits 2 with one line, ``error: cannot
+load <what> <path>: <detail>``; an output path that cannot be written exits 2
+with ``error: cannot write <path>: <reason>``.  Simulation outputs are
+deterministic functions of the input files; gen-ca and falsify outputs also
+of their --seed.
 """
 
 from __future__ import annotations
@@ -38,18 +42,18 @@ class CommandError(Exception):
 
 def _parse_endpoint(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise CommandError(f"bad endpoint {text!r}; expected host:port")
+    if not host or not port.isdecimal() or not 1 <= int(port) <= 65535:
+        raise CommandError(f"bad endpoint {text!r}; expected host:port with a port in 1-65535")
     return host, int(port)
 
 
-def _load_scenario_file(path: str):
-    if not os.path.exists(path):
-        raise CommandError(f"scenario file not found: {path}")
+def _load(what: str, load, path: str, *args):
+    """load(path, *args); a file that cannot be read or parsed is a usage error."""
     try:
-        return scenario.load_scenario(path)
-    except scenario.ScenarioFormatError as exc:
-        raise CommandError(f"invalid scenario: {exc}")
+        return load(path, *args)
+    except (OSError, ValueError) as exc:
+        detail = exc.strerror if getattr(exc, "filename", None) == path else exc
+        raise CommandError(f"cannot load {what} {path}: {detail}") from None
 
 
 # --------------------------------------------------------------------------
@@ -57,6 +61,8 @@ def _load_scenario_file(path: str):
 
 
 def cmd_serve(args: argparse.Namespace) -> CommandOutcome:
+    if not 0 <= args.port <= 65535:
+        raise CommandError(f"--port must be in 0-65535, got {args.port}")
     try:
         server = supervisor.SupervisorServer(host=args.host, port=args.port)
     except OSError as exc:
@@ -75,7 +81,7 @@ def cmd_serve(args: argparse.Namespace) -> CommandOutcome:
 
 
 def cmd_run_scenario(args: argparse.Namespace) -> CommandOutcome:
-    env, config = _load_scenario_file(args.scenario)
+    env, config = _load("scenario", scenario.load_scenario, args.scenario)
     violations = scenario.validate_environment(env)
     if violations:
         for v in violations:
@@ -116,21 +122,9 @@ def cmd_run_scenario(args: argparse.Namespace) -> CommandOutcome:
 def cmd_run_ca(args: argparse.Namespace) -> CommandOutcome:
     if args.header_lines < 0:
         raise CommandError(f"--header-lines must be >= 0, got {args.header_lines}")
-    if not os.path.exists(args.bindings):
-        raise CommandError(f"bindings file not found: {args.bindings}")
-    try:
-        with open(args.bindings, "r", encoding="utf-8") as fh:
-            binding = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise CommandError(f"cannot load bindings file: {exc}")
-    if not isinstance(binding, dict):
-        raise CommandError("bindings file must map parameter names to scenario paths")
-
-    env, config = _load_scenario_file(args.scenario)
-    try:
-        table = covering.load_experiment_data(args.csv, header_line_count=args.header_lines)
-    except (OSError, covering.CsvFormatError) as exc:
-        raise CommandError(f"cannot load test CSV: {exc}")
+    binding = _load("bindings file", scenario.load_json, args.bindings, dict[str, str])
+    env, config = _load("scenario", scenario.load_scenario, args.scenario)
+    table = _load("test CSV", covering.load_experiment_data, args.csv, args.header_lines)
 
     try:
         result = covering.run_test_suite(table, env, config, binding, supervisor.run_embedded)
@@ -175,10 +169,7 @@ def cmd_run_ca(args: argparse.Namespace) -> CommandOutcome:
 def cmd_gen_ca(args: argparse.Namespace) -> CommandOutcome:
     if args.strength < 1:
         raise CommandError(f"strength must be >= 1, got {args.strength}")
-    try:
-        params = covering.load_param_specs(args.params)
-    except (OSError, ValueError) as exc:
-        raise CommandError(f"cannot load parameter file: {exc}")
+    params = _load("parameter file", covering.load_param_specs, args.params)
     if args.strength > len(params):
         raise CommandError(
             f"strength {args.strength} exceeds the {len(params)} declared parameters"
@@ -197,12 +188,7 @@ def cmd_gen_ca(args: argparse.Namespace) -> CommandOutcome:
 
 
 def cmd_falsify(args: argparse.Namespace) -> CommandOutcome:
-    if not os.path.exists(args.study):
-        raise CommandError(f"study file not found: {args.study}")
-    try:
-        study = fz.load_study(args.study)
-    except (ValueError, OSError, scenario.ScenarioFormatError) as exc:
-        raise CommandError(f"invalid study: {exc}")
+    study = _load("study", fz.load_study, args.study)
     if args.seed is not None:
         # set after the config is built, so its own check does not see it
         if args.seed < 0:
@@ -287,15 +273,7 @@ def render_svg(trajectory, pairs: list[tuple[str, str]]) -> str:
 
 
 def cmd_plot(args: argparse.Namespace) -> CommandOutcome:
-    if not os.path.exists(args.trace):
-        raise CommandError(f"trace file not found: {args.trace}")
-    with open(args.trace, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        trajectory = supervisor.trajectory_from_csv(text)
-    except ValueError as exc:
-        raise CommandError(f"cannot parse trace CSV: {exc}")
-
+    trajectory = _load("trace", supervisor.load_trajectory_csv, args.trace)
     pairs = []
     for spec in args.columns:
         x_name, sep, y_name = spec.partition(":")
@@ -377,6 +355,9 @@ def run_command(argv: list[str] | None = None) -> CommandOutcome:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandOutcome(exit_code=exc.exit_code)
+    except OSError as exc:  # every read goes through _load, so this is an output path
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return CommandOutcome(exit_code=EXIT_USAGE)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -99,6 +98,9 @@ def load_experiment_data(file_name: str, header_line_count: int = 6) -> TestTabl
         raise CsvFormatError(f"line {len(lines)}: no column-name row after the header")
 
     name_row = [cell.strip() for cell in lines[header_line_count].split(",")]
+    for i, name in enumerate(name_row):
+        if name in name_row[:i]:
+            raise CsvFormatError(f"line {header_line_count + 1}: column {name!r} repeats")
     data_rows: list[list[str]] = []
     for offset, line in enumerate(lines[header_line_count + 1:]):
         line_no = header_line_count + 2 + offset
@@ -336,19 +338,11 @@ def run_test_suite(
 
 
 def load_param_specs(file_name: str) -> list[ParamSpec]:
-    """Read a parameter system: {"parameters": [{"name", "values"}, ...]}."""
-    with open(file_name, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or not isinstance(data.get("parameters"), list):
-        raise ValueError("parameter file must contain a 'parameters' array")
-    specs = []
-    for i, entry in enumerate(data["parameters"]):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ValueError(f"parameters[{i}] must have 'name' and a 'values' array")
-        if not isinstance(entry.get("values"), list):
-            raise ValueError(f"parameters[{i}] must have 'name' and a 'values' array")
-        spec = ParamSpec(str(entry["name"]), [str(v) for v in entry["values"]])
-        if any(spec.name == other.name for other in specs):
-            raise ValueError(f"duplicate parameter name {spec.name!r}")
-        specs.append(spec)
+    """Read a parameter system: {"parameters": [{"name", "values"}, ...]},
+    every name and value a string."""
+    specs = scenario.load_json(file_name, {"parameters": list[ParamSpec]})["parameters"]
+    names = [spec.name for spec in specs]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"duplicate parameter name {name!r}")
     return specs

@@ -257,8 +257,6 @@ def save_results(results, path: str) -> None:
 
 def load_results(path: str):
     """Load results saved by save_results; a single run comes back unwrapped."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -287,35 +285,32 @@ class Study:
     config: FalsifyConfig
 
 
+# a study file: scenario and requirement file paths, relative to the study's
+# directory unless absolute, then the search box and the search configuration
+_STUDY_KINDS = {
+    "scenario": str, "requirement": str, "space": list[SearchDim], "config": FalsifyConfig
+}
+
+
 def load_study(path: str) -> Study:
     """Load a study file; its scenario is parsed like any scenario document.
 
     A study that is not well formed raises ValueError.
     """
+    data = scenario.load_json(path, _STUDY_KINDS, "study")
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("top level must be an object")
-    for key in ("scenario", "requirement", "space", "config"):
-        if key not in data:
-            raise ValueError(f"study file is missing {key!r}")
-    for key in ("scenario", "requirement"):
-        if not isinstance(data[key], str):
-            raise ValueError(f"{key!r} must be a file path")
 
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     env, sim_config = scenario.load_scenario(resolve(data["scenario"]))
     requirement = rb.load_requirement(resolve(data["requirement"]))
-    dims = scenario.value_from_json(data["space"], list[SearchDim], "space")
     return Study(
         env=env,
         sim_config=sim_config,
         requirement=requirement,
-        space=SearchSpace(dims),
-        config=scenario.value_from_json(data["config"], FalsifyConfig, "config"),
+        space=SearchSpace(data["space"]),
+        config=data["config"],
     )
 
 

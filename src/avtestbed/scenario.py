@@ -323,6 +323,9 @@ def _validate_vehicle(
 
 def validate_config(config: SimulationConfig) -> list[Violation]:
     report: list[Violation] = []
+    if not 1 <= config.server_port <= 65535:
+        message = f"must be in 1-65535, got {config.server_port}"
+        report.append(Violation("config.server_port", message))
     if config.sim_step_size < 1:
         report.append(Violation("config.sim_step_size", "must be a positive integer"))
     if config.sim_duration_ms < 0:
@@ -371,8 +374,9 @@ def parse_column_name(name: str) -> LogItemDescription:
 # --------------------------------------------------------------------------
 # JSON documents
 #
-# One converter reads and writes every JSON file: scenario documents here, and
-# the study, requirement and results files of the falsifier.  A value's kind
+# One converter reads and writes every JSON file: scenario documents here, the
+# parameter and bindings files of the covering-array harness, and the study,
+# requirement and results files of the falsifier.  A value's kind
 # is str, int, float, bool, Vec3 (three numbers), an enum (by member name), a
 # dataclass (an object of its fields, in field order; a field with no default
 # is required), a record {key: kind} (an object of exactly those keys),
@@ -591,6 +595,13 @@ def parse_scenario(text: str) -> tuple[SimEnvironment, SimulationConfig]:
     env = environment_from_json(data.get("environment", {}), "environment")
     config = config_from_json(data.get("config", {}), "config")
     return env, config
+
+
+def load_json(path: str, kind: Any, name: str = "document") -> Any:
+    """The value of the given kind that the UTF-8 JSON file at path holds;
+    errors name its top level by name."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return value_from_json(json.load(fh), kind, name)
 
 
 def load_scenario(path: str) -> tuple[SimEnvironment, SimulationConfig]:

@@ -503,9 +503,23 @@ def trajectory_from_csv(text: str) -> Trajectory:
             continue
         if len(row) != len(labels):
             raise ValueError(f"line {line_no}: expected {len(labels)} cells, got {len(row)}")
-        rows.append([float(cell) for cell in row])
+        values = []
+        for name, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"line {line_no}, column {name}: {cell!r} is not a finite number")
+            values.append(value)
+        rows.append(values)
     matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(labels))
     return Trajectory(column_labels=labels, rows=matrix)
+
+
+def load_trajectory_csv(path: str) -> Trajectory:
+    with open(path, "r", encoding="utf-8") as fh:
+        return trajectory_from_csv(fh.read())
 
 
 # --------------------------------------------------------------------------

@@ -314,6 +314,8 @@ def client_session(
 def _connect_with_retry(
     endpoint: tuple[str, int], max_connection_retry: int, backoff_s: float
 ) -> socket.socket:
+    if not 1 <= endpoint[1] <= 65535:  # the resolver would wrap it onto another port
+        raise ConnectError(f"could not connect to {endpoint[0]}:{endpoint[1]}: port out of range")
     last_error: Optional[Exception] = None
     for attempt in range(max_connection_retry):
         try:

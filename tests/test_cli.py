@@ -73,6 +73,30 @@ class TestRunScenario:
     def test_missing_file_exits_2(self):
         assert main(["run-scenario", "/nonexistent.json", "--embedded"]) == 2
 
+    @pytest.mark.parametrize("port", ["0", "65536", "75536"])
+    def test_endpoint_port_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch, port):
+        def no_session(*args, **kwargs):
+            raise AssertionError("opened a session to an out-of-range port")
+
+        monkeypatch.setattr(wire, "client_session", no_session)
+        scenario_path = write_demo_scenario(tmp_path / "scn.json")
+        assert main(["run-scenario", scenario_path, "--endpoint", f"127.0.0.1:{port}"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad endpoint '127.0.0.1:{port}'; expected host:port with a port in 1-65535\n"
+        )
+
+    def test_config_port_out_of_range_exits_2(self, tmp_path, capsys):
+        scenario_path = write_demo_scenario(tmp_path / "scn.json")
+        with open(scenario_path) as fh:
+            text = fh.read().replace('"server_port": 10021', '"server_port": 75536')
+        with open(scenario_path, "w") as fh:
+            fh.write(text)
+        assert main(["run-scenario", scenario_path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load scenario {scenario_path}: "
+            "config.server_port: must be in 1-65535, got 75536\n"
+        )
+
     def test_socket_and_embedded_traces_are_identical(self, tmp_path):
         scenario_path = write_demo_scenario(tmp_path / "scn.json", duration_ms=1000)
         embedded_csv = tmp_path / "embedded.csv"
@@ -157,6 +181,11 @@ class TestServe:
             blocker.close()
 
 
+    @pytest.mark.parametrize("port", ["-1", "65536", "99999"])
+    def test_port_out_of_range_exits_2(self, capsys, port):
+        assert main(["serve", "--port", port]) == 2
+        assert capsys.readouterr().err == f"error: --port must be in 0-65535, got {port}\n"
+
     def test_sigint_stops_serve_with_exit_0(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(supervisor.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
@@ -208,7 +237,7 @@ class TestGenCa:
             ([("a", ["1", "2"]), ("b", ["*", "2"])], "'b'"),
             ([("a", ["1", "2"]), ("b", ["1", " 2"])], "'b'"),
             ([("a", ["1", "2"]), ("b\nc", ["1", "2"])], "'b\\nc'"),
-            ([("a", [1, 1.0, 2]), ("b", [5, 6])], "'a'"),
+            ([("a", ["1", "1.0", "2"]), ("b", ["5", "6"])], "'a'"),
         ],
         ids=[
             "duplicate-name",
@@ -229,6 +258,38 @@ class TestGenCa:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:") and named in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"parameters": [{"name": "a", "values": ["1", None, True]}]},
+             "document.parameters[0].values[1]: expected string, got null"),
+            ({"parameters": [{"name": 5, "values": ["x", "y"]}]},
+             "document.parameters[0].name: expected string, got number"),
+            ({"parameters": [{"name": "a", "values": ["1", "2"]}], "extra": 1},
+             "document.extra: unknown field"),
+            ({"parameters": [{"name": "a", "values": ["1"], "weight": 2}]},
+             "document.parameters[0].weight: unknown field"),
+            ({"parameters": [{"name": "a", "values": [1, None, True]},
+                             {"name": 5, "values": ["x", "y"]}], "extra": 1},
+             "document.extra: unknown field"),
+        ],
+        ids=["null-value", "numeric-name", "unknown-top-level-key", "unknown-entry-key",
+             "all-at-once"],
+    )
+    def test_parameter_file_of_non_strings_or_unknown_keys_exits_2(
+        self, tmp_path, capsys, document, message
+    ):
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps(document))
+        out = tmp_path / "ca.csv"
+        code = main(["gen-ca", str(params_file), "--strength", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load parameter file {params_file}: {message}\n"
+        )
         assert not out.exists()
 
 
@@ -308,7 +369,45 @@ class TestRunCa:
         out_dir = tmp_path / "out"
         assert main(["run-ca", csv_path, scenario_path, bindings, "--out-dir", str(out_dir)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: cannot load bindings file: ")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: cannot load bindings file {bindings}: ")
+        assert not out_dir.exists()
+
+    def test_repeated_column_exits_2_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a table with a repeated column")
+
+        monkeypatch.setattr(supervisor, "run_embedded", no_simulation)
+        _, scenario_path, bindings = self.make_inputs(tmp_path, [])
+        csv_path = tmp_path / "repeated.csv"
+        csv_path.write_text("#\n" * 6 + "ego_init_speed,ego_init_speed\n0,15\n")
+        out_dir = tmp_path / "out"
+        assert main(["run-ca", str(csv_path), scenario_path, bindings,
+                     "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load test CSV {csv_path}: line 7: column 'ego_init_speed' repeats\n"
+        )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"ego_init_speed": 5}, "document.ego_init_speed: expected string, got number"),
+            (["ego_init_speed"], "document: expected an object, got array"),
+        ],
+        ids=["number-path", "array"],
+    )
+    def test_bindings_that_are_not_a_map_of_strings_exit_2(
+        self, tmp_path, capsys, document, message
+    ):
+        csv_path, scenario_path, bindings = self.make_inputs(tmp_path, ["0,20,2"])
+        with open(bindings, "w") as fh:
+            json.dump(document, fh)
+        out_dir = tmp_path / "out"
+        assert main(["run-ca", csv_path, scenario_path, bindings, "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load bindings file {bindings}: {message}\n"
+        )
         assert not out_dir.exists()
 
     def test_negative_header_lines_exits_2(self, tmp_path, capsys):
@@ -527,23 +626,23 @@ class TestFalsifyCommand:
             json.dump(study, fh)
         out = tmp_path / "results.json"
         assert main(["falsify", study_path, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: invalid study: {message}\n"
+        assert capsys.readouterr().err == f"error: cannot load study {study_path}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda study: study.update(config={"n_test": 3}),
-             "config.n_test: unknown field"),
+             "study.config.n_test: unknown field"),
             (lambda study: study.update(space=[1]),
-             "space[0]: expected an object, got number"),
+             "study.space[0]: expected an object, got number"),
             (lambda study: study["config"].update(n_tests="3"),
-             "config.n_tests: expected integer, got string"),
+             "study.config.n_tests: expected integer, got string"),
             (lambda study: study["space"][0].update(name=["a"]),
-             "space[0].name: expected string, got array"),
-            (lambda study: study["space"][1].pop("lo"), "space[1].lo: missing field"),
+             "study.space[0].name: expected string, got array"),
+            (lambda study: study["space"][1].pop("lo"), "study.space[1].lo: missing field"),
             (lambda study: study["config"].update(falsification_mode=1),
-             "config.falsification_mode: expected boolean, got number"),
+             "study.config.falsification_mode: expected boolean, got number"),
         ],
         ids=["misspelt_config_key", "space_entry_not_an_object", "string_n_tests", "list_name",
              "missing_lo", "numeric_flag"],
@@ -556,7 +655,7 @@ class TestFalsifyCommand:
             json.dump(study, fh)
         out = tmp_path / "results.json"
         assert main(["falsify", study_path, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: invalid study: {message}\n"
+        assert capsys.readouterr().err == f"error: cannot load study {study_path}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -576,7 +675,9 @@ class TestFalsifyCommand:
             fh.write(json.dumps(study).replace('"LITERAL"', literal))
         out = tmp_path / "results.json"
         assert main(["falsify", study_path, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: invalid study: config: {message}\n"
+        assert capsys.readouterr().err == (
+            f"error: cannot load study {study_path}: study.config: {message}\n"
+        )
         assert not out.exists()
 
     def test_negative_study_seed_exits_2(self, tmp_path, fixtures_dir, capsys):
@@ -588,7 +689,7 @@ class TestFalsifyCommand:
         out = tmp_path / "results.json"
         assert main(["falsify", study_path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: invalid study: config: seed must be >= 0, got -1\n"
+            f"error: cannot load study {study_path}: study.config: seed must be >= 0, got -1\n"
         )
         assert not out.exists()
 
@@ -608,7 +709,7 @@ class TestFalsifyCommand:
         out = tmp_path / "results.json"
         assert main(["falsify", study_path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: invalid study: search dimension name 'ego_init_speed' "
+            f"error: cannot load study {study_path}: search dimension name 'ego_init_speed' "
             "repeats at space[0], space[2]\n"
         )
         assert not out.exists()
@@ -617,7 +718,22 @@ class TestFalsifyCommand:
         study_path = tmp_path / "study.json"
         study_path.write_text("[1, 2]")
         assert main(["falsify", str(study_path), "--out", str(tmp_path / "r.json")]) == 2
-        assert capsys.readouterr().err == "error: invalid study: top level must be an object\n"
+        assert capsys.readouterr().err == (
+            f"error: cannot load study {study_path}: study: expected an object, got array\n"
+        )
+
+    def test_unknown_top_level_key_exits_2(self, tmp_path, fixtures_dir, capsys):
+        study_path = self.make_study(tmp_path, fixtures_dir)
+        study = json.loads(open(study_path).read())
+        study["budget"] = 10
+        with open(study_path, "w") as fh:
+            json.dump(study, fh)
+        out = tmp_path / "results.json"
+        assert main(["falsify", study_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load study {study_path}: study.budget: unknown field\n"
+        )
+        assert not out.exists()
 
     def test_every_simulation_failing_exits_2(self, tmp_path, fixtures_dir, capsys):
         study_path = self.make_study(tmp_path, fixtures_dir)
@@ -680,8 +796,107 @@ class TestPlot:
                      "--columns", "time_ms:vehicle0_position_x"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,nan\n10,inf\n", "line 2, column vehicle0_position_x: 'nan' is not a finite number"),
+            ("0,1\n10,-inf\n", "line 3, column vehicle0_position_x: '-inf' is not a finite number"),
+            ("0,1\nx,2\n", "line 3, column time_ms: 'x' is not a finite number"),
+        ],
+        ids=["nan", "minus-inf", "text"],
+    )
+    def test_non_finite_trace_cell_exits_2(self, tmp_path, capsys, body, message):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("time_ms,vehicle0_position_x\n" + body)
+        out = tmp_path / "x.svg"
+        code = main(["plot", str(trace), "--out", str(out),
+                     "--columns", "time_ms:vehicle0_position_x"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot load trace {trace}: {message}\n"
+        assert not out.exists()
+
     def test_unknown_column_exits_2(self, tmp_path):
         trace_path, _ = self.make_trace(tmp_path)
         code = main(["plot", trace_path, "--out", str(tmp_path / "x.svg"),
                      "--columns", "bogus:vehicle0_position_y"])
         assert code == 2
+
+
+# every file argument and output option of every command; BROKEN marks the
+# path under test, OUT an output path and TRACE a readable trace CSV, both in
+# the test's directory
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+SCENARIO, CA_CSV, BINDINGS, PARAMS, STUDY = (
+    os.path.join(FIXTURES, name)
+    for name in ("demo_scenario.json", "ca_2way.csv", "demo_bindings.json",
+                 "demo_params.json", "demo_study.json")
+)
+BROKEN, OUT, TRACE = "<broken>", "<out>", "<trace>"
+PLOT_COLUMNS = ["--columns", "time_ms:vehicle0_position_x"]
+
+INPUT_ARGUMENTS = {
+    "run-scenario": ["run-scenario", BROKEN, "--embedded"],
+    "run-ca csv": ["run-ca", BROKEN, SCENARIO, BINDINGS, "--out-dir", OUT],
+    "run-ca scenario": ["run-ca", CA_CSV, BROKEN, BINDINGS, "--out-dir", OUT],
+    "run-ca bindings": ["run-ca", CA_CSV, SCENARIO, BROKEN, "--out-dir", OUT],
+    "gen-ca": ["gen-ca", BROKEN, "-t", "2", "--out", OUT],
+    "falsify": ["falsify", BROKEN, "--out", OUT],
+    "plot": ["plot", BROKEN, "--out", OUT, *PLOT_COLUMNS],
+}
+
+OUTPUT_OPTIONS = {
+    "run-scenario --trace-out": ["run-scenario", SCENARIO, "--embedded", "--trace-out", BROKEN],
+    "gen-ca --out": ["gen-ca", PARAMS, "-t", "2", "--out", BROKEN],
+    "falsify --out": ["falsify", STUDY, "--out", BROKEN],
+    "plot --out": ["plot", TRACE, "--out", BROKEN, *PLOT_COLUMNS],
+    "run-ca --out-dir": ["run-ca", CA_CSV, SCENARIO, BINDINGS, "--out-dir", BROKEN],
+}
+
+
+def make_broken_path(tmp_path, kind: str) -> str:
+    """A path that is missing, a directory, a non-UTF-8 file or a regular file."""
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-utf8":
+        path.write_bytes(b'{"caf\xe9": 1}\n')
+    elif kind == "regular-file":
+        path.write_text("{}\n")
+    return str(path)
+
+
+def run_broken(tmp_path, capsys, argv: list[str], broken: str) -> tuple[int, str]:
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time_ms,vehicle0_position_x\n0,1.5\n10,2.5\n")
+    paths = {BROKEN: broken, OUT: str(tmp_path / "out"), TRACE: str(trace)}
+    code = main([paths.get(arg, arg) for arg in argv])
+    return code, capsys.readouterr().err
+
+
+class TestBrokenPaths:
+    @pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+    @pytest.mark.parametrize("argument", INPUT_ARGUMENTS)
+    def test_unreadable_input_exits_2_with_one_line(self, tmp_path, capsys, argument, kind):
+        broken = make_broken_path(tmp_path, kind)
+        code, err = run_broken(tmp_path, capsys, INPUT_ARGUMENTS[argument], broken)
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: cannot load "), err
+        assert f" {broken}: " in err
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("option", OUTPUT_OPTIONS)
+    def test_unwritable_output_exits_2_with_one_line(self, tmp_path, capsys, option):
+        kind = "regular-file" if option == "run-ca --out-dir" else "directory"
+        broken = make_broken_path(tmp_path, kind)
+        code, err = run_broken(tmp_path, capsys, OUTPUT_OPTIONS[option], broken)
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot write {broken}: "), err
+
+    def test_module_entry_point_exits_2_without_a_traceback(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(supervisor.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [sys.executable, "-m", "avtestbed.cli", "run-scenario", str(tmp_path), "--embedded"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: cannot load scenario {tmp_path}: Is a directory\n"

@@ -52,6 +52,13 @@ class TestLoad:
         with pytest.raises(CsvFormatError, match="line 4"):
             load_experiment_data(str(bad), header_line_count=1)
 
+    def test_repeated_column_name_reports_line_number(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# one\nego_init_speed,b,ego_init_speed\n0,1,15\n")
+        with pytest.raises(CsvFormatError) as err:
+            load_experiment_data(str(bad), header_line_count=1)
+        assert str(err.value) == "line 2: column 'ego_init_speed' repeats"
+
     def test_write_load_round_trip(self, tmp_path):
         table = TestTable(["p", "q"], [["1", "*"], ["2", "x"]])
         path = tmp_path / "t.csv"
@@ -258,7 +265,7 @@ class TestParamSpec:
     def test_values_must_be_an_array(self, tmp_path):
         path = tmp_path / "params.json"
         path.write_text('{"parameters": [{"name": "a", "values": "abc"}]}')
-        with pytest.raises(ValueError, match=r"parameters\[0\].*'values' array"):
+        with pytest.raises(ValueError, match=r"parameters\[0\]\.values: expected an array"):
             load_param_specs(str(path))
 
 

@@ -61,7 +61,8 @@ def replaced(doc, path, new):
 
 
 def run_falsify(name: str, path: tuple, new) -> tuple[int, str]:
-    """Exit code and stderr of falsify with one value of one file replaced."""
+    """Exit code and stderr of falsify with one value of one file replaced;
+    the temporary directory reads as <tmp> in stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         for file_name, doc in base_files().items():
             if file_name == name:
@@ -73,7 +74,7 @@ def run_falsify(name: str, path: tuple, new) -> tuple[int, str]:
             code = main(
                 ["falsify", os.path.join(tmp, "study.json"), "--out", os.path.join(tmp, "r.json")]
             )
-    return code, err.getvalue()
+    return code, err.getvalue().replace(tmp, "<tmp>")
 
 
 @pytest.mark.parametrize("new", REPLACEMENTS, ids=repr)
@@ -97,4 +98,6 @@ def test_a_replaced_value_exits_0_or_with_one_error_line(location, new):
     ],
 )
 def test_mistyped_requirement_field_is_named(path, new, message):
-    assert run_falsify("requirement.json", path, new) == (2, f"error: invalid study: {message}\n")
+    assert run_falsify("requirement.json", path, new) == (
+        2, f"error: cannot load study <tmp>/study.json: {message}\n"
+    )

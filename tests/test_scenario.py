@@ -424,6 +424,14 @@ class TestDocuments:
         with pytest.raises(ScenarioFormatError, match="not a multiple"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("port", [0, -1, 65536, 75536])
+    def test_server_port_out_of_range_rejected(self, port):
+        env, config = presets.demo_scenario()
+        config.server_port = port
+        with pytest.raises(ScenarioFormatError) as err:
+            parse_scenario(serialize_scenario(env, config))
+        assert str(err.value) == f"config.server_port: must be in 1-65535, got {port}"
+
     def test_unknown_field_rejected(self):
         doc = json.loads(serialize_scenario(SimEnvironment(), SimulationConfig()))
         doc["environment"]["no_such_field"] = 1

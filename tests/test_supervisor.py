@@ -437,3 +437,15 @@ class TestTraceCsv:
         header = trajectory_to_csv(trajectory).splitlines()[0]
         assert header.startswith("time_ms,vehicle0_position_x,vehicle0_position_y")
         assert header.endswith("pedestrian0_position_x,pedestrian0_position_y")
+
+    @pytest.mark.parametrize(
+        "cell, where",
+        [("nan", "line 3, column vehicle0_speed"), ("inf", "line 3, column vehicle0_speed"),
+         ("1e400", "line 3, column vehicle0_speed"), ("", "line 3, column vehicle0_speed"),
+         ("fast", "line 3, column vehicle0_speed")],
+    )
+    def test_non_finite_or_non_numeric_cell_is_named(self, cell, where):
+        text = f"time_ms,vehicle0_speed\n0,1.5\n10,{cell}\n"
+        with pytest.raises(ValueError) as err:
+            trajectory_from_csv(text)
+        assert str(err.value) == f"{where}: {cell!r} is not a finite number"

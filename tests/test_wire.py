@@ -106,6 +106,12 @@ class TestClientSession:
             wire.socket.create_connection = original
         assert attempts["count"] == 3
 
+    def test_port_out_of_range_is_not_wrapped_onto_a_listening_port(self, server):
+        env, config = presets.demo_scenario(sim_duration_ms=100)
+        endpoint = ("127.0.0.1", server.port + 65536)
+        with pytest.raises(wire.ConnectError, match="port out of range"):
+            wire.client_session(endpoint, env, config, max_connection_retry=1)
+
     def test_session_returns_demo_trajectory(self, server):
         env, config = presets.demo_scenario()
         config.sim_duration_ms = 1000
