@@ -5,9 +5,10 @@ Commands: serve, run-scenario, run-ca, gen-ca, falsify, plot.  Exit codes:
 failures.  Each input file is read by one library loader through _load, so a
 file that cannot be read or parsed exits 2 with one line, ``error: cannot
 load <what> <path>: <detail>``; an output path that cannot be written exits 2
-with ``error: cannot write <path>: <reason>``.  Simulation outputs are
-deterministic functions of the input files; gen-ca and falsify outputs also
-of their --seed.
+with ``error: cannot write <path>: <reason>``, before the command's work when
+the path is a directory where a file goes, or the other way round.
+Simulation outputs are deterministic functions of the input files; gen-ca and
+falsify outputs also of their --seed.
 """
 
 from __future__ import annotations
@@ -56,6 +57,22 @@ def _load(what: str, load, path: str, *args):
         raise CommandError(f"cannot load {what} {path}: {detail}") from None
 
 
+def _check_output(path: str, directory: bool = False) -> None:
+    """Fail before any work when path cannot take a command's output: a file
+    that is a directory or has no directory to go in, or a directory (made
+    with its missing parents) whose nearest existing part is not one."""
+    if directory:
+        existing = os.path.abspath(path)
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise CommandError(f"cannot write {path}: Not a directory")
+    elif os.path.isdir(path):
+        raise CommandError(f"cannot write {path}: Is a directory")
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        raise CommandError(f"cannot write {path}: No such file or directory")
+
+
 # --------------------------------------------------------------------------
 # serve
 
@@ -81,6 +98,8 @@ def cmd_serve(args: argparse.Namespace) -> CommandOutcome:
 
 
 def cmd_run_scenario(args: argparse.Namespace) -> CommandOutcome:
+    if args.trace_out:
+        _check_output(args.trace_out)
     env, config = _load("scenario", scenario.load_scenario, args.scenario)
     violations = scenario.validate_environment(env)
     if violations:
@@ -122,6 +141,7 @@ def cmd_run_scenario(args: argparse.Namespace) -> CommandOutcome:
 def cmd_run_ca(args: argparse.Namespace) -> CommandOutcome:
     if args.header_lines < 0:
         raise CommandError(f"--header-lines must be >= 0, got {args.header_lines}")
+    _check_output(args.out_dir, directory=True)
     binding = _load("bindings file", scenario.load_json, args.bindings, dict[str, str])
     env, config = _load("scenario", scenario.load_scenario, args.scenario)
     table = _load("test CSV", covering.load_experiment_data, args.csv, args.header_lines)
@@ -169,6 +189,9 @@ def cmd_run_ca(args: argparse.Namespace) -> CommandOutcome:
 def cmd_gen_ca(args: argparse.Namespace) -> CommandOutcome:
     if args.strength < 1:
         raise CommandError(f"strength must be >= 1, got {args.strength}")
+    if args.seed < 0:
+        raise CommandError(f"--seed must be >= 0, got {args.seed}")
+    _check_output(args.out)
     params = _load("parameter file", covering.load_param_specs, args.params)
     if args.strength > len(params):
         raise CommandError(
@@ -188,6 +211,7 @@ def cmd_gen_ca(args: argparse.Namespace) -> CommandOutcome:
 
 
 def cmd_falsify(args: argparse.Namespace) -> CommandOutcome:
+    _check_output(args.out)
     study = _load("study", fz.load_study, args.study)
     if args.seed is not None:
         # set after the config is built, so its own check does not see it
@@ -273,6 +297,7 @@ def render_svg(trajectory, pairs: list[tuple[str, str]]) -> str:
 
 
 def cmd_plot(args: argparse.Namespace) -> CommandOutcome:
+    _check_output(args.out)
     trajectory = _load("trace", supervisor.load_trajectory_csv, args.trace)
     pairs = []
     for spec in args.columns:

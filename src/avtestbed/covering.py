@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -162,22 +163,37 @@ def generate_covering_array(
     the other parameters in a shuffled order, each to the value that covers
     the most uncovered tuples among the parameters already set.  Ties are
     broken by a draw from random.Random(seed), so the table depends only on
-    the parameter system, strength and seed.
+    the parameter system, strength and seed; seed must be >= 0.
+
+    A parameter's value gains are scored with packed counters.  For each
+    t-combination and each member j, an entry per setting of the other
+    members holds the uncovered flags of j's values as sum(flag << W*v),
+    so summing the entries of the combinations whose other members are set
+    gives every value's gain in one integer, in fields of W bits.  A field
+    sums at most one flag per combination holding j, comb(k-1, t-1) of
+    them, so W = comb(k-1, t-1).bit_length() bits never carry.
     """
     k = len(params)
     if not 1 <= strength <= k:
         raise ValueError(f"strength {strength} out of range [1, {k}]")
+    if seed < 0:
+        # random.Random seeds with abs(seed): -5 would repeat seed 5's table
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)
     sizes = [len(p.values) for p in params]
+    width = math.comb(k - 1, strength - 1).bit_length()
+    field_mask = (1 << width) - 1
+    shifts = [range(0, width * n, width) for n in sizes]
 
     # Values are indices into ParamSpec.values.  Each t-combination keeps one
     # flag per value tuple, 1 while that tuple is uncovered, at the tuple's
     # mixed-radix code sum(row[j] * stride[j]) over the combination's members.
+    # Member j's packed entries are indexed by that code with j's digit 0.
     combos = list(itertools.combinations(range(k), strength))
     uncovered: list[bytearray] = []
-    strides: list[list[tuple[int, int]]] = []  # (member, stride) per combination
+    members: list[list[tuple]] = []  # (member, stride, packed) per combination
     # as_member[i]: for each combination containing i, the bit mask of its
-    # other members, their (member, stride) pairs, its flags and i's stride
+    # other members, their (member, stride) pairs and i's packed entries
     as_member: list[list[tuple]] = [[] for _ in range(k)]
     # counts[i][v]: uncovered tuples that give parameter i value v
     counts = [[0] * n for n in sizes]
@@ -186,14 +202,16 @@ def generate_covering_array(
         for j in combo:
             combo_strides.append((j, size))
             size *= sizes[j]
-        flags = bytearray(b"\x01") * size
-        uncovered.append(flags)
-        strides.append(combo_strides)
+        uncovered.append(bytearray(b"\x01") * size)
+        combo_members = []
         for j, stride in combo_strides:
             others = [(o, s) for o, s in combo_strides if o != j]
-            as_member[j].append((sum(1 << o for o, _ in others), others, flags, stride))
+            packed = [sum(1 << shift for shift in shifts[j])] * size
+            combo_members.append((j, stride, packed))
+            as_member[j].append((sum(1 << o for o, _ in others), others, packed))
             for v in range(sizes[j]):
                 counts[j][v] += size // sizes[j]
+        members.append(combo_members)
     remaining = sum(len(flags) for flags in uncovered)
 
     rows: list[list[str]] = []
@@ -217,30 +235,34 @@ def generate_covering_array(
             order = [i for i in range(k) if i != seed_param]
             rng.shuffle(order)
             for i in order:
-                value_gains = [0] * sizes[i]
-                for others_mask, others, flags, stride in as_member[i]:
+                packed_gains = 0
+                for others_mask, others, packed in as_member[i]:
                     if others_mask & assigned == others_mask:
                         base = 0
                         for o, s in others:
                             base += row[o] * s
-                        column = flags[base : base + sizes[i] * stride : stride]
-                        for v, flag in enumerate(column):
-                            value_gains[v] += flag
+                        packed_gains += packed[base]
+                value_gains = [packed_gains >> shift & field_mask for shift in shifts[i]]
                 best_value_gain = max(value_gains)
-                ties = [v for v, g in enumerate(value_gains) if g == best_value_gain]
-                row[i] = ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
+                if value_gains.count(best_value_gain) > 1:
+                    ties = [v for v, g in enumerate(value_gains) if g == best_value_gain]
+                    row[i] = ties[rng.randrange(len(ties))]
+                else:
+                    row[i] = value_gains.index(best_value_gain)
                 gain += best_value_gain
                 assigned |= 1 << i
             if gain > best_gain:
                 best_row, best_gain = row, gain
         rows.append([p.values[v] for p, v in zip(params, best_row)])
-        for flags, combo_strides in zip(uncovered, strides):
-            code = sum(best_row[j] * s for j, s in combo_strides)
+        for flags, combo_members in zip(uncovered, members):
+            code = sum(best_row[j] * s for j, s, _ in combo_members)
             if flags[code]:
                 flags[code] = 0
                 remaining -= 1
-                for j, _ in combo_strides:
-                    counts[j][best_row[j]] -= 1
+                for j, s, packed in combo_members:
+                    v = best_row[j]
+                    counts[j][v] -= 1
+                    packed[code - v * s] -= 1 << shifts[j][v]
 
     return TestTable(parameter_names=[p.name for p in params], rows=rows)
 
@@ -255,15 +277,19 @@ def verify_coverage(table: TestTable, params: list[ParamSpec], strength: int) ->
         if p.name not in name_to_col:
             raise ValueError(f"parameter {p.name!r} missing from the table")
 
+    # a row without "*" covers exactly its own cells, so only starred rows
+    # are expanded; the rest go into each combination's set column-wise
+    starred = [row for row in table.rows if DONT_CARE in row]
+    plain = [row for row in table.rows if DONT_CARE not in row]
+    columns = [[row[c] for row in plain] for c in range(len(table.parameter_names))]
     uncovered: list[tuple] = []
     for combo in itertools.combinations(range(k), strength):
         cols = [name_to_col[params[i].name] for i in combo]
-        covered: set[tuple] = set()
-        for row in table.rows:
-            cells = [row[c] for c in cols]
+        covered = set(zip(*(columns[c] for c in cols)))
+        for row in starred:
             expansions: list[tuple] = [()]
-            for idx, cell in zip(combo, cells):
-                domain = params[idx].values if cell == DONT_CARE else [cell]
+            for idx, c in zip(combo, cols):
+                domain = params[idx].values if row[c] == DONT_CARE else [row[c]]
                 expansions = [prefix + (v,) for prefix in expansions for v in domain]
             covered.update(expansions)
         for values in itertools.product(*(params[i].values for i in combo)):

@@ -295,20 +295,25 @@ _STUDY_KINDS = {
 def load_study(path: str) -> Study:
     """Load a study file; its scenario is parsed like any scenario document.
 
-    A study that is not well formed raises ValueError.
+    A study that is not well formed, or whose scenario or requirement file
+    cannot be read or parsed, raises ValueError; the error of a named file
+    begins with that file's path as the study gives it.
     """
     data = scenario.load_json(path, _STUDY_KINDS, "study")
     base = os.path.dirname(os.path.abspath(path))
 
-    def resolve(p: str) -> str:
-        return p if os.path.isabs(p) else os.path.join(base, p)
+    def load(loader, key: str):
+        named = data[key]
+        try:
+            return loader(named if os.path.isabs(named) else os.path.join(base, named))
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{named}: {getattr(exc, 'strerror', None) or exc}") from None
 
-    env, sim_config = scenario.load_scenario(resolve(data["scenario"]))
-    requirement = rb.load_requirement(resolve(data["requirement"]))
+    env, sim_config = load(scenario.load_scenario, "scenario")
     return Study(
         env=env,
         sim_config=sim_config,
-        requirement=requirement,
+        requirement=load(rb.load_requirement, "requirement"),
         space=SearchSpace(data["space"]),
         config=data["config"],
     )

@@ -580,7 +580,7 @@ def trajectory_from_json(data: Any, path: str = "trajectory") -> Trajectory:
 
 
 def _reject_non_finite(literal: str) -> float:
-    raise ScenarioFormatError("document", f"non-finite number {literal} is not allowed")
+    raise ScenarioFormatError("scenario", f"non-finite number {literal} is not allowed")
 
 
 def parse_scenario(text: str) -> tuple[SimEnvironment, SimulationConfig]:
@@ -590,8 +590,8 @@ def parse_scenario(text: str) -> tuple[SimEnvironment, SimulationConfig]:
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
     if not isinstance(data, dict):
-        raise ScenarioFormatError("document", "top level must be an object")
-    _require_keys(data, {"environment", "config"}, "document")
+        raise ScenarioFormatError("scenario", "top level must be an object")
+    _require_keys(data, {"environment", "config"}, "scenario")
     env = environment_from_json(data.get("environment", {}), "environment")
     config = config_from_json(data.get("config", {}), "config")
     return env, config

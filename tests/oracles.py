@@ -161,6 +161,25 @@ def reference_covering_array(
     return covering.TestTable(parameter_names=[p.name for p in params], rows=rows)
 
 
+def naive_uncovered_tuples(
+    table: covering.TestTable, params: list[covering.ParamSpec], strength: int
+) -> list[tuple]:
+    """Every (names, values) t-tuple that no row covers, found by expanding
+    each row, "*" cells to every value, into all the rows it stands for."""
+    cols = [table.parameter_names.index(p.name) for p in params]
+    concrete: set[tuple] = set()
+    for row in table.rows:
+        domains = [p.values if row[c] == "*" else [row[c]] for p, c in zip(params, cols)]
+        concrete.update(itertools.product(*domains))
+    uncovered = []
+    for combo in itertools.combinations(range(len(params)), strength):
+        covered = {tuple(r[i] for i in combo) for r in concrete}
+        for values in itertools.product(*(params[i].values for i in combo)):
+            if values not in covered:
+                uncovered.append((tuple(params[i].name for i in combo), values))
+    return uncovered
+
+
 def _coverage_gain(row: list[str], combos, uncovered: set) -> int:
     return sum(1 for combo in combos if (combo, tuple(row[i] for i in combo)) in uncovered)
 

@@ -229,6 +229,14 @@ class TestGenCa:
         code = main(["gen-ca", params_file, "--strength", "0", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_negative_seed_exits_2(self, tmp_path, fixtures_dir, capsys):
+        # random.Random(-5) is random.Random(5): the two would write one table
+        params_file = os.path.join(fixtures_dir, "demo_params.json")
+        out = tmp_path / "ca.csv"
+        assert main(["gen-ca", params_file, "-t", "2", "--out", str(out), "--seed", "-5"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -5\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "parameters, named",
         [
@@ -601,9 +609,9 @@ class TestFalsifyCommand:
         "edit, message",
         [
             (lambda text: text[:-2] + ', "scenery": {"roads": []}}',
-             "document.scenery: unknown field"),
+             "scenario.scenery: unknown field"),
             (lambda text: text.replace('"target_speed": 3.0', '"target_speed": NaN'),
-             "document: non-finite number NaN is not allowed"),
+             "scenario: non-finite number NaN is not allowed"),
         ],
         ids=["scenery_key", "nan_literal"],
     )
@@ -626,7 +634,9 @@ class TestFalsifyCommand:
             json.dump(study, fh)
         out = tmp_path / "results.json"
         assert main(["falsify", study_path, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: cannot load study {study_path}: {message}\n"
+        assert capsys.readouterr().err == (
+            f"error: cannot load study {study_path}: {scenario_path}: {message}\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -698,6 +708,36 @@ class TestFalsifyCommand:
         out = tmp_path / "results.json"
         assert main(["falsify", study_path, "--out", str(out), "--seed", "-5"]) == 2
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -5\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, content, detail",
+        [
+            ("scenario", None, "No such file or directory"),
+            ("scenario", b'{"caf\xe9": 1}\n',
+             "'utf-8' codec can't decode byte 0xe9 in position 5: invalid continuation byte"),
+            ("requirement", None, "No such file or directory"),
+            ("requirement", b"{", "Expecting property name enclosed in double quotes: "
+             "line 1 column 2 (char 1)"),
+        ],
+        ids=["missing-scenario", "non-utf8-scenario", "missing-requirement",
+             "truncated-requirement"],
+    )
+    def test_unreadable_file_of_a_study_is_named(
+        self, tmp_path, fixtures_dir, capsys, key, content, detail
+    ):
+        study_path = self.make_study(tmp_path, fixtures_dir)
+        study = json.loads(open(study_path).read())
+        study[key] = "named.json"  # relative to the study's directory
+        with open(study_path, "w") as fh:
+            json.dump(study, fh)
+        if content is not None:
+            (tmp_path / "named.json").write_bytes(content)
+        out = tmp_path / "results.json"
+        assert main(["falsify", study_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load study {study_path}: named.json: {detail}\n"
+        )
         assert not out.exists()
 
     def test_repeated_dimension_name_exits_2(self, tmp_path, fixtures_dir, capsys):
@@ -891,6 +931,45 @@ class TestBrokenPaths:
         code, err = run_broken(tmp_path, capsys, OUTPUT_OPTIONS[option], broken)
         assert code == 2
         assert err.count("\n") == 1 and err.startswith(f"error: cannot write {broken}: "), err
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["path", "parent"])
+    @pytest.mark.parametrize("option", OUTPUT_OPTIONS)
+    def test_unwritable_output_is_found_before_any_work(
+        self, tmp_path, capsys, monkeypatch, option, nested
+    ):
+        calls = []
+
+        def counted(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(supervisor, "run_embedded", counted(supervisor.run_embedded))
+        monkeypatch.setattr(
+            covering, "generate_covering_array", counted(covering.generate_covering_array)
+        )
+        if option == "run-ca --out-dir":
+            made = make_broken_path(tmp_path, "regular-file")
+            broken = os.path.join(made, "sub") if nested else made
+            reason = "Not a directory"
+        elif nested:
+            made, broken = None, str(tmp_path / "missing" / "out")
+            reason = "No such file or directory"
+        else:
+            made = broken = make_broken_path(tmp_path, "directory")
+            reason = "Is a directory"
+        code, err = run_broken(tmp_path, capsys, OUTPUT_OPTIONS[option], broken)
+        assert (code, err) == (2, f"error: cannot write {broken}: {reason}\n")
+        assert calls == []
+        # the failed command leaves no new file behind
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["trace.csv"] + ([os.path.basename(made)] if made else [])
+        )
+        if made and os.path.isdir(made):
+            assert os.listdir(made) == []
+        elif made:
+            assert open(made).read() == "{}\n"
 
     def test_module_entry_point_exits_2_without_a_traceback(self, tmp_path):
         src = os.path.dirname(os.path.dirname(os.path.abspath(supervisor.__file__)))

@@ -20,7 +20,7 @@ from avtestbed.covering import (
     verify_coverage,
     write_experiment_data,
 )
-from oracles import reference_covering_array
+from oracles import naive_uncovered_tuples, reference_covering_array
 
 DEMO_PARAMS = [
     ParamSpec("ego_init_speed", ["0", "5", "10", "15"]),
@@ -123,6 +123,42 @@ class TestVerifyCoverage:
         params = [ParamSpec("a", ["1", "2"]), ParamSpec("b", ["x", "y"])]
         assert verify_coverage(table, params, 2) == []
 
+    @pytest.mark.parametrize("strength", [1, 2, 3])
+    def test_empty_table_leaves_every_tuple_uncovered(self, strength):
+        table = TestTable([p.name for p in DEMO_PARAMS], [])
+        uncovered = verify_coverage(table, DEMO_PARAMS, strength)
+        assert uncovered == naive_uncovered_tuples(table, DEMO_PARAMS, strength)
+        assert len(uncovered) == {1: 11, 2: 40, 3: 48}[strength]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+        strength=st.integers(1, 3),
+        seed=st.integers(0, 2**31),
+        data=st.data(),
+    )
+    def test_matches_the_naive_expansion(self, sizes, strength, seed, data):
+        """A covering array with rows deleted, cells set to "*" and its columns
+        permuted, against the oracle that expands every row."""
+        strength = min(strength, len(sizes))
+        params = [ParamSpec(f"p{i}", [f"v{v}" for v in range(n)]) for i, n in enumerate(sizes)]
+        rows = generate_covering_array(params, strength, seed).rows
+        keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        stars = data.draw(
+            st.lists(st.booleans(), min_size=len(rows) * len(sizes),
+                     max_size=len(rows) * len(sizes))
+        )
+        rows = [
+            ["*" if stars[r * len(sizes) + c] else cell for c, cell in enumerate(row)]
+            for r, row in enumerate(rows)
+            if keep[r]
+        ]
+        order = data.draw(st.permutations(range(len(sizes))))
+        table = TestTable([params[c].name for c in order], [[row[c] for c in order] for row in rows])
+        assert verify_coverage(table, params, strength) == naive_uncovered_tuples(
+            table, params, strength
+        )
+
 
 class TestGenerate:
     def test_demo_system_pairwise(self):
@@ -146,6 +182,11 @@ class TestGenerate:
             generate_covering_array(DEMO_PARAMS, 0)
         with pytest.raises(ValueError):
             generate_covering_array(DEMO_PARAMS, 4)
+
+    def test_negative_seed_rejected(self):
+        # random.Random seeds with abs(seed), so -5 would repeat seed 5's table
+        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+            generate_covering_array(DEMO_PARAMS, 2, seed=-5)
 
     def test_deterministic_per_seed(self):
         a = generate_covering_array(DEMO_PARAMS, 2, seed=11)
@@ -220,6 +261,15 @@ class TestMatchesReference:
             assert generate_covering_array(params, strength, seed) == reference_covering_array(
                 params, strength, seed
             )
+
+    @pytest.mark.parametrize("k, strength", [(16, 2), (17, 2), (7, 3), (8, 3)])
+    def test_packed_field_width_boundary(self, k, strength):
+        """k binary parameters with comb(k-1, t-1) at 15 and past 16: the
+        most that one value's gain can sum fills 4 or needs 5 bits."""
+        params = [ParamSpec(f"p{i}", ["0", "1"]) for i in range(k)]
+        assert generate_covering_array(params, strength, k) == reference_covering_array(
+            params, strength, k
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -99,5 +99,5 @@ def test_a_replaced_value_exits_0_or_with_one_error_line(location, new):
 )
 def test_mistyped_requirement_field_is_named(path, new, message):
     assert run_falsify("requirement.json", path, new) == (
-        2, f"error: cannot load study <tmp>/study.json: {message}\n"
+        2, f"error: cannot load study <tmp>/study.json: requirement.json: {message}\n"
     )
