@@ -905,6 +905,23 @@ def make_broken_path(tmp_path, kind: str) -> str:
     return str(path)
 
 
+def count_work(monkeypatch) -> list[str]:
+    """The names of the simulation and generator calls made from now on."""
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(supervisor, "run_embedded", counted(supervisor.run_embedded))
+    monkeypatch.setattr(
+        covering, "generate_covering_array", counted(covering.generate_covering_array)
+    )
+    return calls
+
+
 def run_broken(tmp_path, capsys, argv: list[str], broken: str) -> tuple[int, str]:
     trace = tmp_path / "trace.csv"
     trace.write_text("time_ms,vehicle0_position_x\n0,1.5\n10,2.5\n")
@@ -925,51 +942,36 @@ class TestBrokenPaths:
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("option", OUTPUT_OPTIONS)
-    def test_unwritable_output_exits_2_with_one_line(self, tmp_path, capsys, option):
+    def test_unwritable_output_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, option):
+        calls = count_work(monkeypatch)
         kind = "regular-file" if option == "run-ca --out-dir" else "directory"
+        reason = "Not a directory" if kind == "regular-file" else "Is a directory"
         broken = make_broken_path(tmp_path, kind)
         code, err = run_broken(tmp_path, capsys, OUTPUT_OPTIONS[option], broken)
-        assert code == 2
-        assert err.count("\n") == 1 and err.startswith(f"error: cannot write {broken}: "), err
-
-    @pytest.mark.parametrize("nested", [False, True], ids=["path", "parent"])
-    @pytest.mark.parametrize("option", OUTPUT_OPTIONS)
-    def test_unwritable_output_is_found_before_any_work(
-        self, tmp_path, capsys, monkeypatch, option, nested
-    ):
-        calls = []
-
-        def counted(real):
-            def wrapper(*args, **kwargs):
-                calls.append(real.__name__)
-                return real(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(supervisor, "run_embedded", counted(supervisor.run_embedded))
-        monkeypatch.setattr(
-            covering, "generate_covering_array", counted(covering.generate_covering_array)
-        )
-        if option == "run-ca --out-dir":
-            made = make_broken_path(tmp_path, "regular-file")
-            broken = os.path.join(made, "sub") if nested else made
-            reason = "Not a directory"
-        elif nested:
-            made, broken = None, str(tmp_path / "missing" / "out")
-            reason = "No such file or directory"
+        assert (code, err) == (2, f"error: cannot write {broken}: {reason}\n")
+        # found before any work, and the failed command leaves no new file behind
+        assert calls == []
+        assert sorted(os.listdir(tmp_path)) == sorted([kind, "trace.csv"])
+        if kind == "directory":
+            assert os.listdir(broken) == []
         else:
-            made = broken = make_broken_path(tmp_path, "directory")
-            reason = "Is a directory"
+            assert open(broken).read() == "{}\n"
+
+    @pytest.mark.parametrize("option", OUTPUT_OPTIONS)
+    def test_output_under_a_missing_or_file_parent_exits_2(
+        self, tmp_path, capsys, monkeypatch, option
+    ):
+        calls = count_work(monkeypatch)
+        if option == "run-ca --out-dir":  # made with its parents, but not under a file
+            broken = os.path.join(make_broken_path(tmp_path, "regular-file"), "sub")
+            reason, left = "Not a directory", ["regular-file", "trace.csv"]
+        else:
+            broken = str(tmp_path / "missing" / "out")
+            reason, left = "No such file or directory", ["trace.csv"]
         code, err = run_broken(tmp_path, capsys, OUTPUT_OPTIONS[option], broken)
         assert (code, err) == (2, f"error: cannot write {broken}: {reason}\n")
         assert calls == []
-        # the failed command leaves no new file behind
-        assert sorted(os.listdir(tmp_path)) == sorted(
-            ["trace.csv"] + ([os.path.basename(made)] if made else [])
-        )
-        if made and os.path.isdir(made):
-            assert os.listdir(made) == []
-        elif made:
-            assert open(made).read() == "{}\n"
+        assert sorted(os.listdir(tmp_path)) == left
 
     def test_module_entry_point_exits_2_without_a_traceback(self, tmp_path):
         src = os.path.dirname(os.path.dirname(os.path.abspath(supervisor.__file__)))

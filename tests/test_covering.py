@@ -154,7 +154,9 @@ class TestVerifyCoverage:
             if keep[r]
         ]
         order = data.draw(st.permutations(range(len(sizes))))
-        table = TestTable([params[c].name for c in order], [[row[c] for c in order] for row in rows])
+        table = TestTable(
+            [params[c].name for c in order], [[row[c] for c in order] for row in rows]
+        )
         assert verify_coverage(table, params, strength) == naive_uncovered_tuples(
             table, params, strength
         )
@@ -264,8 +266,8 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("k, strength", [(16, 2), (17, 2), (7, 3), (8, 3)])
     def test_packed_field_width_boundary(self, k, strength):
-        """k binary parameters with comb(k-1, t-1) at 15 and past 16: the
-        most that one value's gain can sum fills 4 or needs 5 bits."""
+        """k binary parameters where comb(k-1, t-1), the most that one value's
+        gain can sum, is 15 (4-bit fields) or 16 and 21 (5-bit fields)."""
         params = [ParamSpec(f"p{i}", ["0", "1"]) for i in range(k)]
         assert generate_covering_array(params, strength, k) == reference_covering_array(
             params, strength, k

@@ -15,8 +15,8 @@ metrics are recorded beside the end-to-end ones.
 The output holds every run, and for each workload and end-to-end metric the
 median, minimum and maximum of each side, the parent's quartiles (inclusive
 method), the change/parent ratio of the medians and how many pairs the change
-won (ties count for neither side).  The file is rewritten after every run, so
-an interrupted series keeps the runs it made.
+won (ties count for neither side).  The file is rewritten after every pair,
+so an interrupted series keeps the pairs it made.
 """
 
 from __future__ import annotations
@@ -94,10 +94,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     pairs = list(zip(sides["parent"], sides["change"]))
     summary: dict = {"seeds": [p["seed"] for p, _ in pairs], "pairs": len(pairs), "metrics": {}}
     for name, direction in better.items():
-        parent = [r["metrics"][name] for r in sides["parent"] if name in r["metrics"]]
-        change = [r["metrics"][name] for r in sides["change"] if name in r["metrics"]]
-        if not parent or not change:
-            continue
+        parent = [r["metrics"][name] for r in sides["parent"]]
+        change = [r["metrics"][name] for r in sides["change"]]
         q1, _, q3 = (
             statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1
             else (parent[0],) * 3
@@ -135,7 +133,9 @@ def main(argv: list[str] | None = None) -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", default=ROOT, help="checkout of the change (default: this one)")
+    parser.add_argument(
+        "--change", default=ROOT, help="checkout of the change (default: this one)"
+    )
     parser.add_argument(
         "--pairs", action="append", required=True, metavar="WORKLOAD=N",
         help="run N pairs of WORKLOAD; repeat for each workload",
@@ -190,7 +190,9 @@ def main(argv: list[str] | None = None) -> int:
         made = []
         for side in order:
             result = run_once(checkouts[side], workload, seed, args.seconds, trace)
-            made.append({"side": side, "workload": workload, "seed": seed, "trace": trace, **result})
+            made.append(
+                {"side": side, "workload": workload, "seed": seed, "trace": trace, **result}
+            )
             print(f"{workload} seed {seed} trace {trace} {side}: "
                   f"{json.dumps(result['metrics'])}", file=sys.stderr, flush=True)
         return made
