@@ -58,9 +58,10 @@ def _load(what: str, load, path: str, *args):
 
 
 def _check_output(path: str, directory: bool = False) -> None:
-    """Fail before any work when path cannot take a command's output: a file
-    that is a directory or has no directory to go in, or a directory (made
-    with its missing parents) whose nearest existing part is not one."""
+    """Raise CommandError, before any work, when path cannot take an output:
+    a file path that is a directory or lies in a missing directory, or a
+    directory path (made with its missing parents) whose nearest existing
+    part is not a directory."""
     if directory:
         existing = os.path.abspath(path)
         while not os.path.exists(existing):
