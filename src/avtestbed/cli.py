@@ -14,6 +14,7 @@ falsify outputs also of their --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -372,10 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run_command(argv: list[str] | None = None) -> CommandOutcome:
     """Parse and execute one command, reporting what it wrote."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CommandError as exc:

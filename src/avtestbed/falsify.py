@@ -1,11 +1,16 @@
 """Robustness-guided falsification over a box of scenario parameters.
 
-The search minimizes trace robustness with simulated annealing: the first
-sample is uniform in the box, later samples are per-dimension Gaussian
-proposals around the current point (clipped to the box) accepted by the
-Metropolis rule under a geometrically cooled temperature.  With falsification
-mode on, the search stops at the first negative robustness.  Every run is a
-deterministic function of its seed.
+One driver, _search, runs every search.  A searcher is a generator that
+yields one sample at a time and is sent that sample's robustness.  The
+driver evaluates each sample, keeps the history, stops at the n_tests budget
+or, in falsification mode, right after the first negative robustness,
+records why each failed evaluation failed (its robustness counts as +inf)
+and picks the best sample.  falsify anneals: a uniform first sample, then
+Gaussian proposals around the current point, clipped to the box and
+accepted by the Metropolis rule under a geometrically cooled temperature.
+uniform_random_search draws independent uniform samples, and grid_oracle
+visits every point of a regular grid.  Every run is a deterministic function
+of its seed.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ import copy
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -95,6 +100,8 @@ class FalsificationResult:
     space: Optional[list[SearchDim]] = None
     config: Optional[FalsifyConfig] = None
     formula: Optional[str] = None
+    # evaluation index -> why that evaluation failed; its robustness is +inf
+    failures: dict[int, str] = field(default_factory=dict)
 
 
 class AllEvaluationsFailedError(RuntimeError):
@@ -102,76 +109,70 @@ class AllEvaluationsFailedError(RuntimeError):
 
 
 System = Callable[[Sequence[float]], Trace]
+# yields one sample at a time and is sent that sample's robustness
+Searcher = Generator[Sequence[float], float, None]
 
 
-def _evaluate(
+def _search(
     system: System,
     formula: MtlFormula,
     predicates: list[LinearPredicate],
-    sample: np.ndarray,
-) -> float:
-    """Robustness of one sample; +inf when setup, simulation or monitor fails.
-
-    Failures are the declared setup and simulation errors (ValueError and
-    RuntimeError subclasses) and a NaN robustness.  Anything else is a
-    programming error and propagates.
-    """
-    try:
-        trace = system(tuple(float(v) for v in sample))
-        value = rb.robustness(formula, predicates, trace)
-    except (ValueError, RuntimeError):
-        return math.inf
-    return math.inf if math.isnan(value) else value
-
-
-def _finish(
-    history: list[tuple[list[float], float]], seed: int, space, config, formula
+    space: SearchSpace,
+    config: FalsifyConfig,
+    searcher: Searcher,
 ) -> FalsificationResult:
-    if all(math.isinf(r) and r > 0 for _, r in history):
+    """Run searcher against system, as the module docstring describes.
+
+    A ValueError or RuntimeError from setup, simulation or the monitor, or a
+    NaN robustness, fails an evaluation; anything else propagates.
+    """
+    history: list[tuple[list[float], float]] = []
+    failures: dict[int, str] = {}
+    value = None  # the first send starts the searcher
+    for index in range(config.n_tests):
+        sample = [float(v) for v in searcher.send(value)]
+        try:
+            value = rb.robustness(formula, predicates, system(tuple(sample)))
+        except (ValueError, RuntimeError) as exc:
+            failures[index], value = str(exc), math.inf
+        if math.isnan(value):
+            failures[index], value = "robustness is NaN", math.inf
+        history.append((sample, value))
+        if config.falsification_mode and value < 0.0:
+            break
+    if len(failures) == len(history):
         raise AllEvaluationsFailedError("every simulation failed; nothing was evaluated")
-    best_index = min(range(len(history)), key=lambda i: history[i][1])
-    best_sample, best_rob = history[best_index]
+    best_sample, best_rob = min(history, key=lambda entry: entry[1])
     return FalsificationResult(
         best_sample=list(best_sample),
         best_robustness=best_rob,
         falsified=best_rob < 0.0,
         n_simulations_used=len(history),
         history=history,
-        seed=seed,
+        seed=config.seed,
         space=list(space.dims),
         config=config,
         formula=rb.format_formula(formula),
+        failures=failures,
     )
 
 
-def falsify(
-    system: System,
-    formula: MtlFormula,
-    predicates: list[LinearPredicate],
-    space: SearchSpace,
-    config: FalsifyConfig,
-) -> FalsificationResult:
-    """Simulated-annealing search for a negative-robustness sample."""
+def _box(space: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([d.lo for d in space.dims], dtype=np.float64),
+            np.array([d.hi for d in space.dims], dtype=np.float64))
+
+
+def _annealing(space: SearchSpace, config: FalsifyConfig) -> Searcher:
     rng = np.random.default_rng(config.seed)
-    lo = np.array([d.lo for d in space.dims], dtype=np.float64)
-    hi = np.array([d.hi for d in space.dims], dtype=np.float64)
+    lo, hi = _box(space)
     width = hi - lo
-
-    history: list[tuple[list[float], float]] = []
-
     current = lo + rng.uniform(size=space.n_dims) * width
-    current_rob = _evaluate(system, formula, predicates, current)
-    history.append(([float(v) for v in current], current_rob))
-
+    current_rob = yield current
     temperature = config.init_temperature
-    while len(history) < config.n_tests:
-        if config.falsification_mode and history[-1][1] < 0.0:
-            break
+    while True:
         proposal = current + rng.normal(size=space.n_dims) * (config.proposal_scale * width)
         proposal = np.clip(proposal, lo, hi)
-        proposal_rob = _evaluate(system, formula, predicates, proposal)
-        history.append(([float(v) for v in proposal], proposal_rob))
-
+        proposal_rob = yield proposal
         if proposal_rob <= current_rob or math.isinf(current_rob):
             accept = True
         elif math.isinf(proposal_rob):
@@ -182,7 +183,24 @@ def falsify(
             current, current_rob = proposal, proposal_rob
         temperature *= config.cooling
 
-    return _finish(history, config.seed, space, config, formula)
+
+def _uniform(space: SearchSpace, config: FalsifyConfig) -> Searcher:
+    rng = np.random.default_rng(config.seed)
+    lo, hi = _box(space)
+    width = hi - lo
+    while True:
+        yield lo + rng.uniform(size=space.n_dims) * width
+
+
+def falsify(
+    system: System,
+    formula: MtlFormula,
+    predicates: list[LinearPredicate],
+    space: SearchSpace,
+    config: FalsifyConfig,
+) -> FalsificationResult:
+    """Simulated-annealing search for a negative-robustness sample."""
+    return _search(system, formula, predicates, space, config, _annealing(space, config))
 
 
 def uniform_random_search(
@@ -193,18 +211,7 @@ def uniform_random_search(
     config: FalsifyConfig,
 ) -> FalsificationResult:
     """Baseline: independent uniform samples with the same result structure."""
-    rng = np.random.default_rng(config.seed)
-    lo = np.array([d.lo for d in space.dims], dtype=np.float64)
-    width = np.array([d.hi - d.lo for d in space.dims], dtype=np.float64)
-
-    history: list[tuple[list[float], float]] = []
-    for _ in range(config.n_tests):
-        sample = lo + rng.uniform(size=space.n_dims) * width
-        rob = _evaluate(system, formula, predicates, sample)
-        history.append(([float(v) for v in sample], rob))
-        if config.falsification_mode and rob < 0.0:
-            break
-    return _finish(history, config.seed, space, config, formula)
+    return _search(system, formula, predicates, space, config, _uniform(space, config))
 
 
 def grid_oracle(
@@ -214,7 +221,9 @@ def grid_oracle(
     space: SearchSpace,
     points_per_dim,
 ) -> tuple[float, list[float]]:
-    """Exhaustive minimum over a regular grid that includes the box corners."""
+    """Exhaustive minimum over a regular grid that includes the box corners,
+    and the first point that attains it; AllEvaluationsFailedError when
+    every point fails."""
     if isinstance(points_per_dim, int):
         points_per_dim = [points_per_dim] * space.n_dims
     if len(points_per_dim) != space.n_dims:
@@ -228,14 +237,11 @@ def grid_oracle(
         else:
             axes.append(np.linspace(dim.lo, dim.hi, count))
 
-    best_rob = math.inf
-    best_point: list[float] = []
-    for indices in np.ndindex(*[len(a) for a in axes]):
-        point = [float(axes[d][i]) for d, i in enumerate(indices)]
-        rob = _evaluate(system, formula, predicates, np.array(point))
-        if rob < best_rob:
-            best_rob, best_point = rob, point
-    return best_rob, best_point
+    shape = [len(axis) for axis in axes]
+    points = ([axis[i] for axis, i in zip(axes, index)] for index in np.ndindex(*shape))
+    config = FalsifyConfig(n_tests=math.prod(shape), falsification_mode=False)
+    result = _search(system, formula, predicates, space, config, points)
+    return result.best_robustness, result.best_sample
 
 
 # --------------------------------------------------------------------------
@@ -243,13 +249,17 @@ def grid_oracle(
 
 
 def save_results(results, path: str) -> None:
-    """Write one result or a list of per-run results as self-describing JSON."""
+    """Write one result or a list of per-run results as self-describing JSON.
+
+    A run's failures are written only when it has any.
+    """
     if isinstance(results, FalsificationResult):
         results = [results]
-    payload = {
-        "format": "falsification-results",
-        "results": scenario.value_to_json(results, list[FalsificationResult]),
-    }
+    runs = scenario.value_to_json(results, list[FalsificationResult])
+    for run in runs:
+        if not run["failures"]:
+            del run["failures"]
+    payload = {"format": "falsification-results", "results": runs}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -381,7 +381,8 @@ def parse_column_name(name: str) -> LogItemDescription:
 # dataclass (an object of its fields, in field order; a field with no default
 # is required), a record {key: kind} (an object of exactly those keys),
 # list[kind], tuple[kind1, kind2] (an array of one value of each kind),
-# dict[str, kind] (an object of any keys) or Optional[kind] (kind or null).
+# dict[str, kind] (an object of any keys), dict[int, kind] (an object whose
+# keys are decimal integers) or Optional[kind] (kind or null).
 # Unknown keys are rejected, and a __post_init__ check that fails is reported
 # at its object's path.
 
@@ -429,7 +430,7 @@ def value_to_json(value: Any, kind: Any) -> Any:
     if origin is tuple:
         return [value_to_json(v, k) for v, k in zip(value, args)]
     if origin is dict:
-        return {key: value_to_json(v, args[1]) for key, v in value.items()}
+        return {str(key): value_to_json(v, args[1]) for key, v in value.items()}
     raise AssertionError(f"unhandled kind {kind!r}")
 
 
@@ -531,8 +532,19 @@ def value_from_json(raw: Any, kind: Any, path: str) -> Any:
     if origin is dict:
         if not isinstance(raw, dict):
             raise _type_error(path, "an object", raw)
-        return {key: value_from_json(v, args[1], f"{path}.{key}") for key, v in raw.items()}
+        return {
+            key if args[0] is str else _int_key(key, f"{path}.{key}"):
+                value_from_json(v, args[1], f"{path}.{key}")
+            for key, v in raw.items()
+        }
     raise AssertionError(f"unhandled kind {kind!r}")
+
+
+def _int_key(key: str, path: str) -> int:
+    """The int an object key spells in decimal digits, with no leading zero."""
+    if key.isascii() and key.isdecimal() and str(int(key)) == key:
+        return int(key)
+    raise ScenarioFormatError(path, "expected a decimal integer key")
 
 
 def _fields_from_json(data: Any, spec: dict[str, Any], required, path: str) -> dict:
@@ -647,7 +659,8 @@ def resolve_binding(env: SimEnvironment, path: str) -> tuple[Callable[[float], N
 
     Only model fields, named by their document keys, and in-range list
     indices resolve.  A bound value is a float, so a path to an integer,
-    enum, string or config field is rejected here rather than on every run.
+    enum, string or config field is rejected here rather than on every run,
+    and so is a position's height [1], which no run reads.
     """
     tokens = _path_tokens(path)
     if tokens[0] == "config":
@@ -662,6 +675,11 @@ def resolve_binding(env: SimEnvironment, path: str) -> tuple[Callable[[float], N
             is_list = get_origin(kind) is list
             if not (is_list or kind is Vec3) or token >= len(value):
                 raise ValueError(f"path {path!r} does not resolve at segment {token!r}")
+            if kind is Vec3 and token == 1:
+                raise ValueError(
+                    f"path {path!r} names a height; the 2D kernel ignores it, so only "
+                    "components [0] (x) and [2] (lateral) can be bound"
+                )
             owner, key, kind = value, token, get_args(kind)[0] if is_list else float
             value = value[token]
         else:

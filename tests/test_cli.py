@@ -47,6 +47,31 @@ class TestHelp:
         assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
+    def test_commands_in_one_process_share_the_parser(
+        self, tmp_path, fixtures_dir, capsys, monkeypatch
+    ):
+        from avtestbed import cli
+
+        build, built = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        params = os.path.join(fixtures_dir, "demo_params.json")
+        outcomes = []
+        for name in ("a.csv", "b.csv"):
+            out = str(tmp_path / name)
+            outcomes.append((main(["gen-ca", params, "-t", "2", "--out", out]),
+                             open(out).read()))
+            outcomes.append((main(["gen-ca", params, "-t", "0", "--out", out]),
+                             capsys.readouterr().err))
+            with pytest.raises(SystemExit) as exit_info:
+                main(["gen-ca", "--help"])
+            outcomes.append((exit_info.value.code, capsys.readouterr().out))
+        assert len(built) == 1
+        assert outcomes[:3] == outcomes[3:]
+        assert outcomes[1] == (2, "error: strength must be >= 1, got 0\n")
+        assert outcomes[2][0] == 0 and outcomes[2][1].startswith("usage: avtestbed gen-ca")
+
+
 class TestRunScenario:
     def test_embedded_run_writes_trace(self, tmp_path, demo_scenario_path):
         out = tmp_path / "trace.csv"

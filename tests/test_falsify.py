@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,72 @@ class TestFalsify:
         result = falsify(x1_system, Atom("p"), preds, space, config)
         assert all(sample == [7.0] for sample, _ in result.history)
         assert result.best_robustness == 2.0
+
+
+def every_other_call_fails():
+    calls = {"n": 0}
+
+    def system(sample):
+        calls["n"] += 1
+        if calls["n"] % 2 == 1:
+            raise RuntimeError(f"crash {calls['n']}")
+        return x1_system(sample)
+
+    return system
+
+
+def always_fails(sample):
+    raise ValueError("setup rejected")
+
+
+class TestFailureMessages:
+    def test_each_failure_message_is_recorded(self):
+        config = FalsifyConfig(n_tests=10, seed=8, falsification_mode=False)
+        result = falsify(every_other_call_fails(), PHI_P, X1_MINUS_5_PREDS, BOX3, config)
+        assert result.failures == {i: f"crash {i + 1}" for i in range(0, 10, 2)}
+        robs = [rob for _, rob in result.history]
+        assert [i for i, rob in enumerate(robs) if rob == math.inf] == list(result.failures)
+
+    def test_nan_robustness_is_recorded(self, monkeypatch):
+        monitor, calls = rb.robustness, []
+
+        def nan_second(*args):
+            calls.append(None)
+            return math.nan if len(calls) == 2 else monitor(*args)
+
+        monkeypatch.setattr(rb, "robustness", nan_second)
+        config = FalsifyConfig(n_tests=4, seed=0, falsification_mode=False)
+        result = uniform_random_search(x1_system, PHI_P, X1_MINUS_5_PREDS, BOX3, config)
+        assert result.failures == {1: "robustness is NaN"}
+        assert result.history[1][1] == math.inf
+
+    def test_grid_oracle_raises_when_every_point_fails(self):
+        with pytest.raises(AllEvaluationsFailedError):
+            grid_oracle(always_fails, PHI_P, X1_MINUS_5_PREDS, BOX3, 2)
+
+    def test_results_file_has_failures_only_when_a_run_has_some(self, tmp_path):
+        config = FalsifyConfig(n_tests=6, seed=1, falsification_mode=False)
+        clean = falsify(x1_system, PHI_P, X1_MINUS_5_PREDS, BOX3, config)
+        flaky = falsify(every_other_call_fails(), PHI_P, X1_MINUS_5_PREDS, BOX3, config)
+        path = str(tmp_path / "results.json")
+        save_results([clean, flaky], path)
+        with open(path) as fh:
+            runs = json.load(fh)["results"]
+        assert "failures" not in runs[0]
+        assert runs[1]["failures"] == {"0": "crash 1", "2": "crash 3", "4": "crash 5"}
+        assert load_results(path) == [clean, flaky]
+
+    def test_results_file_with_a_non_index_failure_key_is_rejected(self, tmp_path):
+        config = FalsifyConfig(n_tests=2, seed=1, falsification_mode=False)
+        path = str(tmp_path / "results.json")
+        save_results(falsify(x1_system, PHI_P, X1_MINUS_5_PREDS, BOX3, config), path)
+        with open(path) as fh:
+            data = json.load(fh)
+        data["results"][0]["failures"] = {"first": "crash"}
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        with pytest.raises(ValueError, match=re.escape("results[0].failures.first")):
+            load_results(path)
 
 
 class TestSearchSpace:
@@ -286,14 +353,19 @@ PINNED_RUN = """\
         "cooling": 0.5,
         "proposal_scale": 0.125
       },
-      "formula": "[]_[0.0,1.0] p"
+      "formula": "[]_[0.0,1.0] p"%(failures)s
     }"""
+
+# a run's failures are written only when it has any
+PINNED_FAILURES = ',\n      "failures": {\n        "1": "simulation failed"\n      }'
 
 PINNED_RESULTS_FILE = (
     '{\n  "format": "falsification-results",\n  "results": [\n'
-    + PINNED_RUN % dict(best="1.5", falsified="false", first="1.5", second="Infinity", seed=11)
+    + PINNED_RUN % dict(best="1.5", falsified="false", first="1.5", second="Infinity", seed=11,
+                        failures=PINNED_FAILURES)
     + ",\n"
-    + PINNED_RUN % dict(best="-0.25", falsified="true", first="-0.25", second="0.75", seed=12)
+    + PINNED_RUN % dict(best="-0.25", falsified="true", first="-0.25", second="0.75", seed=12,
+                        failures="")
     + "\n  ]\n}\n"
 )
 

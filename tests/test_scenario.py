@@ -270,6 +270,37 @@ class TestBindingPaths:
         assert env == presets.demo_environment()
 
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "environment.ego_vehicles_list[0].current_position[1]",
+            "environment.agent_vehicles_list[0].current_position[1]",
+            "environment.pedestrians_list[0].current_position[1]",
+            "environment.road_disturbances_list[0].position[1]",
+        ],
+    )
+    def test_height_binding_rejected(self, path):
+        env = presets.demo_environment()
+        with pytest.raises(ValueError, match="names a height; the 2D kernel ignores it"):
+            resolve_binding(env, path)
+
+
+class TestIntKeyedObjects:
+    def test_decimal_keys_read_back_as_ints(self):
+        kind = dict[int, str]
+        value = {0: "a", 7: "b", 12: "c"}
+        raw = scenario.value_to_json(value, kind)
+        assert raw == {"0": "a", "7": "b", "12": "c"}
+        assert scenario.value_from_json(json.loads(json.dumps(raw)), kind, "m") == value
+
+    @pytest.mark.parametrize("key", ["x", "01", "-1", "+1", " 1", "1.0", "1_0", "", "\u0661"])
+    def test_other_key_rejected_with_its_path(self, key):
+        with pytest.raises(scenario.ScenarioFormatError) as info:
+            scenario.value_from_json({"3": "a", key: "b"}, dict[int, str], "m")
+        assert info.value.path == f"m.{key}"
+        assert "decimal integer key" in str(info.value)
+
+
 class TestTraceDict:
     # the trace-column mapping is column_names over the log descriptions
     def test_demo_log_layout(self):

@@ -62,7 +62,9 @@ def test_instrument_patches_every_traced_name_and_unpatches(tracing):
 
 def test_traced_suite_and_study_keep_their_signatures(tracing, fixtures_dir):
     # the tracer counts rows from run_test_suite's first argument and wraps
-    # the system that make_study_system(study) returns first
+    # the system that make_study_system(study) returns first; run_study looks
+    # up falsify and make_study_system as module globals, so each run is one
+    # falsify.search span and each of its evaluations one falsify.system span
     table = covering.TestTable(["x"], [["20"], ["*"]])
     binding = {"x": "environment.ego_vehicles_list[0].current_position[0]"}
     study = falsify.load_study(os.path.join(fixtures_dir, "demo_study.json"))
@@ -74,10 +76,16 @@ def test_traced_suite_and_study_keep_their_signatures(tracing, fixtures_dir):
         result = covering.run_test_suite(table, env, config, binding, supervisor.run_embedded)
         system, _, _ = falsify.make_study_system(study)
         system((10.0, 20.0, 3.0))
+        study.config = falsify.FalsifyConfig(
+            n_tests=3, runs=2, seed=5, falsification_mode=False, sim_duration_s=0.05
+        )
+        runs = falsify.run_study(study)
     finally:
         tracer.unpatch()
     assert sorted(result.outputs) == [0, 1]
     assert tracer.units["suite.rows"] == 2
     names = [row[1] for row in tracer.rows()]
     assert names.count("covering.run_test_suite") == 1
-    assert names.count("falsify.system") == 1
+    assert names.count("falsify.search") == len(runs) == 2
+    assert names.count("falsify.system") == 1 + sum(r.n_simulations_used for r in runs) == 7
+    assert names.count("robustness.robustness") == 6

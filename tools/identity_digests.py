@@ -25,6 +25,7 @@ import base64
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -79,7 +80,7 @@ def _synthetic_lines() -> dict[str, list[str]]:
         return rb.Trace(times=np.array([0.0]), states=np.array([list(sample)]))
 
     def every_third_fails():
-        calls = iter(range(1, 10**9))
+        calls = itertools.count(1)
 
         def system(sample):
             if next(calls) % 3 == 0:
