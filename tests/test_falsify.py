@@ -179,6 +179,14 @@ class TestFailureMessages:
         assert result.failures == {1: "robustness is NaN"}
         assert result.history[1][1] == math.inf
 
+    def test_infinite_robustness_is_not_a_failure(self):
+        # an always over a window past the end of the trace holds vacuously
+        formula = rb.parse_formula("[]_[5.0,6.0] p")
+        config = FalsifyConfig(n_tests=3, seed=0)
+        result = falsify(x1_system, formula, X1_MINUS_5_PREDS, BOX3, config)
+        assert [rob for _, rob in result.history] == [math.inf] * 3
+        assert result.failures == {} and result.falsified is False
+
     def test_grid_oracle_raises_when_every_point_fails(self):
         with pytest.raises(AllEvaluationsFailedError):
             grid_oracle(always_fails, PHI_P, X1_MINUS_5_PREDS, BOX3, 2)
