@@ -46,7 +46,6 @@ class TestHelp:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
-
     def test_commands_in_one_process_share_the_parser(
         self, tmp_path, fixtures_dir, capsys, monkeypatch
     ):

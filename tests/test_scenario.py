@@ -269,7 +269,6 @@ class TestBindingPaths:
             resolve_binding(env, path)
         assert env == presets.demo_environment()
 
-
     @pytest.mark.parametrize(
         "path",
         [
