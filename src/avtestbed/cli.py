@@ -103,18 +103,15 @@ def cmd_run_scenario(args: argparse.Namespace) -> CommandOutcome:
     if args.trace_out:
         _check_output(args.trace_out)
     env, config = _load("scenario", scenario.load_scenario, args.scenario)
-    violations = scenario.validate_environment(env)
+    # every rule, so that both paths reject alike and before any round trip
+    violations = scenario.validate_environment(env) + scenario.validate_run(env, config)
     if violations:
         for v in violations:
             print(f"validation: {v}", file=sys.stderr)
         raise CommandError(f"scenario has {len(violations)} validation problem(s)")
 
     if args.embedded:
-        try:
-            result = supervisor.run_embedded(env, config)
-        except supervisor.SetupError as exc:
-            raise CommandError(str(exc))
-        trajectory = result.trajectory
+        trajectory = supervisor.run_embedded(env, config).trajectory
     else:
         endpoint = (
             _parse_endpoint(args.endpoint)
@@ -147,6 +144,10 @@ def cmd_run_ca(args: argparse.Namespace) -> CommandOutcome:
     binding = _load("bindings file", scenario.load_json, args.bindings, dict[str, str])
     env, config = _load("scenario", scenario.load_scenario, args.scenario)
     table = _load("test CSV", covering.load_experiment_data, args.csv, args.header_lines)
+    # a binding sets only float fields of env, which validate_run never reads
+    problems = scenario.validate_run(env, config)
+    if problems:
+        raise CommandError(f"scenario cannot run: {problems[0]}")
 
     try:
         result = covering.run_test_suite(table, env, config, binding, supervisor.run_embedded)

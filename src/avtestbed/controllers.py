@@ -10,6 +10,7 @@ dt.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -48,7 +49,7 @@ class RadarDetection:
 
 
 class ControllerConfigError(ValueError):
-    """Bad controller name or malformed argument, raised at world build time."""
+    """Bad controller name or malformed argument, raised when a controller is built."""
 
 
 def wrap_angle(a: float) -> float:
@@ -154,6 +155,10 @@ class VehicleController:
     """
 
     uses_radar = False
+
+    def __init__(self, args: Sequence[str] = (), path: Sequence[tuple[float, float]] = ()):
+        if args:
+            raise ControllerConfigError("the void controller takes no arguments")
 
     def control(self, state, radar: list[RadarDetection], dt: float) -> tuple[float, float]:
         return (0.0, 0.0)
@@ -332,7 +337,7 @@ def radar_sense(world, me) -> list[RadarDetection]:
 # Registry
 
 _VEHICLE_FACTORIES = {
-    "void": lambda args, path: VehicleController(),
+    "void": VehicleController,
     "path_and_speed_follower": PathSpeedFollower,
     "automated_driving_with_fusion2": FusionDrivingController,
 }

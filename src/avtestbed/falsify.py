@@ -141,7 +141,10 @@ def _search(
         if config.falsification_mode and value < 0.0:
             break
     if len(failures) == len(history):
-        raise AllEvaluationsFailedError("every simulation failed; nothing was evaluated")
+        index, message = next(iter(failures.items()))
+        raise AllEvaluationsFailedError(
+            f"every simulation failed; evaluation {index} was the first: {message}"
+        )
     best_sample, best_rob = min(history, key=lambda entry: entry[1])
     return FalsificationResult(
         best_sample=list(best_sample),
@@ -344,19 +347,13 @@ def make_study_system(study: Study) -> tuple[System, MtlFormula, list[LinearPred
     formula = study.requirement.formula()
 
     env, config = copy.deepcopy((study.env, study.sim_config))
-    # the step size is an integer field that no float binding can change, so
-    # the study's duration and log period are checked against it once here
     config.sim_duration_ms = int(round(1000.0 * study.config.sim_duration_s))
-    problems = scenario.validate_config(config)
+    env.data_log_period_ms = int(round(1000.0 * study.config.samp_time_s))
+    # a binding sets only float fields, which validate_run never reads, so
+    # what it checks holds for every sample once it holds here
+    problems = scenario.validate_run(env, config)
     if problems:
         raise ValueError(f"study cannot run: {problems[0]}")
-    period_ms = int(round(1000.0 * study.config.samp_time_s))
-    if period_ms < 1 or period_ms % config.sim_step_size != 0:
-        raise ValueError(
-            f"study samp_time_s: log period {period_ms} ms is not a positive "
-            f"multiple of the step size {config.sim_step_size} ms"
-        )
-    env.data_log_period_ms = period_ms
     setters = []
     for dim in study.space.dims:
         if not isinstance(dim.binding, str):

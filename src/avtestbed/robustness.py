@@ -172,9 +172,6 @@ class FormulaSyntaxError(ValueError):
         super().__init__(f"at position {position}: {message}")
 
 
-_SIMPLE_TOKENS = ("always", "eventually", "and", "or", "implies", "not", "lparen", "rparen")
-
-
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens = []
     pos = 0
@@ -186,21 +183,16 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 break
             bad_at = len(text) - len(stripped)
             raise FormulaSyntaxError(bad_at, f"unexpected character {text[bad_at]!r}")
-        if match.group("until") is not None:
-            tokens.append(("until", None, match.start()))
-        elif match.group("ident") is not None:
-            tokens.append(("ident", match.group("ident"), match.start()))
-        elif match.group("interval") is not None:
+        # the kind's group encloses any other, so it is the last to close
+        kind, value = match.lastgroup, None
+        if kind == "ident":
+            value = match.group("ident")
+        elif kind == "interval":
             try:
-                interval = Interval(float(match.group("lo")), float(match.group("hi")))
+                value = Interval(float(match.group("lo")), float(match.group("hi")))
             except ValueError as exc:
                 raise FormulaSyntaxError(match.start(), str(exc)) from None
-            tokens.append(("interval", interval, match.start()))
-        else:
-            for kind in _SIMPLE_TOKENS:
-                if match.group(kind) is not None:
-                    tokens.append((kind, None, match.start()))
-                    break
+        tokens.append((kind, value, match.start()))
         pos = match.end()
     tokens.append(("end", None, len(text)))
     return tokens

@@ -16,17 +16,21 @@ parse errors and validation violations all use the same names.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import json
 import math
 import re
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum, EnumMeta, IntEnum
 from typing import Any, Callable, NewType, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .controllers import PEDESTRIAN_CONTROLLERS, registered_vehicle_controllers
+from .controllers import PEDESTRIAN_CONTROLLERS, ControllerConfigError, make_vehicle_controller
+from .controllers import registered_vehicle_controllers
 
 
 # A position [x, height, lateral]: an array of exactly three numbers.
@@ -315,10 +319,11 @@ def _validate_vehicle(
     _check_finite(report, path + ".current_orientation", [vhc.current_orientation])
     if vhc.controller not in registered_vehicle_controllers():
         report.append(Violation(path, f"unknown vehicle controller {vhc.controller!r}"))
-    elif vhc.controller == "void" and vhc.controller_arguments:
-        report.append(
-            Violation(path + ".controller_arguments", "the void controller takes no arguments")
-        )
+        return
+    try:  # each controller states its own argument rules when it is built
+        make_vehicle_controller(vhc.controller, list(vhc.controller_arguments), [])
+    except ControllerConfigError as exc:
+        report.append(Violation(path + ".controller_arguments", str(exc)))
 
 
 def validate_config(config: SimulationConfig) -> list[Violation]:
@@ -337,6 +342,24 @@ def validate_config(config: SimulationConfig) -> list[Violation]:
                 f"duration {config.sim_duration_ms} not a multiple of step {config.sim_step_size}",
             )
         )
+    return report
+
+
+def validate_run(env: SimEnvironment, config: SimulationConfig) -> list[Violation]:
+    """validate_config(config), plus the rules that running env under config
+    adds: a run config to select, and a log period, on the step grid, for
+    the declared log columns."""
+    report = validate_config(config)
+    if not config.run_config_arr:
+        report.append(Violation("config.run_config_arr", "must contain at least one entry"))
+    period, step = env.data_log_period_ms, config.sim_step_size
+    if not env.data_log_description_list:
+        return report
+    if period is None:
+        report.append(Violation("data_log_period_ms", "must be set when log items are declared"))
+    elif step >= 1 and (period < 1 or period % step != 0):
+        message = f"log period {period} ms is not a positive multiple of the step size {step} ms"
+        report.append(Violation("data_log_period_ms", message))
     return report
 
 
@@ -587,7 +610,19 @@ def trajectory_from_json(data: Any, path: str = "trajectory") -> Trajectory:
     for i, row in enumerate(raw_rows):
         if not isinstance(row, list) or len(row) != n_cols:
             raise ScenarioFormatError(f"{path}.rows[{i}]", f"expected {n_cols} numbers")
-    rows = np.array(raw_rows, dtype=np.float64).reshape(len(raw_rows), n_cols)
+    # every cell must be a JSON number that is a finite float: not a string,
+    # boolean or null, which numpy would convert, and not NaN or infinite
+    rows = None
+    if set(map(type, itertools.chain.from_iterable(raw_rows))) <= {int, float}:
+        with contextlib.suppress(OverflowError):  # an integer beyond any float
+            rows = np.array(raw_rows, dtype=np.float64).reshape(len(raw_rows), n_cols)
+    if rows is None or not np.isfinite(rows).all():
+        i, j = next(
+            (i, j) for i, row in enumerate(raw_rows) for j, cell in enumerate(row)
+            if type(cell) not in (int, float) or not abs(cell) <= sys.float_info.max
+        )
+        message = f"expected a finite number, got {json.dumps(raw_rows[i][j])}"
+        raise ScenarioFormatError(f"{path}.rows[{i}][{j}]", message)
     return Trajectory(column_labels=labels, rows=rows)
 
 

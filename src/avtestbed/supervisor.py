@@ -29,7 +29,6 @@ from .controllers import (
     ACCEL_MIN,
     STEERING_LIMIT_RAD,
     WHEELBASE_M,
-    ControllerConfigError,
     VehicleController,
     wrap_angle,
 )
@@ -45,8 +44,8 @@ from .scenario import (
     Trajectory,
     column_names,
     parse_column_name,
-    validate_config,
     validate_environment,
+    validate_run,
 )
 
 VEHICLE_LENGTH_M = 4.8
@@ -137,10 +136,11 @@ class SyncTimeoutError(RuntimeError):
 # World construction
 
 
-def build_world(env: SimEnvironment, config: SimulationConfig) -> WorldState:
-    """Instantiate world state and controllers from a validated environment,
-    with its initial state configs applied."""
-    violations = validate_environment(env) + validate_config(config)
+def build_world(env: SimEnvironment) -> WorldState:
+    """Instantiate world state and controllers from env, with its initial
+    state configs applied; SetupError lists what validate_environment finds,
+    controller arguments included.  run checks the config."""
+    violations = validate_environment(env)
     if violations:
         listing = "; ".join(str(v) for v in violations[:5])
         raise SetupError(f"invalid scenario: {listing}")
@@ -153,12 +153,6 @@ def build_world(env: SimEnvironment, config: SimulationConfig) -> WorldState:
             for par in env.control_params_list
             if par.vehicle_id in (None, vhc.vhc_id)
         ]
-        try:
-            controller = controllers.make_vehicle_controller(
-                vhc.controller, list(vhc.controller_arguments), path
-            )
-        except ControllerConfigError as exc:
-            raise SetupError(str(exc)) from None
         world.vehicles.append(
             VehicleState(
                 id=vhc.vhc_id,
@@ -166,7 +160,9 @@ def build_world(env: SimEnvironment, config: SimulationConfig) -> WorldState:
                 y=vhc.current_position[2],
                 heading=vhc.current_orientation,
                 speed=0.0,
-                controller=controller,
+                controller=controllers.make_vehicle_controller(
+                    vhc.controller, list(vhc.controller_arguments), path
+                ),
             )
         )
 
@@ -392,32 +388,24 @@ def run(
     run_index: int = 0,
     beat: Optional[Callable[[int, bool], None]] = None,
 ) -> Trajectory:
-    """Execute the simulation and return the sampled trajectory.
+    """Execute the simulation of world, built from env, and return the
+    sampled trajectory; SetupError names the first problem validate_run finds,
+    or a run_index that selects no run config.
 
     A log row is taken at t=0 and every data_log_period_ms through the end of
     the run.  When heartbeats are enabled and beat is given, beat(sim_time_ms,
     finished) is called at every multiple of the heartbeat period after t=0;
     it is responsible for any synchronization semantics.
     """
-    problems = validate_config(config)
+    problems = validate_run(env, config)
     if problems:
-        raise SetupError(f"invalid config: {problems[0]}")
-    if not config.run_config_arr:
-        raise SetupError("config.run_config_arr must contain at least one entry")
+        raise SetupError(f"invalid scenario: {problems[0]}")
     if not 0 <= run_index < len(config.run_config_arr):
         raise SetupError(f"run index {run_index} out of range")
     mode = config.run_config_arr[run_index].simulation_run_mode
 
     descriptions = list(env.data_log_description_list)
     period_ms = env.data_log_period_ms
-    if descriptions:
-        if period_ms is None:
-            raise SetupError("data_log_period_ms must be set when log items are declared")
-        if period_ms % config.sim_step_size != 0:
-            raise SetupError(
-                f"data_log_period_ms {period_ms} is not a multiple of the "
-                f"step size {config.sim_step_size}"
-            )
 
     heartbeat = env.heart_beat_config
     beat_enabled = (
@@ -464,7 +452,7 @@ def run_embedded(
     beat: Optional[Callable[[int, bool], None]] = None,
 ) -> SimulationResult:
     """Build and run a scenario; the server runs its sessions through here too."""
-    world = build_world(env, config)
+    world = build_world(env)
     trajectory = run(world, env, config, run_index=run_index, beat=beat)
     return SimulationResult(
         trajectory=trajectory,

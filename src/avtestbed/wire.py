@@ -150,10 +150,12 @@ def encode_message(msg: WireMessage) -> bytes:
     return struct.pack(">I", len(body)) + body
 
 
-def _decode_json(payload: bytes, what: str):
+def _decode_json(payload: bytes, what: str, from_json: Callable):
+    """from_json of the JSON document in payload; any error in its encoding,
+    syntax or schema is a WireFormatError."""
     try:
-        return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return from_json(json.loads(payload.decode("utf-8")))
+    except (UnicodeDecodeError, json.JSONDecodeError, scenario.ScenarioFormatError) as exc:
         raise WireFormatError(f"malformed {what} payload: {exc}") from None
 
 
@@ -177,19 +179,13 @@ def decode_message(frame: bytes) -> WireMessage:
         _expect_empty(payload, "ack")
         return Ack()
     if tag == TAG_SETUP_ENVIRONMENT:
-        data = _decode_json(payload, "environment")
-        try:
-            return SetupEnvironment(scenario.environment_from_json(data))
-        except scenario.ScenarioFormatError as exc:
-            raise WireFormatError(f"malformed environment payload: {exc}") from None
+        env = _decode_json(payload, "environment", scenario.environment_from_json)
+        return SetupEnvironment(env)
     if tag == TAG_START_SIM:
         if len(payload) < 1:
             raise WireFormatError("start payload missing run index")
-        data = _decode_json(payload[1:], "config")
-        try:
-            return StartSim(scenario.config_from_json(data), run_index=payload[0])
-        except scenario.ScenarioFormatError as exc:
-            raise WireFormatError(f"malformed config payload: {exc}") from None
+        config = _decode_json(payload[1:], "config", scenario.config_from_json)
+        return StartSim(config, run_index=payload[0])
     if tag == TAG_HEARTBEAT:
         if len(payload) != 9:
             raise WireFormatError("heartbeat payload must be 9 bytes")
@@ -202,11 +198,7 @@ def decode_message(frame: bytes) -> WireMessage:
         _expect_empty(payload, "continue")
         return Continue()
     if tag == TAG_TRACE_DATA:
-        data = _decode_json(payload, "trajectory")
-        try:
-            return TraceData(scenario.trajectory_from_json(data))
-        except scenario.ScenarioFormatError as exc:
-            raise WireFormatError(f"malformed trajectory payload: {exc}") from None
+        return TraceData(_decode_json(payload, "trajectory", scenario.trajectory_from_json))
     if tag == TAG_PROTOCOL_ERROR:
         if len(payload) < 2:
             raise WireFormatError("error payload missing code")

@@ -791,7 +791,7 @@ def _reference_track_contacts(world, seen_pairs: set) -> None:
 
 def reference_run(env: sc.SimEnvironment, config: sc.SimulationConfig) -> sv.SimulationResult:
     """Build, initialize and run a scenario through the reference kernel."""
-    world = sv.build_world(env, config)
+    world = sv.build_world(env)
     descriptions = list(env.data_log_description_list)
     period_ms = env.data_log_period_ms
     duration_ms = config.sim_duration_ms

@@ -264,7 +264,7 @@ def test_criterion_7_kinematics_invariants():
     config = scenario.SimulationConfig(
         sim_duration_ms=100000, sim_step_size=10, run_config_arr=[scenario.RunConfig()]
     )
-    world = supervisor.build_world(env, config)
+    world = supervisor.build_world(env)
     world.vehicles[0].speed = 12.5
     world.vehicles[0].heading = 0.61
     for _ in range(10_000):
@@ -276,7 +276,7 @@ def test_criterion_7_kinematics_invariants():
 
     # pedestrian polyline adherence over the demo walk
     demo_env, demo_config = presets.demo_scenario()
-    walk_world = supervisor.build_world(demo_env, demo_config)
+    walk_world = supervisor.build_world(demo_env)
     waypoints = [(50.0, 0.0), (80.0, -3.0), (200.0, 0.0)]
     dt = demo_config.sim_step_size / 1000.0
     bound = 3.0 * dt + 1e-12

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import os
 import re
 import signal
@@ -18,6 +20,41 @@ def write_demo_scenario(path, duration_ms=200, **kwargs):
     env, config = presets.demo_scenario(sim_duration_ms=duration_ms, **kwargs)
     scenario.save_scenario(env, config, str(path))
     return str(path)
+
+
+def write_edited_demo_scenario(path, keys, value, duration_ms=200):
+    """The demo scenario document with the value at keys replaced."""
+    env, config = presets.demo_scenario(sim_duration_ms=duration_ms)
+    doc = json.loads(scenario.serialize_scenario(env, config))
+    *parents, last = keys
+    functools.reduce(operator.getitem, parents, doc)[last] = value
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return str(path)
+
+
+# (document keys, value, the one violation) of scenarios that no run accepts:
+# first for the rules of a run, then for the arguments of a controller
+RUN_RULE_CASES = [
+    (("environment", "data_log_period_ms"), 15,
+     "data_log_period_ms: log period 15 ms is not a positive multiple of the step size 10 ms"),
+    (("config", "run_config_arr"), [], "config.run_config_arr: must contain at least one entry"),
+    (("environment", "data_log_period_ms"), None,
+     "data_log_period_ms: must be set when log items are declared"),
+]
+RUN_RULE_IDS = ["period-off-the-step-grid", "no-run-config", "columns-without-period"]
+CONTROLLER_ARGUMENT_CASES = [
+    (("environment", "agent_vehicles_list", 0, "controller_arguments"), [],
+     "agent_vehicles_list[0].controller_arguments: "
+     "path_and_speed_follower requires a target speed argument"),
+    (("environment", "ego_vehicles_list", 0, "controller_arguments", 1), "fast",
+     "ego_vehicles_list[0].controller_arguments: "
+     "automated_driving_with_fusion2 numeric argument is malformed: ['fast', '0.0']"),
+    (("environment", "ego_vehicles_list", 0, "controller_arguments", 3), "one",
+     "ego_vehicles_list[0].controller_arguments: "
+     "automated_driving_with_fusion2 vehicle id 'one' is not an integer"),
+]
+CONTROLLER_ARGUMENT_IDS = ["follower-without-speed", "fusion-speed-fast", "fusion-id-one"]
 
 
 class TestHelp:
@@ -151,6 +188,29 @@ class TestRunScenario:
         code = main(["run-scenario", scenario_path, "--endpoint", f"127.0.0.1:{dead_port}"])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "keys, value, violation", RUN_RULE_CASES + CONTROLLER_ARGUMENT_CASES,
+        ids=RUN_RULE_IDS + CONTROLLER_ARGUMENT_IDS,
+    )
+    def test_scenario_that_cannot_run_exits_2_on_both_paths_alike(
+        self, tmp_path, capsys, monkeypatch, keys, value, violation
+    ):
+        def no_session(*args, **kwargs):
+            raise AssertionError("attempted a round trip for a scenario that cannot run")
+
+        monkeypatch.setattr(wire, "client_session", no_session)
+        scenario_path = write_edited_demo_scenario(tmp_path / "scn.json", keys, value)
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        dead_port = probe.getsockname()[1]
+        probe.close()
+
+        assert main(["run-scenario", scenario_path, "--embedded"]) == 2
+        embedded = capsys.readouterr().err
+        assert main(["run-scenario", scenario_path, "--endpoint", f"127.0.0.1:{dead_port}"]) == 2
+        assert capsys.readouterr().err == embedded == (
+            f"validation: {violation}\nerror: scenario has 1 validation problem(s)\n"
+        )
 
     @pytest.mark.parametrize(
         "answer_hello, message",
@@ -368,6 +428,21 @@ class TestRunCa:
         summary = json.loads((out_dir / "summary.json").read_text())
         statuses = [e["status"] for e in summary["rows"]]
         assert statuses == ["ok", "failed"]
+
+    @pytest.mark.parametrize("keys, value, violation", RUN_RULE_CASES, ids=RUN_RULE_IDS)
+    def test_template_no_row_can_run_exits_2_before_any_row(
+        self, tmp_path, capsys, monkeypatch, keys, value, violation
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a row of a template that cannot run")
+
+        monkeypatch.setattr(supervisor, "run_embedded", no_simulation)
+        csv_path, scenario_path, bindings = self.make_inputs(tmp_path, ["0,20,2", "5,25,3"])
+        write_edited_demo_scenario(scenario_path, keys, value)
+        out_dir = tmp_path / "out"
+        assert main(["run-ca", csv_path, scenario_path, bindings, "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: scenario cannot run: {violation}\n"
+        assert not out_dir.exists()
 
     def test_row_with_pedestrian_orientation_initial_state_fails(self, tmp_path):
         csv_path, scenario_path, bindings = self.make_inputs(tmp_path, ["0,20,2"])
@@ -808,7 +883,10 @@ class TestFalsifyCommand:
             json.dump(study, fh)
         out = tmp_path / "results.json"
         assert main(["falsify", study_path, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: every simulation failed; nothing was evaluated\n"
+        assert capsys.readouterr().err == (
+            "error: every simulation failed; evaluation 0 was the first: "
+            "invalid scenario: pedestrians_list[0]: target_speed must be >= 0\n"
+        )
         assert not out.exists()
 
 

@@ -80,11 +80,15 @@ class TestVoid:
         assert type(ctrl) is VehicleController
         assert ctrl.control(make_state(speed=13.0), [], 0.01) == (0.0, 0.0)
 
+    def test_arguments_rejected(self):
+        with pytest.raises(ControllerConfigError, match="the void controller takes no arguments"):
+            make_vehicle_controller("void", ["x"], [])
+
     def test_speed_and_heading_preserved_over_many_steps(self):
         env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1, controller="void")])
         config = SimulationConfig(sim_duration_ms=10000, sim_step_size=10,
                                   run_config_arr=[RunConfig()])
-        world = supervisor.build_world(env, config)
+        world = supervisor.build_world(env)
         world.vehicles[0].speed = 8.0
         world.vehicles[0].heading = 0.37
         for _ in range(1000):
@@ -159,7 +163,7 @@ class TestPathSpeedFollower:
         ]
         config = SimulationConfig(sim_duration_ms=10000, sim_step_size=10,
                                   run_config_arr=[RunConfig()])
-        world = supervisor.build_world(env, config)
+        world = supervisor.build_world(env)
         world.vehicles[0].speed = 10.0
         offsets = []
         for _ in range(1000):

@@ -191,6 +191,23 @@ class TestFailureMessages:
         with pytest.raises(AllEvaluationsFailedError):
             grid_oracle(always_fails, PHI_P, X1_MINUS_5_PREDS, BOX3, 2)
 
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda: falsify(always_fails, PHI_P, X1_MINUS_5_PREDS, BOX3, FalsifyConfig(n_tests=3)),
+            lambda: uniform_random_search(
+                always_fails, PHI_P, X1_MINUS_5_PREDS, BOX3, FalsifyConfig(n_tests=3)
+            ),
+            lambda: grid_oracle(always_fails, PHI_P, X1_MINUS_5_PREDS, BOX3, 2),
+        ],
+        ids=["falsify", "uniform_random_search", "grid_oracle"],
+    )
+    def test_all_failed_error_names_the_first_failure(self, search):
+        with pytest.raises(AllEvaluationsFailedError) as err:
+            search()
+        message = "every simulation failed; evaluation 0 was the first: setup rejected"
+        assert str(err.value) == message
+
     def test_results_file_has_failures_only_when_a_run_has_some(self, tmp_path):
         config = FalsifyConfig(n_tests=6, seed=1, falsification_mode=False)
         clean = falsify(x1_system, PHI_P, X1_MINUS_5_PREDS, BOX3, config)

@@ -105,7 +105,7 @@ class TestAgainstReferenceKernel:
 class TestSampleLogRow:
     def test_sampler_reads_state_at_call_time(self):
         env, config = presets.demo_scenario()
-        world = supervisor.build_world(env, config)
+        world = supervisor.build_world(env)
         descriptions = env.data_log_description_list
         getters = supervisor.compile_log_row(world, descriptions)
         before = supervisor.sample_log_row(getters)

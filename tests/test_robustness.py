@@ -154,6 +154,16 @@ class TestParser:
         with pytest.raises(FormulaSyntaxError):
             parse_formula("(p /\\ q")
 
+    def test_tokenizer_yields_every_kind(self):
+        tokens = rb._tokenize("[] (a /\\ !b) \\/ <>_[0,1] c -> d U_[0, 2] e U f")
+        assert [(kind, value) for kind, value, _ in tokens] == [
+            ("always", None), ("lparen", None), ("ident", "a"), ("and", None), ("not", None),
+            ("ident", "b"), ("rparen", None), ("or", None), ("eventually", None),
+            ("interval", Interval(0.0, 1.0)), ("ident", "c"), ("implies", None),
+            ("ident", "d"), ("until", None), ("interval", Interval(0.0, 2.0)), ("ident", "e"),
+            ("until", None), ("ident", "f"), ("end", None),
+        ]
+
     def test_format_parse_fixed_point(self):
         rng = random.Random(17)
         for _ in range(200):

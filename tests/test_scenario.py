@@ -30,7 +30,9 @@ from avtestbed.scenario import (
     parse_scenario,
     resolve_binding,
     serialize_scenario,
+    trajectory_from_json,
     validate_environment,
+    validate_run,
 )
 
 from oracles import random_config, random_environment
@@ -162,6 +164,23 @@ class TestValidation:
         env.agent_vehicles_list[0].controller_arguments = []
         assert validate_environment(env) == []
 
+    @pytest.mark.parametrize(
+        "where, args, message",
+        [
+            ("agent_vehicles_list", [], "requires a target speed"),
+            ("ego_vehicles_list", ["Toyota", "fast", "0.0"], "numeric argument is malformed"),
+            ("ego_vehicles_list", ["Toyota", "70.0", "0.0", "one"], "'one' is not an integer"),
+        ],
+        ids=["path-follower-without-speed", "fusion-speed-fast", "fusion-id-one"],
+    )
+    def test_controller_argument_error_reported_at_its_field(self, where, args, message):
+        env = presets.demo_environment()
+        getattr(env, where)[0].controller_arguments = args
+        report = validate_environment(env)
+        assert [(v.path, message in v.message) for v in report] == [
+            (f"{where}[0].controller_arguments", True)
+        ]
+
     def test_empty_parameter_name(self):
         env = SimEnvironment(control_params_list=[ControllerParameter(parameter_name="")])
         assert any("parameter_name" in v.message for v in validate_environment(env))
@@ -222,6 +241,81 @@ class TestValidation:
         report = validate_environment(env)
         violation_path = re.sub(r"\[\d+\]$", "", doc_path)
         assert [v.path for v in report if "finite" in v.message] == [violation_path]
+
+
+class TestValidateRun:
+    def test_demo_scenario_runs(self):
+        assert validate_run(*presets.demo_scenario()) == []
+
+    def test_config_violations_come_first(self):
+        env, config = presets.demo_scenario()
+        config.sim_duration_ms = 15
+        config.run_config_arr = []
+        assert [v.path for v in validate_run(env, config)] == [
+            "config.sim_duration_ms", "config.run_config_arr"
+        ]
+
+    def test_empty_run_config_arr_reported(self):
+        env, config = presets.demo_scenario()
+        config.run_config_arr = []
+        report = validate_run(env, config)
+        assert [(v.path, v.message) for v in report] == [
+            ("config.run_config_arr", "must contain at least one entry")
+        ]
+
+    def test_log_columns_without_a_period_reported(self):
+        env, config = presets.demo_scenario()
+        env.data_log_period_ms = None
+        report = validate_run(env, config)
+        assert [(v.path, v.message) for v in report] == [
+            ("data_log_period_ms", "must be set when log items are declared")
+        ]
+
+    @pytest.mark.parametrize("period", [15, 5, 0, -10])
+    def test_period_off_the_step_grid_reported(self, period):
+        env, config = presets.demo_scenario()
+        env.data_log_period_ms = period
+        report = validate_run(env, config)
+        assert [(v.path, v.message) for v in report] == [
+            ("data_log_period_ms",
+             f"log period {period} ms is not a positive multiple of the step size 10 ms")
+        ]
+
+    def test_period_is_not_checked_against_a_step_that_is_itself_invalid(self):
+        env, config = presets.demo_scenario()
+        config.sim_step_size = 0
+        assert [v.path for v in validate_run(env, config)] == ["config.sim_step_size"]
+
+    def test_environment_without_log_columns_needs_no_period(self):
+        env, config = parse_scenario('{"environment": {}, "config": {}}')
+        assert validate_environment(env) == []
+        assert [v.path for v in validate_run(env, config)] == ["config.run_config_arr"]
+        config.run_config_arr = [RunConfig()]
+        assert validate_run(env, config) == []
+
+
+class TestTrajectoryFromJson:
+    LABELS = [
+        {"item_type": "TIME", "item_index": 0, "item_state_index": "POSITION_X"},
+        {"item_type": "VEHICLE", "item_index": 0, "item_state_index": "SPEED"},
+    ]
+
+    def test_integer_and_float_cells_accepted(self):
+        traj = trajectory_from_json({"column_labels": self.LABELS, "rows": [[0, 1.5], [10, 2]]})
+        assert traj.rows.tolist() == [[0.0, 1.5], [10.0, 2.0]]
+
+    @pytest.mark.parametrize(
+        "cell, shown",
+        [("1.5", '"1.5"'), (True, "true"), (None, "null"), ([1.0], "[1.0]"),
+         (math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity"),
+         (10 ** 400, str(10 ** 400))],
+        ids=["string", "boolean", "null", "array", "nan", "inf", "minus-inf", "huge-integer"],
+    )
+    def test_cell_that_is_not_a_finite_number_rejected(self, cell, shown):
+        data = {"column_labels": self.LABELS, "rows": [[0, 1.0], [10, cell], [20, "x"]]}
+        with pytest.raises(ScenarioFormatError) as err:
+            trajectory_from_json(data)
+        assert str(err.value) == f"trajectory.rows[1][1]: expected a finite number, got {shown}"
 
 
 class TestBindingPaths:

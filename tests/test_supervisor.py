@@ -46,7 +46,7 @@ def simple_config(duration_ms=1000, step_ms=10):
 class TestBuildWorld:
     def test_demo_world_layout(self):
         env, config = presets.demo_scenario()
-        world = build_world(env, config)
+        world = build_world(env)
         assert len(world.vehicles) == 2
         ego, agent = world.vehicles
         assert (ego.x, ego.y) == (20.0, 0.0)
@@ -61,7 +61,7 @@ class TestBuildWorld:
         assert ego.controller.path == [(-1000.0, 0.0), (1000.0, 0.0)]
 
     def test_empty_environment_builds_clock_only_world(self):
-        world = build_world(SimEnvironment(), simple_config())
+        world = build_world(SimEnvironment())
         assert world.vehicles == []
         assert world.pedestrians == []
         assert world.sim_time_ms == 0
@@ -69,18 +69,24 @@ class TestBuildWorld:
     def test_unknown_controller_is_setup_error(self):
         env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1, controller="no_such_ctrl")])
         with pytest.raises(SetupError, match="no_such_ctrl"):
-            build_world(env, simple_config())
+            build_world(env)
+
+    def test_bad_controller_argument_is_setup_error_naming_its_field(self):
+        env, _ = presets.demo_scenario()
+        env.agent_vehicles_list[0].controller_arguments = []
+        with pytest.raises(SetupError, match=r"agent_vehicles_list\[0\]\.controller_arguments"):
+            build_world(env)
 
     def test_invalid_environment_rejected(self):
         env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1), Vehicle(vhc_id=1)])
         with pytest.raises(SetupError, match="duplicate"):
-            build_world(env, simple_config())
+            build_world(env)
 
 
 class TestInitialStates:
     def test_velocity_x_sets_speed(self):
         env, config = presets.demo_scenario()
-        world = build_world(env, config)
+        world = build_world(env)
         assert world.vehicles[0].speed == 10.0
         assert world.vehicles[0].heading == 0.0
 
@@ -89,7 +95,7 @@ class TestInitialStates:
         env.initial_state_config_list.append(
             InitialStateConfig(LogItemDescription(ItemType.PEDESTRIAN, 0, StateId.POSITION_Y), -1.0)
         )
-        world = build_world(env, config)
+        world = build_world(env)
         assert (world.vehicles[0].speed, world.pedestrians[0].y) == (10.0, -1.0)
         before = [(v.x, v.y, v.heading, v.speed) for v in world.vehicles]
         apply_initial_states(world, env.initial_state_config_list)
@@ -98,14 +104,14 @@ class TestInitialStates:
 
     def test_empty_list_is_noop(self):
         env, config = presets.demo_scenario()
-        world = build_world(env, config)
+        world = build_world(env)
         before = [(v.x, v.y, v.heading, v.speed) for v in world.vehicles]
         apply_initial_states(world, [])
         assert [(v.x, v.y, v.heading, v.speed) for v in world.vehicles] == before
 
     def test_position_y_assignment(self):
         env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1)])
-        world = build_world(env, simple_config())
+        world = build_world(env)
         apply_initial_states(
             world,
             [
@@ -118,7 +124,7 @@ class TestInitialStates:
 
     def test_negative_velocity_gives_absolute_speed(self):
         env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1)])
-        world = build_world(env, simple_config())
+        world = build_world(env)
         world.vehicles[0].heading = 0.25
         apply_initial_states(
             world,
@@ -131,7 +137,7 @@ class TestInitialStates:
 class TestStep:
     def test_straight_line_advance(self):
         env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1)])
-        world = build_world(env, simple_config())
+        world = build_world(env)
         world.vehicles[0].speed = 10.0
         step(world, 10)
         assert world.vehicles[0].x == pytest.approx(0.1, abs=1e-15)
@@ -144,7 +150,7 @@ class TestStep:
                 return (0.0, -5.0)
 
         env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1)])
-        world = build_world(env, simple_config())
+        world = build_world(env)
         world.vehicles[0].controller = HardBrake()
         world.vehicles[0].speed = 0.0
         for _ in range(10):
@@ -164,7 +170,7 @@ class TestStep:
                 )
             ]
         )
-        world = build_world(env, simple_config())
+        world = build_world(env)
         step(world, 10)
         ped = world.pedestrians[0]
         moved = math.hypot(ped.x - 50.0, ped.y - 0.0)
@@ -176,7 +182,7 @@ class TestStep:
         env = SimEnvironment(
             pedestrians_list=[Pedestrian(ped_id=1, target_speed=3.0, trajectory=[10.0, 0.0])]
         )
-        world = build_world(env, simple_config())
+        world = build_world(env)
         step(world, 10)
         assert (world.pedestrians[0].x, world.pedestrians[0].y) == (0.0, 0.0)
 
@@ -231,7 +237,7 @@ class TestCollisions:
 class TestSampling:
     def test_velocity_projection(self):
         env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1)])
-        world = build_world(env, simple_config())
+        world = build_world(env)
         world.vehicles[0].x = 20.0
         world.vehicles[0].heading = math.pi / 2
         world.vehicles[0].speed = 10.0
@@ -247,7 +253,7 @@ class TestSampling:
 
     def test_demo_row_layout(self):
         env, config = presets.demo_scenario()
-        world = build_world(env, config)
+        world = build_world(env)
         row = sample_log_row(compile_log_row(world, env.data_log_description_list))
         assert len(row) == 11
         assert row[0] == 0.0
@@ -260,7 +266,7 @@ class TestSampling:
 
     def test_orientation_wrapped(self):
         env = SimEnvironment(ego_vehicles_list=[Vehicle(vhc_id=1)])
-        world = build_world(env, simple_config())
+        world = build_world(env)
         world.vehicles[0].heading = 3 * math.pi
         row = sample_log_row(compile_log_row(
             world, [LogItemDescription(ItemType.VEHICLE, 0, StateId.ORIENTATION)]
@@ -274,7 +280,7 @@ class TestSampling:
             RoadDisturbance(position=[40.0, 0.0, 0.0], length=3.0, width=3.5,
                             height=0.04, inter_object_spacing=0.5)
         ]
-        world = build_world(env, simple_config())
+        world = build_world(env)
         world.vehicles[0].x = 41.3
         world.vehicles[0].y = 0.2
         row = sample_log_row(compile_log_row(
@@ -341,6 +347,13 @@ class TestRun:
         with pytest.raises(SetupError, match="run_config_arr"):
             run_embedded(env, config)
 
+    def test_requires_a_log_period_for_declared_columns(self):
+        env, config = presets.demo_scenario()
+        world = build_world(env)
+        env.data_log_period_ms = None
+        with pytest.raises(SetupError, match="data_log_period_ms: must be set"):
+            run(world, env, config)
+
     def test_real_time_mode_paces_but_matches_fast_run(self):
         import time
 
@@ -366,7 +379,7 @@ class TestRun:
         env, config = presets.demo_scenario()
         env.heart_beat_config = HeartbeatConfig(sync_type=SyncType.WITHOUT_SYNC, period_ms=2000)
         config.sim_duration_ms = 10000
-        run(build_world(env, config), env, config, beat=lambda t, done: beats.append((t, done)))
+        run(build_world(env), env, config, beat=lambda t, done: beats.append((t, done)))
         assert [t for t, _ in beats] == [2000, 4000, 6000, 8000, 10000]
         assert [finished for _, finished in beats] == [False, False, False, False, True]
 
@@ -374,7 +387,7 @@ class TestRun:
         beats = []
         env, config = presets.demo_scenario()
         config.sim_duration_ms = 1000
-        run(build_world(env, config), env, config, beat=lambda t, done: beats.append(t))
+        run(build_world(env), env, config, beat=lambda t, done: beats.append(t))
         assert beats == []
 
     def test_beats_reach_run_embedded_caller(self):
@@ -391,27 +404,27 @@ class TestRun:
         env, config = presets.demo_scenario()
         env.heart_beat_config = HeartbeatConfig(sync_type=SyncType.WITHOUT_SYNC, period_ms=25)
         config.sim_duration_ms = 200
-        run(build_world(env, config), env, config, beat=lambda t, done: beats.append(t))
+        run(build_world(env), env, config, beat=lambda t, done: beats.append(t))
         assert beats == [50, 100, 150, 200]
 
     def test_run_index_selects_the_run_config(self):
         env, config = presets.demo_scenario()
         config.sim_duration_ms = 100
         config.run_config_arr = [RunConfig(RunMode.REAL_TIME), RunConfig(RunMode.FAST_NO_GRAPHICS)]
-        world = build_world(env, config)
+        world = build_world(env)
         import time
 
         t0 = time.monotonic()
         fast = run(world, env, config, run_index=1)
         assert time.monotonic() - t0 < 0.5
         with pytest.raises(SetupError, match="out of range"):
-            run(build_world(env, config), env, config, run_index=2)
+            run(build_world(env), env, config, run_index=2)
 
 
 class TestPedestrianAdherence:
     def test_distance_to_polyline_bounded_by_step(self):
         env, config = presets.demo_scenario()
-        world = build_world(env, config)
+        world = build_world(env)
         waypoints = [(50.0, 0.0), (80.0, -3.0), (200.0, 0.0)]
         dt = config.sim_step_size / 1000.0
         bound = 3.0 * dt

@@ -81,6 +81,39 @@ class TestFraming:
         with pytest.raises(wire.WireFormatError, match="run index"):
             wire.encode_message(wire.StartSim(run_index=run_index))
 
+    @pytest.mark.parametrize(
+        "tag, prefix, what",
+        [(wire.TAG_SETUP_ENVIRONMENT, b"", "environment"),
+         (wire.TAG_START_SIM, b"\x00", "config"),
+         (wire.TAG_TRACE_DATA, b"", "trajectory")],
+    )
+    @pytest.mark.parametrize(
+        "payload, detail",
+        [(b"\xff", "'utf-8' codec can't decode"), (b"{", "Expecting property name"),
+         (b'{"nope": 1}', ".nope: unknown field")],
+        ids=["utf8", "json", "schema"],
+    )
+    def test_json_payload_errors_name_their_payload(self, tag, prefix, what, payload, detail):
+        body = bytes([tag]) + prefix + payload
+        with pytest.raises(wire.WireFormatError) as err:
+            wire.decode_message(struct.pack(">I", len(body)) + body)
+        assert str(err.value).startswith(f"malformed {what} payload: ")
+        assert detail in str(err.value)
+
+    @pytest.mark.parametrize("cell", ["1.5", True, None, math.nan])
+    def test_trace_cell_that_is_not_a_finite_number_rejected(self, cell):
+        labels = [scenario.LogItemDescription(), scenario.LogItemDescription()]
+        doc = {
+            "column_labels": scenario.value_to_json(labels, list[scenario.LogItemDescription]),
+            "rows": [[0.0, 1.0], [10.0, cell]],
+        }
+        body = bytes([wire.TAG_TRACE_DATA]) + json.dumps(doc).encode("utf-8")
+        with pytest.raises(wire.WireFormatError) as err:
+            wire.decode_message(struct.pack(">I", len(body)) + body)
+        assert str(err.value).startswith(
+            "malformed trajectory payload: trajectory.rows[1][1]: expected a finite number, got "
+        )
+
     def test_protocol_error_message_utf8(self):
         msg = wire.ProtocolErrorMsg(code=100, message="entité inconnue")
         assert wire.decode_message(wire.encode_message(msg)) == msg
@@ -153,6 +186,23 @@ class TestClientSession:
         with pytest.raises(wire.ProtocolSessionError) as err:
             wire.client_session(("127.0.0.1", server.port), env, config)
         assert err.value.code == wire.ERR_SETUP
+
+    def test_bad_controller_arguments_on_the_setup_frame_report_error_100(self, server):
+        import socket as socket_module
+
+        env, _ = presets.demo_scenario()
+        env.ego_vehicles_list[0].controller_arguments[1] = "fast"
+        sock = socket_module.create_connection(("127.0.0.1", server.port), timeout=5.0)
+        try:
+            wire.send_message(sock, wire.Hello())
+            assert isinstance(wire.recv_message(sock), wire.Ack)
+            wire.send_message(sock, wire.SetupEnvironment(env))
+            reply = wire.recv_message(sock)
+            assert isinstance(reply, wire.ProtocolErrorMsg)
+            assert reply.code == wire.ERR_SETUP
+            assert "ego_vehicles_list[0].controller_arguments" in reply.message
+        finally:
+            sock.close()
 
     def test_pedestrian_orientation_initial_state_reports_error_100(self, server):
         env, config = presets.demo_scenario()
