@@ -123,16 +123,13 @@ def _pursue(
             best_dist = dist
             s = arc + t * seg_len
 
-    s += lookahead
-    if s <= 0.0:
-        tx, ty = path[0]
-    else:
-        tx, ty = path[-1]
-        for ax, ay, vx, vy, seg_len, _, arc in segments:
-            if s <= arc + seg_len:
-                t = (s - arc) / seg_len
-                tx, ty = ax + t * vx, ay + t * vy
-                break
+    s += lookahead  # at least LOOKAHEAD_MIN_M, or NaN, so never before path[0]
+    tx, ty = path[-1]
+    for ax, ay, vx, vy, seg_len, _, arc in segments:
+        if s <= arc + seg_len:
+            t = (s - arc) / seg_len
+            tx, ty = ax + t * vx, ay + t * vy
+            break
     dx, dy = tx - x, ty - y
     if dx == 0.0 and dy == 0.0:
         return 0.0

@@ -14,11 +14,12 @@ Formula grammar::
     atoms           identifiers (predicate names; 'U' is reserved)
     !f              negation
     f /\\ g          conjunction            f \\/ g   disjunction
-    f -> g          implication (right associative)
+    f -> g          implication
     [] f  <> f      always / eventually    f U g    until
     []_[lo,hi] f    bounded variants; bounds in seconds, 'inf' allowed
 
-Precedence, tightest first: unary (!, [], <>), U, /\\, \\/, ->.
+Precedence, tightest first: unary (!, [], <>), U, /\\, \\/, ->.  The binary
+operators -> and U group to the right, /\\ and \\/ to the left.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Any, Optional, Union
 
 import numpy as np
 
-from .scenario import ItemType, Trajectory, value_from_json, value_to_json
+from .scenario import ItemType, ScenarioFormatError, Trajectory, value_from_json, value_to_json
 
 
 @dataclass
@@ -198,93 +199,67 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, object, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, object, int]:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, kind: str) -> tuple[str, object, int]:
-        token = self.advance()
-        if token[0] != kind:
-            raise FormulaSyntaxError(token[2], f"expected {kind}, found {token[0]}")
-        return token
-
-    def parse(self) -> MtlFormula:
-        formula = self.parse_implies()
-        token = self.peek()
-        if token[0] != "end":
-            raise FormulaSyntaxError(token[2], f"unexpected {token[0]}")
-        return formula
-
-    def parse_implies(self) -> MtlFormula:
-        left = self.parse_or()
-        if self.peek()[0] == "implies":
-            self.advance()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self) -> MtlFormula:
-        node = self.parse_and()
-        while self.peek()[0] == "or":
-            self.advance()
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self) -> MtlFormula:
-        node = self.parse_until()
-        while self.peek()[0] == "and":
-            self.advance()
-            node = And(node, self.parse_until())
-        return node
-
-    def parse_until(self) -> MtlFormula:
-        left = self.parse_unary()
-        if self.peek()[0] == "until":
-            self.advance()
-            interval = self.maybe_interval()
-            return Until(left, self.parse_until(), interval)
-        return left
-
-    def maybe_interval(self) -> Optional[Interval]:
-        if self.peek()[0] == "interval":
-            return self.advance()[1]  # type: ignore[return-value]
-        return None
-
-    def parse_unary(self) -> MtlFormula:
-        kind, value, position = self.peek()
-        if kind == "not":
-            self.advance()
-            return Not(self.parse_unary())
-        if kind == "always":
-            self.advance()
-            interval = self.maybe_interval()
-            return Always(self.parse_unary(), interval)
-        if kind == "eventually":
-            self.advance()
-            interval = self.maybe_interval()
-            return Eventually(self.parse_unary(), interval)
-        if kind == "lparen":
-            self.advance()
-            node = self.parse_implies()
-            self.expect("rparen")
-            return node
-        if kind == "ident":
-            self.advance()
-            return Atom(value)  # type: ignore[arg-type]
-        raise FormulaSyntaxError(position, f"expected a formula, found {kind}")
+# Binary operators, loosest first: (token kind, node, symbol, groups right).
+# parse_formula reads precedence from the row order and format_formula the
+# symbols; unary operators, parentheses and atoms bind tighter than any row.
+_BINARY = (
+    ("implies", Implies, "->", True),
+    ("or", Or, "\\/", False),
+    ("and", And, "/\\", False),
+    ("until", Until, "U", True),
+)
+_LEVEL = {kind: level for level, (kind, *_) in enumerate(_BINARY)}
 
 
 def parse_formula(text: str) -> MtlFormula:
-    return _Parser(text).parse()
+    tokens = _tokenize(text)
+    pos = 0
+
+    def interval() -> Optional[Interval]:
+        nonlocal pos
+        kind, value, _ = tokens[pos]
+        if kind != "interval":
+            return None
+        pos += 1
+        return value  # type: ignore[return-value]
+
+    def binary(min_level: int) -> MtlFormula:
+        """A formula whose unparenthesised binary operators are all of _BINARY[min_level:]."""
+        nonlocal pos
+        left = unary()
+        while (level := _LEVEL.get(tokens[pos][0], -1)) >= min_level:
+            _, node, _, groups_right = _BINARY[level]
+            pos += 1
+            extra = (interval(),) if node is Until else ()
+            right = binary(level if groups_right else level + 1)
+            left = node(left, right, *extra)
+        return left
+
+    def unary() -> MtlFormula:
+        nonlocal pos
+        kind, value, position = tokens[pos]
+        pos += 1
+        if kind == "not":
+            return Not(unary())
+        if kind in ("always", "eventually"):
+            bound = interval()
+            return (Always if kind == "always" else Eventually)(unary(), bound)
+        if kind == "lparen":
+            inner = binary(0)
+            kind, _, position = tokens[pos]
+            if kind != "rparen":
+                raise FormulaSyntaxError(position, f"expected rparen, found {kind}")
+            pos += 1
+            return inner
+        if kind == "ident":
+            return Atom(value)  # type: ignore[arg-type]
+        raise FormulaSyntaxError(position, f"expected a formula, found {kind}")
+
+    formula = binary(0)
+    kind, _, position = tokens[pos]
+    if kind != "end":
+        raise FormulaSyntaxError(position, f"unexpected {kind}")
+    return formula
 
 
 def _format_interval(interval: Optional[Interval]) -> str:
@@ -301,20 +276,13 @@ def format_formula(formula: MtlFormula) -> str:
         return formula.name
     if isinstance(formula, Not):
         return f"!{_wrap(formula.operand)}"
-    if isinstance(formula, And):
-        return f"{_wrap(formula.left)} /\\ {_wrap(formula.right)}"
-    if isinstance(formula, Or):
-        return f"{_wrap(formula.left)} \\/ {_wrap(formula.right)}"
-    if isinstance(formula, Implies):
-        return f"{_wrap(formula.left)} -> {_wrap(formula.right)}"
-    if isinstance(formula, Always):
-        return f"[]{_format_interval(formula.interval)} {_wrap(formula.operand)}"
-    if isinstance(formula, Eventually):
-        return f"<>{_format_interval(formula.interval)} {_wrap(formula.operand)}"
-    if isinstance(formula, Until):
-        return (
-            f"{_wrap(formula.left)} U{_format_interval(formula.interval)} {_wrap(formula.right)}"
-        )
+    if isinstance(formula, (Always, Eventually)):
+        symbol = "[]" if isinstance(formula, Always) else "<>"
+        return f"{symbol}{_format_interval(formula.interval)} {_wrap(formula.operand)}"
+    for _, node, symbol, _ in _BINARY:
+        if isinstance(formula, node):
+            interval = _format_interval(getattr(formula, "interval", None))
+            return f"{_wrap(formula.left)} {symbol}{interval} {_wrap(formula.right)}"
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -427,18 +395,15 @@ def _eval(formula: MtlFormula, pred_map: dict[str, LinearPredicate], trace: Trac
         return np.maximum(
             -_eval(formula.left, pred_map, trace), _eval(formula.right, pred_map, trace)
         )
-    if isinstance(formula, Always):
+    if isinstance(formula, (Always, Eventually)):
+        reduce, empty = (
+            (np.minimum, math.inf) if isinstance(formula, Always) else (np.maximum, -math.inf)
+        )
         inner = _eval(formula.operand, pred_map, trace)
         if formula.interval is None:
-            return np.minimum.accumulate(inner[::-1])[::-1]
+            return reduce.accumulate(inner[::-1])[::-1]
         starts, stops = _interval_windows(times, formula.interval)
-        return _window_extreme(inner, starts, stops, np.minimum, math.inf)
-    if isinstance(formula, Eventually):
-        inner = _eval(formula.operand, pred_map, trace)
-        if formula.interval is None:
-            return np.maximum.accumulate(inner[::-1])[::-1]
-        starts, stops = _interval_windows(times, formula.interval)
-        return _window_extreme(inner, starts, stops, np.maximum, -math.inf)
+        return _window_extreme(inner, starts, stops, reduce, empty)
     if isinstance(formula, Until):
         left = _eval(formula.left, pred_map, trace)
         right = _eval(formula.right, pred_map, trace)
@@ -524,6 +489,12 @@ def requirement_to_json(req: Requirement) -> dict:
 def requirement_from_json(data: Any) -> Requirement:
     """Read a requirement document; ScenarioFormatError names a bad field's path."""
     doc = value_from_json(data, _REQUIREMENT_KINDS, "requirement")
+    for i, spec in enumerate(doc["predicates"]):
+        path = f"requirement.predicates[{i}]"
+        numbers = [(f"{path}.a.{column}", coeff) for column, coeff in spec["a"].items()]
+        for where, value in numbers + [(f"{path}.b", spec["b"])]:
+            if not math.isfinite(value):
+                raise ScenarioFormatError(where, "must be finite")
     parse_formula(doc["formula"])  # surface syntax errors at load time
     return Requirement(formula_text=doc["formula"], predicates=doc["predicates"])
 

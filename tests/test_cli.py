@@ -429,7 +429,10 @@ class TestRunCa:
         statuses = [e["status"] for e in summary["rows"]]
         assert statuses == ["ok", "failed"]
 
-    @pytest.mark.parametrize("keys, value, violation", RUN_RULE_CASES, ids=RUN_RULE_IDS)
+    @pytest.mark.parametrize(
+        "keys, value, violation", RUN_RULE_CASES + CONTROLLER_ARGUMENT_CASES,
+        ids=RUN_RULE_IDS + CONTROLLER_ARGUMENT_IDS,
+    )
     def test_template_no_row_can_run_exits_2_before_any_row(
         self, tmp_path, capsys, monkeypatch, keys, value, violation
     ):
@@ -444,7 +447,7 @@ class TestRunCa:
         assert capsys.readouterr().err == f"error: scenario cannot run: {violation}\n"
         assert not out_dir.exists()
 
-    def test_row_with_pedestrian_orientation_initial_state_fails(self, tmp_path):
+    def test_row_with_pedestrian_orientation_initial_state_fails(self, tmp_path, capsys):
         csv_path, scenario_path, bindings = self.make_inputs(tmp_path, ["0,20,2"])
         env, config = scenario.load_scenario(scenario_path)
         env.initial_state_config_list.append(
@@ -457,10 +460,23 @@ class TestRunCa:
         )
         scenario.save_scenario(env, config, scenario_path)
         out_dir = tmp_path / "out"
+        assert main(["run-ca", csv_path, scenario_path, bindings, "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            "error: scenario cannot run: initial_state_config_list[1]: "
+            "initial state cannot target a pedestrian's ORIENTATION\n"
+        )
+        assert not out_dir.exists()
+
+    def test_template_rule_a_bound_field_mends_runs_every_row(self, tmp_path):
+        # the template's negative pedestrian speed is overwritten by every row
+        csv_path, scenario_path, bindings = self.make_inputs(tmp_path, ["0,20,2", "5,25,3"])
+        write_edited_demo_scenario(
+            scenario_path, ("environment", "pedestrians_list", 0, "target_speed"), -1.0
+        )
+        out_dir = tmp_path / "out"
         assert main(["run-ca", csv_path, scenario_path, bindings, "--out-dir", str(out_dir)]) == 0
-        [entry] = json.loads((out_dir / "summary.json").read_text())["rows"]
-        assert entry["status"] == "failed"
-        assert "initial_state_config_list[1]" in entry["error"]
+        rows = json.loads((out_dir / "summary.json").read_text())["rows"]
+        assert [entry["status"] for entry in rows] == ["ok", "ok"]
 
     def test_empty_body_gives_empty_summary(self, tmp_path):
         csv_path, scenario_path, bindings = self.make_inputs(tmp_path, [])
@@ -735,6 +751,32 @@ class TestFalsifyCommand:
         assert main(["falsify", study_path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"error: cannot load study {study_path}: {scenario_path}: {message}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "1e999"])
+    def test_non_finite_requirement_bound_named_at_load(
+        self, tmp_path, fixtures_dir, capsys, monkeypatch, literal
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a study whose requirement is invalid")
+
+        monkeypatch.setattr(supervisor, "run_embedded", no_simulation)
+        text = open(os.path.join(fixtures_dir, "collision_requirement.json")).read()
+        edited = text.replace('"b": 1.5', f'"b": {literal}', 1)
+        assert edited != text
+        requirement_path = tmp_path / "req.json"
+        requirement_path.write_text(edited)
+        study_path = self.make_study(tmp_path, fixtures_dir)
+        study = json.loads(open(study_path).read())
+        study["requirement"] = str(requirement_path)
+        with open(study_path, "w") as fh:
+            json.dump(study, fh)
+        out = tmp_path / "results.json"
+        assert main(["falsify", study_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load study {study_path}: {requirement_path}: "
+            "requirement.predicates[0].b: must be finite\n"
         )
         assert not out.exists()
 

@@ -142,6 +142,29 @@ class TestParser:
         phi = parse_formula("a U b /\\ c")
         assert phi == And(Until(Atom("a"), Atom("b")), Atom("c"))
 
+    @pytest.mark.parametrize("text, expected", [
+        ("a -> b -> c", Implies(Atom("a"), Implies(Atom("b"), Atom("c")))),
+        ("a \\/ b \\/ c", Or(Or(Atom("a"), Atom("b")), Atom("c"))),
+        ("p U_[0,1] q U r",
+         Until(Atom("p"), Until(Atom("q"), Atom("r")), Interval(0.0, 1.0))),
+        ("!a U b", Until(Not(Atom("a")), Atom("b"))),
+        ("[]_[0,1] a U b", Until(Always(Atom("a"), Interval(0.0, 1.0)), Atom("b"))),
+    ], ids=["implies-groups-right", "or-groups-left", "until-groups-right",
+            "not-binds-tighter-than-until", "always-binds-tighter-than-until"])
+    def test_grouping(self, text, expected):
+        assert parse_formula(text) == expected
+
+    @pytest.mark.parametrize("text, position, message", [
+        ("(p", 2, "expected rparen, found end"),
+        ("p _[0,1]", 1, "unexpected interval"),
+        ("/\\ p", 0, "expected a formula, found and"),
+    ], ids=["unclosed-paren", "stray-interval", "leading-and"])
+    def test_syntax_error_message_and_position(self, text, position, message):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula(text)
+        assert info.value.position == position
+        assert str(info.value) == f"at position {position}: {message}"
+
     def test_trailing_operator_is_error(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("p /\\")
@@ -503,8 +526,15 @@ class TestRequirementFiles:
             ({"name": "p", "a": {}}, "requirement.predicates[0].b: missing field"),
             ({"name": "p", "a": {"vehicle0_speed": "1"}, "b": 0.0},
              "requirement.predicates[0].a.vehicle0_speed: expected number, got string"),
+            ({"name": "p", "a": {"vehicle0_speed": math.nan}, "b": 0.0},
+             "requirement.predicates[0].a.vehicle0_speed: must be finite"),
+            ({"name": "p", "a": {"vehicle0_speed": -math.inf}, "b": 0.0},
+             "requirement.predicates[0].a.vehicle0_speed: must be finite"),
+            ({"name": "p", "a": {}, "b": math.nan}, "requirement.predicates[0].b: must be finite"),
+            ({"name": "p", "a": {}, "b": math.inf}, "requirement.predicates[0].b: must be finite"),
         ],
-        ids=["extra_key", "missing_bound", "string_coefficient"],
+        ids=["extra_key", "missing_bound", "string_coefficient", "nan_coefficient",
+             "inf_coefficient", "nan_bound", "inf_bound"],
     )
     def test_malformed_predicate_rejected_with_its_path(self, predicate, message):
         with pytest.raises(ScenarioFormatError) as err:
