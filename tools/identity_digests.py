@@ -10,7 +10,10 @@ The corpus is:
 - the rows, contacts and minimum gap of each run of the 5x5x4 demo grid;
 - the annealing and uniform histories on a synthetic objective for seeds
   0-9, with falsification mode on and off, on a clean system and on one that
-  fails every third call, and the grid oracle's evaluation order and result.
+  fails every third call, and the grid oracle's evaluation order and result;
+- one wire frame of each message kind, in hex: both heartbeat statuses, a
+  heartbeat time above 2**32, a UTF-8 error text, and the 100 ms demo's
+  setup, start and trace frames.
 
 The digest file holds, per output, the SHA-256 of its bytes and one 8-bit
 code per line (the low byte of the line's CRC-32, base64-encoded), so a
@@ -40,7 +43,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from avtestbed import cli, falsify as fz, presets, robustness as rb, supervisor  # noqa: E402
+from avtestbed import cli, falsify as fz, presets, robustness as rb, supervisor, wire  # noqa: E402
 
 
 def _fixture(name: str) -> str:
@@ -114,6 +117,24 @@ def _synthetic_lines() -> dict[str, list[str]]:
     return out
 
 
+def _wire_frame_lines() -> list[str]:
+    """One line per frame: the message kind, then the frame in hex."""
+    env, config = presets.demo_scenario(sim_duration_ms=100)
+    trajectory = supervisor.run_embedded(env, config).trajectory
+    messages = [
+        wire.Hello(),
+        wire.Ack(),
+        wire.SetupEnvironment(env),
+        wire.StartSim(config, run_index=0),
+        wire.Heartbeat(10, wire.HeartbeatStatus.RUNNING),
+        wire.Heartbeat(2**32 + 10, wire.HeartbeatStatus.FINISHED),
+        wire.Continue(),
+        wire.TraceData(trajectory),
+        wire.ProtocolErrorMsg(wire.ERR_SETUP, "entité inconnue"),
+    ]
+    return [f"{type(msg).__name__} {wire.encode_message(msg).hex()}" for msg in messages]
+
+
 def write_outputs(out_dir: str) -> list[str]:
     """Write every output of the corpus under out_dir; return their relative paths."""
     for strength in ("1", "2", "3"):
@@ -128,7 +149,7 @@ def write_outputs(out_dir: str) -> list[str]:
     _command(["falsify", _fixture("demo_study.json"),
               "--out", os.path.join(out_dir, "falsify", "results.json")])
 
-    texts = {"demo_grid.txt": _demo_grid_lines()}
+    texts = {"demo_grid.txt": _demo_grid_lines(), "wire_frames.txt": _wire_frame_lines()}
     for search, lines in _synthetic_lines().items():
         texts[f"synthetic/{search}.jsonl"] = lines
     os.makedirs(os.path.join(out_dir, "synthetic"))
