@@ -111,7 +111,10 @@ def cmd_run_scenario(args: argparse.Namespace) -> CommandOutcome:
         raise CommandError(f"scenario has {len(violations)} validation problem(s)")
 
     if args.embedded:
-        trajectory = supervisor.run_embedded(env, config).trajectory
+        try:
+            trajectory = supervisor.run_embedded(env, config).trajectory
+        except supervisor.SetupError as exc:
+            raise CommandError(str(exc))
     else:
         endpoint = (
             _parse_endpoint(args.endpoint)

@@ -390,7 +390,8 @@ def run(
 ) -> Trajectory:
     """Execute the simulation of world, built from env, and return the
     sampled trajectory; SetupError names the first problem validate_run finds,
-    or a run_index that selects no run config.
+    a run_index that selects no run config, or the first cell of a trace that
+    is not finite (finite inputs can overflow the kernel).
 
     A log row is taken at t=0 and every data_log_period_ms through the end of
     the run.  When heartbeats are enabled and beat is given, beat(sim_time_ms,
@@ -435,6 +436,13 @@ def run(
             beat(world.sim_time_ms, world.sim_time_ms >= duration_ms)
 
     matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(descriptions))
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise SetupError(
+            f"the run overflowed: column {column_names(descriptions)[col]} is "
+            f"{float(matrix[row, col])!r} at {int(row) * period_ms} ms"
+        )
     return Trajectory(column_labels=descriptions, rows=matrix)
 
 
@@ -608,15 +616,29 @@ class SupervisorServer(socketserver.ThreadingTCPServer):
         if msg is None:
             return
 
+        # the trace frame holds at least four bytes per cell: a float's
+        # shortest repr, 0.0, and its separator
+        config, columns = msg.config, len(env.data_log_description_list)
+        if columns and env.data_log_period_ms:
+            rows = config.sim_duration_ms // env.data_log_period_ms + 1
+            if 1 + 4 * rows * columns > wire.MAX_FRAME_BYTES:
+                fail(
+                    wire.ERR_SETUP,
+                    f"a trace of {rows} rows of {columns} columns cannot fit in "
+                    f"a frame of {wire.MAX_FRAME_BYTES} bytes",
+                )
+                return
+
         with_sync = (
             env.heart_beat_config is not None
             and env.heart_beat_config.sync_type is SyncType.WITH_SYNC
         )
+        sendall = conn.sendall
+        statuses = (wire.HeartbeatStatus.RUNNING, wire.HeartbeatStatus.FINISHED)
 
         def beat(sim_time_ms: int, finished: bool) -> None:
             # in WITH_SYNC mode, block for the continue under the session timeout
-            status = wire.HeartbeatStatus.FINISHED if finished else wire.HeartbeatStatus.RUNNING
-            wire.send_message(conn, wire.Heartbeat(sim_time_ms, status))
+            sendall(wire.encode_message(wire.Heartbeat(sim_time_ms, statuses[finished])))
             if not with_sync:
                 return
             try:
@@ -629,7 +651,7 @@ class SupervisorServer(socketserver.ThreadingTCPServer):
                 raise SyncTimeoutError(f"expected continue, got {type(reply).__name__}")
 
         try:
-            result = run_embedded(env, msg.config, run_index=msg.run_index, beat=beat)
+            result = run_embedded(env, config, run_index=msg.run_index, beat=beat)
         except SetupError as exc:
             fail(wire.ERR_SETUP, str(exc))
             return

@@ -11,6 +11,7 @@ rejected on both ends.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import struct
 import time
@@ -110,44 +111,128 @@ class ConnectError(ProtocolSessionError):
     pass
 
 
-def _canonical_json(data) -> bytes:
-    return json.dumps(data, separators=(",", ":"), allow_nan=False).encode("utf-8")
+_LENGTH = struct.Struct(">I")
+_HEADER = struct.Struct(">IB")  # body length, tag
+_HEARTBEAT_FRAME = struct.Struct(">IBQB")  # body length, tag, sim_time_ms, status
+_HEARTBEAT_PAYLOAD = struct.Struct(">QB")
+_U16 = struct.Struct(">H")
+_U8 = struct.Struct(">B")
+_PAYLOAD_START = HEADER_BYTES + 1
+_HEARTBEAT_BODY_BYTES = _HEARTBEAT_FRAME.size - HEADER_BYTES
+
+# a heartbeat's status byte is its status's value, which indexes _STATUSES
+_STATUSES = tuple(HeartbeatStatus)
+_STATUS_BYTES = {status: status.value for status in _STATUSES}
+
+_ACK_FRAME = _HEADER.pack(1, TAG_ACK)
+_CONTINUE_FRAME = _HEADER.pack(1, TAG_CONTINUE)
+
+
+def _frame(tag: int, payload: bytes) -> bytes:
+    length = len(payload) + 1
+    if length > MAX_FRAME_BYTES:
+        raise WireFormatError(f"frame too large: {length} bytes")
+    return _HEADER.pack(length, tag) + payload
+
+
+def _first_non_finite(value, path: str) -> Optional[str]:
+    """'<path>: <value> is not a finite number' for the first float of a
+    JSON document that is not finite, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else f"{path}: {value!r} is not a finite number"
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}", item) for key, item in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_first_non_finite(item, at) for at, item in items)), None)
+
+
+def _json_payload(data, what: str) -> bytes:
+    try:
+        return json.dumps(data, separators=(",", ":"), allow_nan=False).encode("utf-8")
+    except ValueError as exc:
+        raise WireFormatError(_first_non_finite(data, what) or f"{what}: {exc}") from None
+
+
+def _u16(value, what: str) -> bytes:
+    try:
+        return _U16.pack(value)
+    except struct.error:
+        raise WireFormatError(f"{what} {value!r} does not fit in two bytes") from None
+
+
+def _encode_hello(msg: Hello) -> bytes:
+    return _frame(TAG_HELLO, _u16(msg.protocol_version, "hello protocol_version"))
+
+
+def _encode_setup(msg: SetupEnvironment) -> bytes:
+    return _frame(
+        TAG_SETUP_ENVIRONMENT, _json_payload(scenario.environment_to_json(msg.env), "environment")
+    )
+
+
+def _encode_start(msg: StartSim) -> bytes:
+    try:
+        run_index = _U8.pack(msg.run_index)
+    except struct.error:
+        raise WireFormatError(f"run index {msg.run_index} does not fit in one byte") from None
+    config = _json_payload(scenario.config_to_json(msg.config), "config")
+    return _frame(TAG_START_SIM, run_index + config)
+
+
+def _encode_heartbeat(msg: Heartbeat) -> bytes:
+    try:
+        return _HEARTBEAT_FRAME.pack(
+            _HEARTBEAT_BODY_BYTES, TAG_HEARTBEAT, msg.sim_time_ms, _STATUS_BYTES[msg.status]
+        )
+    except (KeyError, TypeError):
+        raise WireFormatError(f"heartbeat status {msg.status!r} is not a HeartbeatStatus") from None
+    except struct.error:
+        raise WireFormatError(
+            f"heartbeat sim_time_ms {msg.sim_time_ms!r} does not fit in eight unsigned bytes"
+        ) from None
+
+
+def _encode_trace(msg: TraceData) -> bytes:
+    return _frame(
+        TAG_TRACE_DATA, _json_payload(scenario.trajectory_to_json(msg.trajectory), "trajectory")
+    )
+
+
+def _encode_error(msg: ProtocolErrorMsg) -> bytes:
+    code = _u16(msg.code, "error code")
+    try:
+        text = msg.message.encode("utf-8")
+    except (AttributeError, UnicodeEncodeError) as exc:
+        raise WireFormatError(f"error message {msg.message!r} is not UTF-8 text: {exc}") from None
+    return _frame(TAG_PROTOCOL_ERROR, code + text)
+
+
+_ENCODERS: dict[type, Callable[..., bytes]] = {
+    Hello: _encode_hello,
+    Ack: lambda msg: _ACK_FRAME,
+    SetupEnvironment: _encode_setup,
+    StartSim: _encode_start,
+    Heartbeat: _encode_heartbeat,
+    Continue: lambda msg: _CONTINUE_FRAME,
+    TraceData: _encode_trace,
+    ProtocolErrorMsg: _encode_error,
+}
 
 
 def encode_message(msg: WireMessage) -> bytes:
-    """Encode one message into a complete frame (header + tag + payload)."""
-    if isinstance(msg, Hello):
-        tag, payload = TAG_HELLO, struct.pack(">H", msg.protocol_version)
-    elif isinstance(msg, Ack):
-        tag, payload = TAG_ACK, b""
-    elif isinstance(msg, SetupEnvironment):
-        tag = TAG_SETUP_ENVIRONMENT
-        payload = _canonical_json(scenario.environment_to_json(msg.env))
-    elif isinstance(msg, StartSim):
-        tag = TAG_START_SIM
-        if not 0 <= msg.run_index <= 255:
-            raise WireFormatError(f"run index {msg.run_index} does not fit in one byte")
-        payload = struct.pack(">B", msg.run_index) + _canonical_json(
-            scenario.config_to_json(msg.config)
-        )
-    elif isinstance(msg, Heartbeat):
-        tag = TAG_HEARTBEAT
-        payload = struct.pack(">QB", msg.sim_time_ms, msg.status.value)
-    elif isinstance(msg, Continue):
-        tag, payload = TAG_CONTINUE, b""
-    elif isinstance(msg, TraceData):
-        tag = TAG_TRACE_DATA
-        payload = _canonical_json(scenario.trajectory_to_json(msg.trajectory))
-    elif isinstance(msg, ProtocolErrorMsg):
-        tag = TAG_PROTOCOL_ERROR
-        encoded = msg.message.encode("utf-8")
-        payload = struct.pack(">H", msg.code) + encoded
-    else:
-        raise TypeError(f"not a wire message: {msg!r}")
-    body = bytes([tag]) + payload
-    if len(body) > MAX_FRAME_BYTES:
-        raise WireFormatError(f"frame too large: {len(body)} bytes")
-    return struct.pack(">I", len(body)) + body
+    """Encode one message into a complete frame (header + tag + payload).
+
+    A field the frame cannot carry raises WireFormatError naming it; an
+    object of any other class than the eight messages raises TypeError.
+    """
+    try:
+        encode = _ENCODERS[type(msg)]
+    except KeyError:
+        raise TypeError(f"not a wire message: {msg!r}") from None
+    return encode(msg)
 
 
 def _decode_json(payload: bytes, what: str, from_json: Callable):
@@ -159,61 +244,92 @@ def _decode_json(payload: bytes, what: str, from_json: Callable):
         raise WireFormatError(f"malformed {what} payload: {exc}") from None
 
 
+# Each decoder takes a whole frame whose length header matches its size.
+
+
+def _decode_hello(frame: bytes) -> Hello:
+    if len(frame) != _PAYLOAD_START + 2:
+        raise WireFormatError("hello payload must be 2 bytes")
+    return Hello(_U16.unpack_from(frame, _PAYLOAD_START)[0])
+
+
+def _decode_ack(frame: bytes) -> Ack:
+    if len(frame) != _PAYLOAD_START:
+        raise WireFormatError("ack payload must be empty")
+    return Ack()
+
+
+def _decode_setup(frame: bytes) -> SetupEnvironment:
+    payload = frame[_PAYLOAD_START:]
+    return SetupEnvironment(_decode_json(payload, "environment", scenario.environment_from_json))
+
+
+def _decode_start(frame: bytes) -> StartSim:
+    if len(frame) == _PAYLOAD_START:
+        raise WireFormatError("start payload missing run index")
+    payload = frame[_PAYLOAD_START + 1:]
+    config = _decode_json(payload, "config", scenario.config_from_json)
+    return StartSim(config, run_index=frame[_PAYLOAD_START])
+
+
+def _decode_heartbeat(frame: bytes) -> Heartbeat:
+    if len(frame) != _HEARTBEAT_FRAME.size:
+        raise WireFormatError("heartbeat payload must be 9 bytes")
+    sim_time_ms, status = _HEARTBEAT_PAYLOAD.unpack_from(frame, _PAYLOAD_START)
+    if status >= len(_STATUSES):
+        raise WireFormatError(f"unknown heartbeat status {status}")
+    return Heartbeat(sim_time_ms, _STATUSES[status])
+
+
+def _decode_continue(frame: bytes) -> Continue:
+    if len(frame) != _PAYLOAD_START:
+        raise WireFormatError("continue payload must be empty")
+    return Continue()
+
+
+def _decode_trace(frame: bytes) -> TraceData:
+    payload = frame[_PAYLOAD_START:]
+    return TraceData(_decode_json(payload, "trajectory", scenario.trajectory_from_json))
+
+
+def _decode_error(frame: bytes) -> ProtocolErrorMsg:
+    if len(frame) < _PAYLOAD_START + 2:
+        raise WireFormatError("error payload missing code")
+    try:
+        message = frame[_PAYLOAD_START + 2:].decode("utf-8")
+    except UnicodeDecodeError:
+        raise WireFormatError("error message is not valid UTF-8") from None
+    return ProtocolErrorMsg(_U16.unpack_from(frame, _PAYLOAD_START)[0], message)
+
+
+_DECODERS: dict[int, Callable[[bytes], WireMessage]] = {
+    TAG_HELLO: _decode_hello,
+    TAG_ACK: _decode_ack,
+    TAG_SETUP_ENVIRONMENT: _decode_setup,
+    TAG_START_SIM: _decode_start,
+    TAG_HEARTBEAT: _decode_heartbeat,
+    TAG_CONTINUE: _decode_continue,
+    TAG_TRACE_DATA: _decode_trace,
+    TAG_PROTOCOL_ERROR: _decode_error,
+}
+
+
 def decode_message(frame: bytes) -> WireMessage:
     """Decode a complete frame produced by encode_message."""
-    if len(frame) < HEADER_BYTES + 1:
+    if len(frame) < _PAYLOAD_START:
         raise WireFormatError("incomplete frame: missing header or tag")
-    (length,) = struct.unpack(">I", frame[:HEADER_BYTES])
+    length, tag = _HEADER.unpack_from(frame)
     if length > MAX_FRAME_BYTES:
         raise WireFormatError(f"frame too large: {length} bytes")
-    body = frame[HEADER_BYTES:]
-    if len(body) != length:
-        raise WireFormatError(f"incomplete frame: body has {len(body)} of {length} bytes")
-    tag, payload = body[0], body[1:]
-
-    if tag == TAG_HELLO:
-        if len(payload) != 2:
-            raise WireFormatError("hello payload must be 2 bytes")
-        return Hello(struct.unpack(">H", payload)[0])
-    if tag == TAG_ACK:
-        _expect_empty(payload, "ack")
-        return Ack()
-    if tag == TAG_SETUP_ENVIRONMENT:
-        env = _decode_json(payload, "environment", scenario.environment_from_json)
-        return SetupEnvironment(env)
-    if tag == TAG_START_SIM:
-        if len(payload) < 1:
-            raise WireFormatError("start payload missing run index")
-        config = _decode_json(payload[1:], "config", scenario.config_from_json)
-        return StartSim(config, run_index=payload[0])
-    if tag == TAG_HEARTBEAT:
-        if len(payload) != 9:
-            raise WireFormatError("heartbeat payload must be 9 bytes")
-        sim_time_ms, status = struct.unpack(">QB", payload)
-        try:
-            return Heartbeat(sim_time_ms, HeartbeatStatus(status))
-        except ValueError:
-            raise WireFormatError(f"unknown heartbeat status {status}") from None
-    if tag == TAG_CONTINUE:
-        _expect_empty(payload, "continue")
-        return Continue()
-    if tag == TAG_TRACE_DATA:
-        return TraceData(_decode_json(payload, "trajectory", scenario.trajectory_from_json))
-    if tag == TAG_PROTOCOL_ERROR:
-        if len(payload) < 2:
-            raise WireFormatError("error payload missing code")
-        code = struct.unpack(">H", payload[:2])[0]
-        try:
-            message = payload[2:].decode("utf-8")
-        except UnicodeDecodeError:
-            raise WireFormatError("error message is not valid UTF-8") from None
-        return ProtocolErrorMsg(code, message)
-    raise WireFormatError(f"unknown message tag 0x{tag:02x}")
-
-
-def _expect_empty(payload: bytes, name: str) -> None:
-    if payload:
-        raise WireFormatError(f"{name} payload must be empty")
+    if len(frame) - HEADER_BYTES != length:
+        raise WireFormatError(
+            f"incomplete frame: body has {len(frame) - HEADER_BYTES} of {length} bytes"
+        )
+    try:
+        decode = _DECODERS[tag]
+    except KeyError:
+        raise WireFormatError(f"unknown message tag 0x{tag:02x}") from None
+    return decode(frame)
 
 
 # --------------------------------------------------------------------------
@@ -237,11 +353,17 @@ def send_message(sock: socket.socket, msg: WireMessage) -> None:
 
 
 def recv_message(sock: socket.socket) -> WireMessage:
-    header = _recv_exact(sock, HEADER_BYTES)
-    (length,) = struct.unpack(">I", header)
+    """The next frame's message.  One recv of the header and one of the body
+    is the usual case; a short read is completed by _recv_exact."""
+    header = sock.recv(HEADER_BYTES)
+    if len(header) != HEADER_BYTES:
+        header += _recv_exact(sock, HEADER_BYTES - len(header))
+    (length,) = _LENGTH.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise WireFormatError(f"frame too large: {length} bytes")
-    body = _recv_exact(sock, length)
+    body = sock.recv(length)
+    if len(body) != length:
+        body += _recv_exact(sock, length - len(body))
     return decode_message(header + body)
 
 
@@ -268,10 +390,9 @@ def client_session(
     aborts the session with ProtocolSessionError.
     """
     sock = _connect_with_retry(endpoint, max_connection_retry, retry_backoff_s)
-    sync = (
-        env.heart_beat_config.sync_type
-        if env.heart_beat_config is not None
-        else SyncType.NO_HEART_BEAT
+    with_sync = (
+        env.heart_beat_config is not None
+        and env.heart_beat_config.sync_type is SyncType.WITH_SYNC
     )
     try:
         sock.settimeout(timeout_s)
@@ -280,13 +401,14 @@ def client_session(
         send_message(sock, SetupEnvironment(env))
         _expect_ack(recv_message(sock))
         send_message(sock, StartSim(config, run_index=run_index))
+        sendall = sock.sendall
         while True:
             msg = recv_message(sock)
-            if isinstance(msg, Heartbeat):
+            if type(msg) is Heartbeat:
                 if on_heartbeat is not None:
                     on_heartbeat(msg)
-                if sync is SyncType.WITH_SYNC:
-                    send_message(sock, Continue())
+                if with_sync:
+                    sendall(encode_message(Continue()))
                 continue
             if isinstance(msg, TraceData):
                 return msg.trajectory

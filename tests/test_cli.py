@@ -178,6 +178,19 @@ class TestRunScenario:
         finally:
             server.stop()
 
+    def test_embedded_run_that_overflows_exits_2_and_writes_no_trace(self, tmp_path, capsys):
+        # finite inputs, but the ego's first step overflows its x position
+        scenario_path = write_demo_scenario(
+            tmp_path / "scn.json", duration_ms=100,
+            ego_init_speed_m_s=1e308, ego_x_pos=1.797e308,
+        )
+        out = tmp_path / "trace.csv"
+        assert main(["run-scenario", scenario_path, "--embedded", "--trace-out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the run overflowed: column vehicle0_position_x is inf at 10 ms\n"
+        )
+        assert not out.exists()
+
     def test_unreachable_endpoint_exits_3(self, tmp_path):
         scenario_path = write_demo_scenario(tmp_path / "scn.json")
         # grab a port and leave it closed
@@ -428,6 +441,19 @@ class TestRunCa:
         summary = json.loads((out_dir / "summary.json").read_text())
         statuses = [e["status"] for e in summary["rows"]]
         assert statuses == ["ok", "failed"]
+
+    def test_row_that_overflows_is_recorded_failed(self, tmp_path):
+        csv_path, scenario_path, bindings = self.make_inputs(
+            tmp_path, ["0,20,2", "1e308,1.797e308,3"]
+        )
+        out_dir = tmp_path / "out"
+        assert main(["run-ca", csv_path, scenario_path, bindings, "--out-dir", str(out_dir)]) == 0
+        rows = json.loads((out_dir / "summary.json").read_text())["rows"]
+        assert [entry["status"] for entry in rows] == ["ok", "failed"]
+        assert rows[1]["error"] == (
+            "the run overflowed: column vehicle0_position_x is inf at 10 ms"
+        )
+        assert sorted(os.listdir(out_dir)) == ["summary.json", "trace_000.csv"]
 
     @pytest.mark.parametrize(
         "keys, value, violation", RUN_RULE_CASES + CONTROLLER_ARGUMENT_CASES,

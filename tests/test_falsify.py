@@ -512,6 +512,24 @@ class TestStudy:
         assert a == b
         assert a.n_simulations_used <= 3
 
+    def test_run_that_overflows_is_a_failed_evaluation(self, fixtures_dir):
+        study = load_study(os.path.join(fixtures_dir, "demo_study.json"))
+        study.config = FalsifyConfig(
+            n_tests=3, seed=5, falsification_mode=False, sim_duration_s=0.1, samp_time_s=0.01
+        )
+        study_system, formula, predicates = fz.make_study_system(study)
+        # the first evaluation simulates a scene whose first step overflows
+        overflowing = iter([(1e308, 1.797e308, 3.0)])
+
+        def system(sample):
+            return study_system(next(overflowing, sample))
+
+        result = fz.falsify(system, formula, predicates, study.space, study.config)
+        assert result.failures == {
+            0: "the run overflowed: column vehicle0_position_x is inf at 10 ms"
+        }
+        assert [rob == math.inf for _, rob in result.history] == [True, False, False]
+
     @pytest.mark.parametrize(
         "duration_s, samp_time_s, message",
         [(0.015, 0.01, "not a multiple of step 10"), (-0.01, 0.01, "must be >= 0"),

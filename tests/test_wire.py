@@ -4,7 +4,10 @@ import random
 import struct
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avtestbed import presets, scenario, supervisor, wire
 from avtestbed.scenario import HeartbeatConfig, SyncType
@@ -117,6 +120,134 @@ class TestFraming:
     def test_protocol_error_message_utf8(self):
         msg = wire.ProtocolErrorMsg(code=100, message="entité inconnue")
         assert wire.decode_message(wire.encode_message(msg)) == msg
+
+    @pytest.mark.parametrize(
+        "msg, message",
+        [
+            (wire.Hello(70000), "hello protocol_version 70000 does not fit in two bytes"),
+            (wire.ProtocolErrorMsg(70000, "x"), "error code 70000 does not fit in two bytes"),
+            (wire.Heartbeat(-1), "heartbeat sim_time_ms -1 does not fit in eight unsigned bytes"),
+            (wire.Heartbeat(2**64),
+             f"heartbeat sim_time_ms {2**64} does not fit in eight unsigned bytes"),
+            (wire.Heartbeat(10, 1), "heartbeat status 1 is not a HeartbeatStatus"),
+            (wire.Heartbeat(10, SyncType.WITH_SYNC),
+             "heartbeat status <SyncType.WITH_SYNC: 'WITH_SYNC'> is not a HeartbeatStatus"),
+            (wire.ProtocolErrorMsg(100, "bad \ud800"),
+             "error message 'bad \\ud800' is not UTF-8 text: 'utf-8' codec can't encode"),
+            (wire.TraceData(scenario.Trajectory(
+                [scenario.LogItemDescription()] * 2, np.array([[0.0, 1.0], [10.0, np.inf]]))),
+             "trajectory.rows[1][1]: inf is not a finite number"),
+        ],
+        ids=["hello-version", "error-code", "negative-time", "time-above-64-bits",
+             "status-int", "status-other-enum", "lone-surrogate", "trace-inf"],
+    )
+    def test_field_a_frame_cannot_carry_is_a_format_error_naming_it(self, msg, message):
+        with pytest.raises(wire.WireFormatError) as err:
+            wire.encode_message(msg)
+        assert str(err.value).startswith(message)
+
+    def test_non_finite_environment_value_is_named_by_its_path(self):
+        env, _ = presets.demo_scenario()
+        env.ego_vehicles_list[0].current_position[2] = math.nan
+        with pytest.raises(wire.WireFormatError) as err:
+            wire.encode_message(wire.SetupEnvironment(env))
+        assert str(err.value) == (
+            "environment.ego_vehicles_list[0].current_position[2]: nan is not a finite number"
+        )
+
+    def test_object_that_is_not_a_message_is_a_type_error(self):
+        with pytest.raises(TypeError, match="not a wire message"):
+            wire.encode_message(wire.HeartbeatStatus.RUNNING)
+
+
+class OneByteSocket:
+    """A socket stand-in whose every recv returns at most one byte of data,
+    then b"" as a closed peer does."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def recv(self, n: int) -> bytes:
+        assert n > 0
+        chunk, self.data = self.data[:1], self.data[1:]
+        return chunk
+
+
+SHORT_READ_MESSAGES = [
+    wire.Heartbeat(2**40, wire.HeartbeatStatus.FINISHED),
+    wire.Continue(),
+    wire.ProtocolErrorMsg(100, "entité inconnue"),
+    wire.SetupEnvironment(presets.demo_environment()),
+]
+
+
+class TestShortReads:
+    @pytest.mark.parametrize("msg", SHORT_READ_MESSAGES, ids=lambda m: type(m).__name__)
+    def test_one_byte_per_recv_yields_the_same_message(self, msg):
+        frame = wire.encode_message(msg)
+        sock = OneByteSocket(frame + wire.encode_message(wire.Ack()))
+        assert wire.recv_message(sock) == msg
+        assert wire.recv_message(sock) == wire.Ack()
+
+    @pytest.mark.parametrize("msg", SHORT_READ_MESSAGES, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("keep", [0, 2, 4, -1])
+    def test_peer_closed_mid_frame_is_a_session_error(self, msg, keep):
+        frame = wire.encode_message(msg)
+        with pytest.raises(wire.ProtocolSessionError, match="connection closed mid-frame"):
+            wire.recv_message(OneByteSocket(frame[:keep % len(frame)]))
+
+
+def _replace_json_value(doc, rng, value):
+    """doc with one value, picked by rng among all of its values, replaced."""
+    if not isinstance(doc, (dict, list)) or rng.random() < 0.2:
+        return value
+    keys = list(doc) if isinstance(doc, dict) else list(range(len(doc)))
+    if not keys:
+        return value
+    key = rng.choice(keys)
+    doc[key] = _replace_json_value(doc[key], rng, value)
+    return doc
+
+
+JSON_REPLACEMENTS = [None, True, -1, 0, 2**70, 1.5, -0.0, 1e308, "x", "", [], {}, [1.0], {"a": 1}]
+
+
+@st.composite
+def mutated_frames(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    frame = bytearray(wire.encode_message(random_message(rng)))
+    mutation = draw(st.sampled_from(["flip", "truncate", "tag", "json"]))
+    if mutation == "flip":
+        at = draw(st.integers(0, len(frame) - 1))
+        frame[at] ^= draw(st.integers(1, 255))
+    elif mutation == "truncate":
+        frame = frame[:draw(st.integers(0, len(frame) - 1))]
+    elif mutation == "tag":
+        frame[wire.HEADER_BYTES] = draw(st.integers(0, 255))
+    else:
+        start = wire.HEADER_BYTES + 1 + (frame[wire.HEADER_BYTES] == wire.TAG_START_SIM)
+        try:
+            doc = json.loads(bytes(frame[start:]))
+        except ValueError:  # not a JSON payload: replace the payload whole
+            doc = None
+        value = draw(st.sampled_from(JSON_REPLACEMENTS))
+        doc = _replace_json_value(doc, rng, value)
+        body = bytes(frame[wire.HEADER_BYTES:start]) + json.dumps(doc).encode("utf-8")
+        frame = bytearray(struct.pack(">I", len(body)) + body)
+    return bytes(frame)
+
+
+@settings(max_examples=400, deadline=None)
+@given(frame=mutated_frames())
+def test_mutated_frame_decodes_or_is_a_format_error(frame):
+    try:
+        msg = wire.decode_message(frame)
+    except wire.WireFormatError:
+        return
+    assert type(msg) in (
+        wire.Hello, wire.Ack, wire.SetupEnvironment, wire.StartSim, wire.Heartbeat,
+        wire.Continue, wire.TraceData, wire.ProtocolErrorMsg,
+    )
 
 
 class TestClientSession:
@@ -410,4 +541,33 @@ class TestClientSession:
             wire.client_session(("127.0.0.1", server.port), env, config)
         assert err.value.code == wire.ERR_SETUP
         config.sim_duration_ms = 100
+        assert wire.client_session(("127.0.0.1", server.port), env, config).n_rows == 11
+
+    def test_trace_that_cannot_fit_is_refused_before_simulating(self, server, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a run whose trace frame cannot fit")
+
+        # 101 rows of 11 columns need at least 1 + 4 * 1111 bytes
+        monkeypatch.setattr(supervisor, "run_embedded", no_simulation)
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 4 * 101 * 11)
+        env, config = presets.demo_scenario(sim_duration_ms=1000)
+        with pytest.raises(wire.ProtocolSessionError) as err:
+            wire.client_session(("127.0.0.1", server.port), env, config)
+        assert err.value.code == wire.ERR_SETUP
+        assert str(err.value) == (
+            "supervisor error 100: a trace of 101 rows of 11 columns cannot fit in "
+            "a frame of 4444 bytes"
+        )
+        monkeypatch.undo()
+        assert wire.client_session(("127.0.0.1", server.port), env, config).n_rows == 101
+
+    def test_trace_that_overflows_reports_error_100_and_server_stays_up(self, server):
+        env, config = presets.demo_scenario(1e308, 1.797e308, sim_duration_ms=100)
+        with pytest.raises(wire.ProtocolSessionError) as err:
+            wire.client_session(("127.0.0.1", server.port), env, config)
+        assert err.value.code == wire.ERR_SETUP
+        assert str(err.value) == (
+            "supervisor error 100: the run overflowed: column vehicle0_position_x is inf at 10 ms"
+        )
+        env, config = presets.demo_scenario(sim_duration_ms=100)
         assert wire.client_session(("127.0.0.1", server.port), env, config).n_rows == 11
