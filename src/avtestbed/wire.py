@@ -135,25 +135,29 @@ def _frame(tag: int, payload: bytes) -> bytes:
     return _HEADER.pack(length, tag) + payload
 
 
-def _first_non_finite(value, path: str) -> Optional[str]:
+def _non_finite(value, path: str) -> Optional[str]:
     """'<path>: <value> is not a finite number' for the first float of a
     JSON document that is not finite, or None."""
     if isinstance(value, float):
         return None if math.isfinite(value) else f"{path}: {value!r} is not a finite number"
     if isinstance(value, dict):
-        items = ((f"{path}.{key}", item) for key, item in value.items())
+        children = ((f"{path}.{key}", item) for key, item in value.items())
     elif isinstance(value, list):
-        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+        children = ((f"{path}[{i}]", item) for i, item in enumerate(value))
     else:
         return None
-    return next(filter(None, (_first_non_finite(item, at) for at, item in items)), None)
+    for child_path, item in children:
+        problem = _non_finite(item, child_path)
+        if problem:
+            return problem
+    return None
 
 
 def _json_payload(data, what: str) -> bytes:
     try:
         return json.dumps(data, separators=(",", ":"), allow_nan=False).encode("utf-8")
     except ValueError as exc:
-        raise WireFormatError(_first_non_finite(data, what) or f"{what}: {exc}") from None
+        raise WireFormatError(_non_finite(data, what) or f"{what}: {exc}") from None
 
 
 def _u16(value, what: str) -> bytes:
@@ -253,10 +257,13 @@ def _decode_hello(frame: bytes) -> Hello:
     return Hello(_U16.unpack_from(frame, _PAYLOAD_START)[0])
 
 
-def _decode_ack(frame: bytes) -> Ack:
-    if len(frame) != _PAYLOAD_START:
-        raise WireFormatError("ack payload must be empty")
-    return Ack()
+def _empty_decoder(cls: type, name: str) -> Callable[[bytes], WireMessage]:
+    def decode(frame: bytes) -> WireMessage:
+        if len(frame) != _PAYLOAD_START:
+            raise WireFormatError(f"{name} payload must be empty")
+        return cls()
+
+    return decode
 
 
 def _decode_setup(frame: bytes) -> SetupEnvironment:
@@ -281,12 +288,6 @@ def _decode_heartbeat(frame: bytes) -> Heartbeat:
     return Heartbeat(sim_time_ms, _STATUSES[status])
 
 
-def _decode_continue(frame: bytes) -> Continue:
-    if len(frame) != _PAYLOAD_START:
-        raise WireFormatError("continue payload must be empty")
-    return Continue()
-
-
 def _decode_trace(frame: bytes) -> TraceData:
     payload = frame[_PAYLOAD_START:]
     return TraceData(_decode_json(payload, "trajectory", scenario.trajectory_from_json))
@@ -304,11 +305,11 @@ def _decode_error(frame: bytes) -> ProtocolErrorMsg:
 
 _DECODERS: dict[int, Callable[[bytes], WireMessage]] = {
     TAG_HELLO: _decode_hello,
-    TAG_ACK: _decode_ack,
+    TAG_ACK: _empty_decoder(Ack, "ack"),
     TAG_SETUP_ENVIRONMENT: _decode_setup,
     TAG_START_SIM: _decode_start,
     TAG_HEARTBEAT: _decode_heartbeat,
-    TAG_CONTINUE: _decode_continue,
+    TAG_CONTINUE: _empty_decoder(Continue, "continue"),
     TAG_TRACE_DATA: _decode_trace,
     TAG_PROTOCOL_ERROR: _decode_error,
 }
