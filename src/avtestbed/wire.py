@@ -114,7 +114,6 @@ class ConnectError(ProtocolSessionError):
 _LENGTH = struct.Struct(">I")
 _HEADER = struct.Struct(">IB")  # body length, tag
 _HEARTBEAT_FRAME = struct.Struct(">IBQB")  # body length, tag, sim_time_ms, status
-_HEARTBEAT_PAYLOAD = struct.Struct(">QB")
 _U16 = struct.Struct(">H")
 _U8 = struct.Struct(">B")
 _PAYLOAD_START = HEADER_BYTES + 1
@@ -282,7 +281,7 @@ def _decode_start(frame: bytes) -> StartSim:
 def _decode_heartbeat(frame: bytes) -> Heartbeat:
     if len(frame) != _HEARTBEAT_FRAME.size:
         raise WireFormatError("heartbeat payload must be 9 bytes")
-    sim_time_ms, status = _HEARTBEAT_PAYLOAD.unpack_from(frame, _PAYLOAD_START)
+    _, _, sim_time_ms, status = _HEARTBEAT_FRAME.unpack(frame)
     if status >= len(_STATUSES):
         raise WireFormatError(f"unknown heartbeat status {status}")
     return Heartbeat(sim_time_ms, _STATUSES[status])
