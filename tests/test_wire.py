@@ -571,3 +571,68 @@ class TestClientSession:
         )
         env, config = presets.demo_scenario(sim_duration_ms=100)
         assert wire.client_session(("127.0.0.1", server.port), env, config).n_rows == 11
+
+
+def _raw_frame(tag: int, payload: bytes = b"") -> bytes:
+    return struct.pack(">I", 1 + len(payload)) + bytes([tag]) + payload
+
+
+_SYNCED_ENV, _CONFIG = presets.demo_scenario(sim_duration_ms=100)
+_SYNCED_ENV.heart_beat_config = HeartbeatConfig(sync_type=SyncType.WITH_SYNC, period_ms=10)
+_SETUP = wire.SetupEnvironment(_SYNCED_ENV)
+_START = wire.StartSim(_CONFIG)
+
+
+@pytest.mark.parametrize(
+    "frames, code, message",
+    [
+        ([_START], wire.ERR_UNEXPECTED_MESSAGE, "expected hello, got StartSim"),
+        ([wire.Hello(), wire.Hello()], wire.ERR_UNEXPECTED_MESSAGE, "expected setup, got Hello"),
+        (
+            [wire.Hello(), _SETUP, wire.Hello()],
+            wire.ERR_UNEXPECTED_MESSAGE,
+            "expected start, got Hello",
+        ),
+        ([_raw_frame(0x7F)], wire.ERR_MALFORMED, "unknown message tag 0x7f"),
+        (
+            [wire.Hello(), _SETUP, _START, wire.Hello()],
+            wire.ERR_SYNC_TIMEOUT,
+            "expected continue, got Hello",
+        ),
+        (
+            [wire.Hello(), _SETUP, _START, _raw_frame(wire.TAG_CONTINUE, b"x")],
+            wire.ERR_MALFORMED,
+            "continue payload must be empty",
+        ),
+        (
+            [wire.Hello(), _SETUP, wire.StartSim(_CONFIG, run_index=9)],
+            wire.ERR_SETUP,
+            "run index 9 out of range",
+        ),
+    ],
+    ids=[
+        "start-first",
+        "second-hello",
+        "hello-for-start",
+        "unknown-tag",
+        "hello-for-continue",
+        "continue-with-payload",
+        "run-index-out-of-range",
+    ],
+)
+def test_session_refusal_is_one_error_frame(server, frames, code, message):
+    # every frame but the last is answered by an ack or, once started, a
+    # heartbeat; the last is answered by the error frame, and the session ends
+    import socket as socket_module
+
+    sock = socket_module.create_connection(("127.0.0.1", server.port), timeout=5.0)
+    try:
+        for frame in frames[:-1]:
+            wire.send_message(sock, frame)
+            assert isinstance(wire.recv_message(sock), (wire.Ack, wire.Heartbeat))
+        last = frames[-1]
+        sock.sendall(last if isinstance(last, bytes) else wire.encode_message(last))
+        assert wire.recv_message(sock) == wire.ProtocolErrorMsg(code, message)
+        assert sock.recv(1) == b""
+    finally:
+        sock.close()
