@@ -522,6 +522,28 @@ def load_trajectory_csv(path: str) -> Trajectory:
 # TCP server
 
 
+class _UnexpectedMessage(RuntimeError):
+    """A message out of turn, or a refused protocol version; error 102."""
+
+
+# the protocol error that answers each refusal; any other failure of a
+# session is logged and closes the connection without a frame
+_ERROR_CODES = {
+    SetupError: wire.ERR_SETUP,
+    SyncTimeoutError: wire.ERR_SYNC_TIMEOUT,
+    _UnexpectedMessage: wire.ERR_UNEXPECTED_MESSAGE,
+    wire.WireFormatError: wire.ERR_MALFORMED,
+}
+
+
+def _receive(conn: socket.socket, expected: type, name: str):
+    """The next message, which must be of the expected type."""
+    msg = wire.recv_message(conn)
+    if not isinstance(msg, expected):
+        raise _UnexpectedMessage(f"expected {name}, got {type(msg).__name__}")
+    return msg
+
+
 class SupervisorServer(socketserver.ThreadingTCPServer):
     """Accepts configurator connections; one independent simulation each,
     on its own daemon thread."""
@@ -556,9 +578,16 @@ class SupervisorServer(socketserver.ThreadingTCPServer):
         self._handle(request)
 
     def _handle(self, conn: socket.socket) -> None:
+        """Run one session; answer a refusal with its protocol error frame."""
         with conn:
             try:
                 self._session(conn)
+            except tuple(_ERROR_CODES) as exc:
+                code = next(code for kind, code in _ERROR_CODES.items() if isinstance(exc, kind))
+                try:
+                    wire.send_message(conn, wire.ProtocolErrorMsg(code, str(exc)))
+                except OSError:
+                    pass
             except Exception:
                 # a broken session must not take the server down; log it
                 # before the client sees the connection close.  Imported here
@@ -570,64 +599,32 @@ class SupervisorServer(socketserver.ThreadingTCPServer):
 
     def _session(self, conn: socket.socket) -> None:
         conn.settimeout(self.sync_timeout_s)
-
-        def fail(code: int, message: str) -> None:
-            try:
-                wire.send_message(conn, wire.ProtocolErrorMsg(code, message))
-            except OSError:
-                pass
-
-        def receive(expected: type, name: str):
-            """The next message if it is an expected one; else answer with
-            error 103 or 102 and return None."""
-            try:
-                msg = wire.recv_message(conn)
-            except wire.WireFormatError as exc:
-                fail(wire.ERR_MALFORMED, str(exc))
-                return None
-            if not isinstance(msg, expected):
-                fail(wire.ERR_UNEXPECTED_MESSAGE, f"expected {name}, got {type(msg).__name__}")
-                return None
-            return msg
-
-        hello = receive(wire.Hello, "hello")
-        if hello is None:
-            return
+        hello = _receive(conn, wire.Hello, "hello")
         if hello.protocol_version != wire.PROTOCOL_VERSION:
-            fail(
-                wire.ERR_UNEXPECTED_MESSAGE,
+            raise _UnexpectedMessage(
                 f"protocol version {hello.protocol_version} is not supported; "
-                f"this supervisor speaks version {wire.PROTOCOL_VERSION}",
+                f"this supervisor speaks version {wire.PROTOCOL_VERSION}"
             )
-            return
         wire.send_message(conn, wire.Ack())
 
-        msg = receive(wire.SetupEnvironment, "setup")
-        if msg is None:
-            return
-        env = msg.env
+        env = _receive(conn, wire.SetupEnvironment, "setup").env
         violations = validate_environment(env)
         if violations:
-            fail(wire.ERR_SETUP, f"invalid environment: {violations[0]}")
-            return
+            raise SetupError(f"invalid environment: {violations[0]}")
         wire.send_message(conn, wire.Ack())
 
-        msg = receive(wire.StartSim, "start")
-        if msg is None:
-            return
+        start = _receive(conn, wire.StartSim, "start")
 
         # the trace frame holds at least four bytes per cell: a float's
         # shortest repr, 0.0, and its separator
-        config, columns = msg.config, len(env.data_log_description_list)
+        config, columns = start.config, len(env.data_log_description_list)
         if columns and env.data_log_period_ms:
             rows = config.sim_duration_ms // env.data_log_period_ms + 1
             if 1 + 4 * rows * columns > wire.MAX_FRAME_BYTES:
-                fail(
-                    wire.ERR_SETUP,
+                raise SetupError(
                     f"a trace of {rows} rows of {columns} columns cannot fit in "
-                    f"a frame of {wire.MAX_FRAME_BYTES} bytes",
+                    f"a frame of {wire.MAX_FRAME_BYTES} bytes"
                 )
-                return
 
         with_sync = (
             env.heart_beat_config is not None
@@ -650,20 +647,10 @@ class SupervisorServer(socketserver.ThreadingTCPServer):
             if not isinstance(reply, wire.Continue):
                 raise SyncTimeoutError(f"expected continue, got {type(reply).__name__}")
 
-        try:
-            result = run_embedded(env, config, run_index=msg.run_index, beat=beat)
-        except SetupError as exc:
-            fail(wire.ERR_SETUP, str(exc))
-            return
-        except SyncTimeoutError as exc:
-            fail(wire.ERR_SYNC_TIMEOUT, str(exc))
-            return
-        except wire.WireFormatError as exc:
-            fail(wire.ERR_MALFORMED, str(exc))
-            return
+        result = run_embedded(env, config, run_index=start.run_index, beat=beat)
         try:
             wire.send_message(conn, wire.TraceData(result.trajectory))
         except wire.WireFormatError as exc:
             # the frame is encoded whole before any byte is sent, so an
             # oversized trace can still be answered with an error frame
-            fail(wire.ERR_SETUP, str(exc))
+            raise SetupError(str(exc)) from exc
