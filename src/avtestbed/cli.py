@@ -2,11 +2,13 @@
 
 Commands: serve, run-scenario, run-ca, gen-ca, falsify, plot.  Exit codes:
 0 on success, 2 for usage or validation problems, 3 for protocol or session
-failures.  Each input file is read by one library loader through _load, so a
-file that cannot be read or parsed exits 2 with one line, ``error: cannot
-load <what> <path>: <detail>``; an output path that cannot be written exits 2
-with ``error: cannot write <path>: <reason>``, before the command's work when
-the path is a directory where a file goes, or the other way round.
+failures; a supervisor's error 100 (the scenario cannot run) exits 2, as the
+same failure does in-process.  Each input file is read by one library loader
+through _load, so a file that cannot be read or parsed exits 2 with one line,
+``error: cannot load <what> <path>: <detail>``; an output path that cannot be
+written exits 2 with ``error: cannot write <path>: <reason>``, before the
+command's work when the path is a directory where a file goes, or the other
+way round.
 Simulation outputs are deterministic functions of the input files; gen-ca and
 falsify outputs also of their --seed.
 """
@@ -124,7 +126,10 @@ def cmd_run_scenario(args: argparse.Namespace) -> CommandOutcome:
         try:
             trajectory = wire.client_session(endpoint, env, config)
         except wire.ProtocolSessionError as exc:
-            raise CommandError(str(exc), EXIT_PROTOCOL)
+            # error 100 says the scenario cannot run, as SetupError does above
+            raise CommandError(
+                str(exc), EXIT_USAGE if exc.code == wire.ERR_SETUP else EXIT_PROTOCOL
+            )
 
     print(f"simulated {config.sim_duration_ms} ms, {trajectory.n_rows} trace rows")
     outcome = CommandOutcome()
@@ -343,8 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-scenario", help="execute one scenario and collect its trace")
     p.add_argument("scenario", help="scenario JSON document")
-    p.add_argument("--endpoint", help="supervisor host:port (default: from the scenario config)")
-    p.add_argument("--embedded", action="store_true", help="run in-process without sockets")
+    where = p.add_mutually_exclusive_group()
+    where.add_argument(
+        "--endpoint", help="supervisor host:port (default: from the scenario config)"
+    )
+    where.add_argument("--embedded", action="store_true", help="run in-process without sockets")
     p.add_argument("--trace-out", help="write the trace as CSV to this path")
     p.set_defaults(func=cmd_run_scenario)
 

@@ -191,6 +191,51 @@ class TestRunScenario:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "duration_ms, kwargs, message",
+        [
+            (100, {"ego_init_speed_m_s": 1e308, "ego_x_pos": 1.797e308},
+             "the run overflowed: column vehicle0_position_x is inf at 10 ms"),
+            (10**10, {},
+             "a trace of 1000000001 rows of 11 columns cannot fit in a frame of 67108864 bytes"),
+        ],
+        ids=["overflow", "cannot-fit"],
+    )
+    def test_supervisor_error_100_exits_2_as_embedded(
+        self, tmp_path, capsys, duration_ms, kwargs, message
+    ):
+        scenario_path = write_demo_scenario(tmp_path / "scn.json", duration_ms, **kwargs)
+        out = tmp_path / "trace.csv"
+        server = supervisor.SupervisorServer(host="127.0.0.1", port=0)
+        server.start()
+        try:
+            code = main([
+                "run-scenario", scenario_path,
+                "--endpoint", f"127.0.0.1:{server.port}",
+                "--trace-out", str(out),
+            ])
+        finally:
+            server.stop()
+        assert code == 2
+        assert capsys.readouterr().err == f"error: supervisor error 100: {message}\n"
+        assert not out.exists()
+
+    def test_embedded_and_endpoint_together_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran a scenario given both --embedded and --endpoint")
+
+        monkeypatch.setattr(supervisor, "run_embedded", no_run)
+        monkeypatch.setattr(wire, "client_session", no_run)
+        scenario_path = write_demo_scenario(tmp_path / "scn.json")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run-scenario", scenario_path, "--embedded", "--endpoint", "127.0.0.1:1"])
+        assert exit_info.value.code == 2
+        assert "argument --endpoint: not allowed with argument --embedded" in (
+            capsys.readouterr().err
+        )
+
     def test_unreachable_endpoint_exits_3(self, tmp_path):
         scenario_path = write_demo_scenario(tmp_path / "scn.json")
         # grab a port and leave it closed
