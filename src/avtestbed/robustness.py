@@ -489,13 +489,21 @@ def requirement_to_json(req: Requirement) -> dict:
 def requirement_from_json(data: Any) -> Requirement:
     """Read a requirement document; ScenarioFormatError names a bad field's path."""
     doc = value_from_json(data, _REQUIREMENT_KINDS, "requirement")
+    names: set[str] = set()
     for i, spec in enumerate(doc["predicates"]):
         path = f"requirement.predicates[{i}]"
         numbers = [(f"{path}.a.{column}", coeff) for column, coeff in spec["a"].items()]
         for where, value in numbers + [(f"{path}.b", spec["b"])]:
             if not math.isfinite(value):
                 raise ScenarioFormatError(where, "must be finite")
+        if spec["name"] in names:
+            raise ScenarioFormatError(f"{path}.name", f"duplicate predicate name {spec['name']!r}")
+        names.add(spec["name"])
     parse_formula(doc["formula"])  # surface syntax errors at load time
+    # a formula that parses holds an atom at each identifier token
+    for kind, name, _ in _tokenize(doc["formula"]):
+        if kind == "ident" and name not in names:
+            raise ScenarioFormatError("requirement.formula", f"atom {name!r} names no predicate")
     return Requirement(formula_text=doc["formula"], predicates=doc["predicates"])
 
 

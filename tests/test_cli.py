@@ -852,6 +852,40 @@ class TestFalsifyCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"name": "y_check2"', '"name": "y_check1"',
+             "requirement.predicates[1].name: duplicate predicate name 'y_check1'"),
+            ("x_check2))", "nope))",
+             "requirement.formula: atom 'nope' names no predicate"),
+        ],
+        ids=["duplicate_name", "undeclared_atom"],
+    )
+    def test_requirement_predicate_names_checked_at_load(
+        self, tmp_path, fixtures_dir, capsys, monkeypatch, old, new, message
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a study whose requirement is invalid")
+
+        monkeypatch.setattr(supervisor, "run_embedded", no_simulation)
+        text = open(os.path.join(fixtures_dir, "collision_requirement.json")).read()
+        edited = text.replace(old, new, 1)
+        assert edited != text
+        requirement_path = tmp_path / "req.json"
+        requirement_path.write_text(edited)
+        study_path = self.make_study(tmp_path, fixtures_dir, n_tests=20)
+        study = json.loads(open(study_path).read())
+        study["requirement"] = str(requirement_path)
+        with open(study_path, "w") as fh:
+            json.dump(study, fh)
+        out = tmp_path / "results.json"
+        assert main(["falsify", study_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load study {study_path}: {requirement_path}: {message}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda study: study.update(config={"n_test": 3}),

@@ -532,14 +532,27 @@ class TestRequirementFiles:
              "requirement.predicates[0].a.vehicle0_speed: must be finite"),
             ({"name": "p", "a": {}, "b": math.nan}, "requirement.predicates[0].b: must be finite"),
             ({"name": "p", "a": {}, "b": math.inf}, "requirement.predicates[0].b: must be finite"),
+            ({"name": "q", "a": {}, "b": 0.0},
+             "requirement.formula: atom 'p' names no predicate"),
         ],
         ids=["extra_key", "missing_bound", "string_coefficient", "nan_coefficient",
-             "inf_coefficient", "nan_bound", "inf_bound"],
+             "inf_coefficient", "nan_bound", "inf_bound", "undeclared_atom"],
     )
     def test_malformed_predicate_rejected_with_its_path(self, predicate, message):
         with pytest.raises(ScenarioFormatError) as err:
             requirement_from_json({"formula": "p", "predicates": [predicate]})
         assert str(err.value) == message
+
+    def test_repeated_predicate_name_rejected_with_its_path(self):
+        predicate = {"name": "p", "a": {}, "b": 0.0}
+        with pytest.raises(ScenarioFormatError) as err:
+            requirement_from_json({"formula": "p", "predicates": [predicate, dict(predicate)]})
+        assert str(err.value) == "requirement.predicates[1].name: duplicate predicate name 'p'"
+
+    def test_declared_predicate_the_formula_does_not_use_is_allowed(self):
+        predicates = [{"name": "p", "a": {}, "b": 0.0}, {"name": "unused", "a": {}, "b": 0.0}]
+        req = requirement_from_json({"formula": "[] p", "predicates": predicates})
+        assert [spec["name"] for spec in req.predicates] == ["p", "unused"]
 
     def test_requirement_without_predicates_rejected(self):
         with pytest.raises(ScenarioFormatError) as err:
