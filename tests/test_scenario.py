@@ -243,6 +243,325 @@ class TestValidation:
         assert [v.path for v in report if "finite" in v.message] == [violation_path]
 
 
+class TestViolationsPinned:
+    """The exact violations of the demo scene with one fault, as strings and in
+    order, so that no change to how the rules are stated changes what they say."""
+
+    FLOAT_PATHS = [
+        "ego_vehicles_list[0].current_position[0]",
+        "ego_vehicles_list[0].current_position[1]",
+        "ego_vehicles_list[0].current_position[2]",
+        "ego_vehicles_list[0].current_orientation",
+        "agent_vehicles_list[0].current_position[0]",
+        "agent_vehicles_list[0].current_position[1]",
+        "agent_vehicles_list[0].current_position[2]",
+        "agent_vehicles_list[0].current_orientation",
+        "pedestrians_list[0].current_position[0]",
+        "pedestrians_list[0].current_position[1]",
+        "pedestrians_list[0].current_position[2]",
+        "pedestrians_list[0].target_speed",
+        "pedestrians_list[0].trajectory[0]",
+        "pedestrians_list[0].trajectory[5]",
+        "road_disturbances_list[0].position[0]",
+        "road_disturbances_list[0].position[1]",
+        "road_disturbances_list[0].position[2]",
+        "road_disturbances_list[0].length",
+        "road_disturbances_list[0].width",
+        "road_disturbances_list[0].height",
+        "road_disturbances_list[0].inter_object_spacing",
+        "control_params_list[0].parameter_data[0]",
+        "control_params_list[0].parameter_data[1]",
+        "initial_state_config_list[0].value",
+    ]
+    # (float path, value): its violations; every other pair gives none
+    FLOAT_VIOLATIONS = {
+    ('ego_vehicles_list[0].current_position[0]', 'nan'): [
+        'ego_vehicles_list[0].current_position: must be finite, got [nan, 0.35, 0.0]',
+    ],
+    ('ego_vehicles_list[0].current_position[0]', 'inf'): [
+        'ego_vehicles_list[0].current_position: must be finite, got [inf, 0.35, 0.0]',
+    ],
+    ('ego_vehicles_list[0].current_position[1]', 'nan'): [
+        'ego_vehicles_list[0].current_position: must be finite, got [20.0, nan, 0.0]',
+    ],
+    ('ego_vehicles_list[0].current_position[1]', 'inf'): [
+        'ego_vehicles_list[0].current_position: must be finite, got [20.0, inf, 0.0]',
+    ],
+    ('ego_vehicles_list[0].current_position[2]', 'nan'): [
+        'ego_vehicles_list[0].current_position: must be finite, got [20.0, 0.35, nan]',
+    ],
+    ('ego_vehicles_list[0].current_position[2]', 'inf'): [
+        'ego_vehicles_list[0].current_position: must be finite, got [20.0, 0.35, inf]',
+    ],
+    ('ego_vehicles_list[0].current_orientation', 'nan'): [
+        'ego_vehicles_list[0].current_orientation: must be finite, got [nan]',
+    ],
+    ('ego_vehicles_list[0].current_orientation', 'inf'): [
+        'ego_vehicles_list[0].current_orientation: must be finite, got [inf]',
+    ],
+    ('agent_vehicles_list[0].current_position[0]', 'nan'): [
+        'agent_vehicles_list[0].current_position: must be finite, got [nan, 0.35, 3.5]',
+    ],
+    ('agent_vehicles_list[0].current_position[0]', 'inf'): [
+        'agent_vehicles_list[0].current_position: must be finite, got [inf, 0.35, 3.5]',
+    ],
+    ('agent_vehicles_list[0].current_position[1]', 'nan'): [
+        'agent_vehicles_list[0].current_position: must be finite, got [300.0, nan, 3.5]',
+    ],
+    ('agent_vehicles_list[0].current_position[1]', 'inf'): [
+        'agent_vehicles_list[0].current_position: must be finite, got [300.0, inf, 3.5]',
+    ],
+    ('agent_vehicles_list[0].current_position[2]', 'nan'): [
+        'agent_vehicles_list[0].current_position: must be finite, got [300.0, 0.35, nan]',
+    ],
+    ('agent_vehicles_list[0].current_position[2]', 'inf'): [
+        'agent_vehicles_list[0].current_position: must be finite, got [300.0, 0.35, inf]',
+    ],
+    ('agent_vehicles_list[0].current_orientation', 'nan'): [
+        'agent_vehicles_list[0].current_orientation: must be finite, got [nan]',
+    ],
+    ('agent_vehicles_list[0].current_orientation', 'inf'): [
+        'agent_vehicles_list[0].current_orientation: must be finite, got [inf]',
+    ],
+    ('pedestrians_list[0].current_position[0]', 'nan'): [
+        'pedestrians_list[0].current_position: must be finite, got [nan, 1.3, 0.0]',
+    ],
+    ('pedestrians_list[0].current_position[0]', 'inf'): [
+        'pedestrians_list[0].current_position: must be finite, got [inf, 1.3, 0.0]',
+    ],
+    ('pedestrians_list[0].current_position[1]', 'nan'): [
+        'pedestrians_list[0].current_position: must be finite, got [50.0, nan, 0.0]',
+    ],
+    ('pedestrians_list[0].current_position[1]', 'inf'): [
+        'pedestrians_list[0].current_position: must be finite, got [50.0, inf, 0.0]',
+    ],
+    ('pedestrians_list[0].current_position[2]', 'nan'): [
+        'pedestrians_list[0].current_position: must be finite, got [50.0, 1.3, nan]',
+    ],
+    ('pedestrians_list[0].current_position[2]', 'inf'): [
+        'pedestrians_list[0].current_position: must be finite, got [50.0, 1.3, inf]',
+    ],
+    ('pedestrians_list[0].target_speed', 'nan'): [
+        'pedestrians_list[0].target_speed: must be finite, got [nan]',
+    ],
+    ('pedestrians_list[0].target_speed', 'inf'): [
+        'pedestrians_list[0].target_speed: must be finite, got [inf]',
+    ],
+    ('pedestrians_list[0].target_speed', '-inf'): [
+        'pedestrians_list[0]: target_speed must be >= 0',
+        'pedestrians_list[0].target_speed: must be finite, got [-inf]',
+    ],
+    ('pedestrians_list[0].target_speed', '-1.0'): [
+        'pedestrians_list[0]: target_speed must be >= 0',
+    ],
+    ('pedestrians_list[0].trajectory[0]', 'nan'): [
+        'pedestrians_list[0].trajectory: must be finite, got [nan, 0.0, 80.0, -3.0, 200.0, 0.0]',
+    ],
+    ('pedestrians_list[0].trajectory[0]', 'inf'): [
+        'pedestrians_list[0].trajectory: must be finite, got [inf, 0.0, 80.0, -3.0, 200.0, 0.0]',
+    ],
+    ('pedestrians_list[0].trajectory[5]', 'nan'): [
+        'pedestrians_list[0].trajectory: must be finite, got [50.0, 0.0, 80.0, -3.0, 200.0, nan]',
+    ],
+    ('pedestrians_list[0].trajectory[5]', 'inf'): [
+        'pedestrians_list[0].trajectory: must be finite, got [50.0, 0.0, 80.0, -3.0, 200.0, inf]',
+    ],
+    ('road_disturbances_list[0].position[0]', 'nan'): [
+        'road_disturbances_list[0].position: must be finite, got [nan, 0.0, 0.0]',
+    ],
+    ('road_disturbances_list[0].position[0]', 'inf'): [
+        'road_disturbances_list[0].position: must be finite, got [inf, 0.0, 0.0]',
+    ],
+    ('road_disturbances_list[0].position[1]', 'nan'): [
+        'road_disturbances_list[0].position: must be finite, got [40.0, nan, 0.0]',
+    ],
+    ('road_disturbances_list[0].position[1]', 'inf'): [
+        'road_disturbances_list[0].position: must be finite, got [40.0, inf, 0.0]',
+    ],
+    ('road_disturbances_list[0].position[2]', 'nan'): [
+        'road_disturbances_list[0].position: must be finite, got [40.0, 0.0, nan]',
+    ],
+    ('road_disturbances_list[0].position[2]', 'inf'): [
+        'road_disturbances_list[0].position: must be finite, got [40.0, 0.0, inf]',
+    ],
+    ('road_disturbances_list[0].length', 'nan'): [
+        'road_disturbances_list[0].length: must be finite, got [nan]',
+    ],
+    ('road_disturbances_list[0].length', 'inf'): [
+        'road_disturbances_list[0].length: must be finite, got [inf]',
+    ],
+    ('road_disturbances_list[0].length', '-inf'): [
+        'road_disturbances_list[0]: length must be > 0',
+        'road_disturbances_list[0].length: must be finite, got [-inf]',
+    ],
+    ('road_disturbances_list[0].length', '-1.0'): [
+        'road_disturbances_list[0]: length must be > 0',
+    ],
+    ('road_disturbances_list[0].length', '0.0'): [
+        'road_disturbances_list[0]: length must be > 0',
+    ],
+    ('road_disturbances_list[0].width', 'nan'): [
+        'road_disturbances_list[0].width: must be finite, got [nan]',
+    ],
+    ('road_disturbances_list[0].width', 'inf'): [
+        'road_disturbances_list[0].width: must be finite, got [inf]',
+    ],
+    ('road_disturbances_list[0].width', '-inf'): [
+        'road_disturbances_list[0]: width must be > 0',
+        'road_disturbances_list[0].width: must be finite, got [-inf]',
+    ],
+    ('road_disturbances_list[0].width', '-1.0'): [
+        'road_disturbances_list[0]: width must be > 0',
+    ],
+    ('road_disturbances_list[0].width', '0.0'): [
+        'road_disturbances_list[0]: width must be > 0',
+    ],
+    ('road_disturbances_list[0].height', 'nan'): [
+        'road_disturbances_list[0].height: must be finite, got [nan]',
+    ],
+    ('road_disturbances_list[0].height', 'inf'): [
+        'road_disturbances_list[0].height: must be finite, got [inf]',
+    ],
+    ('road_disturbances_list[0].height', '-inf'): [
+        'road_disturbances_list[0]: height must be > 0',
+        'road_disturbances_list[0].height: must be finite, got [-inf]',
+    ],
+    ('road_disturbances_list[0].height', '-1.0'): [
+        'road_disturbances_list[0]: height must be > 0',
+    ],
+    ('road_disturbances_list[0].height', '0.0'): [
+        'road_disturbances_list[0]: height must be > 0',
+    ],
+    ('road_disturbances_list[0].inter_object_spacing', 'nan'): [
+        'road_disturbances_list[0].inter_object_spacing: must be finite, got [nan]',
+    ],
+    ('road_disturbances_list[0].inter_object_spacing', 'inf'): [
+        'road_disturbances_list[0].inter_object_spacing: must be finite, got [inf]',
+    ],
+    ('road_disturbances_list[0].inter_object_spacing', '-inf'): [
+        'road_disturbances_list[0]: inter_object_spacing must be > 0',
+        'road_disturbances_list[0].inter_object_spacing: must be finite, got [-inf]',
+    ],
+    ('road_disturbances_list[0].inter_object_spacing', '-1.0'): [
+        'road_disturbances_list[0]: inter_object_spacing must be > 0',
+    ],
+    ('road_disturbances_list[0].inter_object_spacing', '0.0'): [
+        'road_disturbances_list[0]: inter_object_spacing must be > 0',
+    ],
+    ('control_params_list[0].parameter_data[0]', 'nan'): [
+        'control_params_list[0].parameter_data: must be finite, got [nan, 0.0]',
+    ],
+    ('control_params_list[0].parameter_data[0]', 'inf'): [
+        'control_params_list[0].parameter_data: must be finite, got [inf, 0.0]',
+    ],
+    ('control_params_list[0].parameter_data[1]', 'nan'): [
+        'control_params_list[0].parameter_data: must be finite, got [-1000.0, nan]',
+    ],
+    ('control_params_list[0].parameter_data[1]', 'inf'): [
+        'control_params_list[0].parameter_data: must be finite, got [-1000.0, inf]',
+    ],
+    ('initial_state_config_list[0].value', 'nan'): [
+        'initial_state_config_list[0].value: must be finite, got [nan]',
+    ],
+    ('initial_state_config_list[0].value', 'inf'): [
+        'initial_state_config_list[0].value: must be finite, got [inf]',
+    ],
+    }
+    SIGNED_PATHS = [
+        "pedestrians_list[0].target_speed",
+        "road_disturbances_list[0].length",
+        "road_disturbances_list[0].width",
+        "road_disturbances_list[0].height",
+        "road_disturbances_list[0].inter_object_spacing",
+    ]
+
+    STRUCTURAL_FAULTS = [
+        ("duplicate-vehicle-id", "agent_vehicles_list[0].vhc_id", 1, [
+            "agent_vehicles_list[0]: duplicate vehicle id 1 (also ego_vehicles_list[0])",
+            "control_params_list[2]: vehicle_id 2 names no vehicle",
+            "control_params_list[3]: vehicle_id 2 names no vehicle",
+            "control_params_list[4]: vehicle_id 2 names no vehicle",
+            "control_params_list[5]: vehicle_id 2 names no vehicle",
+        ]),
+        ("unknown-vehicle-controller", "ego_vehicles_list[0].controller", "nope",
+         ["ego_vehicles_list[0]: unknown vehicle controller 'nope'"]),
+        ("controller-arguments", "agent_vehicles_list[0].controller_arguments", [],
+         ["agent_vehicles_list[0].controller_arguments: "
+          "path_and_speed_follower requires a target speed argument"]),
+        ("position-of-two", "ego_vehicles_list[0].current_position", [20.0, 0.35],
+         ["ego_vehicles_list[0].current_position: expected 3 components, got 2"]),
+        ("duplicate-pedestrian-id", "pedestrians_list[1]", Pedestrian(ped_id=1),
+         ["pedestrians_list[1]: duplicate pedestrian id 1 (also pedestrians_list[0])"]),
+        ("unknown-pedestrian-controller", "pedestrians_list[0].controller", "nope",
+         ["pedestrians_list[0]: unknown pedestrian controller 'nope'"]),
+        ("odd-trajectory", "pedestrians_list[0].trajectory", [50.0, 0.0, 80.0],
+         ["pedestrians_list[0]: trajectory must list x,y pairs (even length)"]),
+        ("heartbeat-period", "heart_beat_config.period_ms", 0,
+         ["heart_beat_config: period_ms must be >= 1"]),
+        ("parameter-name", "control_params_list[0].parameter_name", "target_speed",
+         ["control_params_list[0]: parameter_name must be 'target_position', "
+          "got 'target_speed'"]),
+        ("parameter-data-count", "control_params_list[0].parameter_data", [1.0, 2.0, 3.0],
+         ["control_params_list[0]: parameter_data must be one x,y pair, got 3 numbers"]),
+        ("parameter-vehicle-id", "control_params_list[0].vehicle_id", 9,
+         ["control_params_list[0]: vehicle_id 9 names no vehicle"]),
+        ("initial-state-time", "initial_state_config_list[0].item",
+         LogItemDescription(ItemType.TIME),
+         ["initial_state_config_list[0]: initial state cannot target TIME"]),
+        ("initial-state-dangling-vehicle", "initial_state_config_list[0].item",
+         LogItemDescription(ItemType.VEHICLE, 2, StateId.SPEED),
+         ["initial_state_config_list[0]: dangling vehicle index 2 (have 2)"]),
+        ("initial-state-dangling-pedestrian", "initial_state_config_list[0].item",
+         LogItemDescription(ItemType.PEDESTRIAN, 1, StateId.SPEED),
+         ["initial_state_config_list[0]: dangling pedestrian index 1 (have 1)"]),
+        ("initial-state-pedestrian-orientation", "initial_state_config_list[0].item",
+         LogItemDescription(ItemType.PEDESTRIAN, 0, StateId.ORIENTATION),
+         ["initial_state_config_list[0]: "
+          "initial state cannot target a pedestrian's ORIENTATION"]),
+        ("log-dangling-vehicle", "data_log_description_list[1].item_index", 2,
+         ["data_log_description_list[1]: dangling vehicle index 2 (have 2)"]),
+        ("log-dangling-pedestrian", "data_log_description_list[1]",
+         LogItemDescription(ItemType.PEDESTRIAN, 1, StateId.SPEED),
+         ["data_log_description_list[1]: dangling pedestrian index 1 (have 1)"]),
+        ("log-period", "data_log_period_ms", 0,
+         ["data_log_period_ms: must be a positive integer"]),
+    ]
+
+    @staticmethod
+    def violations_with(path, value):
+        """The demo scene's violations once the field or list item at the
+        document path holds value (a new last list item, one past the end)."""
+        env = presets.demo_environment()
+        *parents, last = re.findall(r"[A-Za-z_]+|\d+", path)
+        owner = env
+        for token in parents:
+            owner = owner[int(token)] if token.isdigit() else getattr(owner, token)
+        if not last.isdigit():
+            setattr(owner, last, value)
+        elif int(last) == len(owner):
+            owner.append(value)
+        else:
+            owner[int(last)] = value
+        return [str(v) for v in validate_environment(env)]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1.0", "0.0"])
+    @pytest.mark.parametrize("path", FLOAT_PATHS)
+    def test_float_field_fault(self, path, value):
+        expected = self.FLOAT_VIOLATIONS.get((path, value), [])
+        assert self.violations_with(path, float(value)) == expected
+
+    @pytest.mark.parametrize("path", SIGNED_PATHS)
+    def test_negative_infinity_breaks_the_sign_rule_then_finiteness(self, path):
+        assert self.violations_with(path, -math.inf) == self.FLOAT_VIOLATIONS[(path, "-inf")]
+
+    @pytest.mark.parametrize(
+        "path, value, expected", [case[1:] for case in STRUCTURAL_FAULTS],
+        ids=[case[0] for case in STRUCTURAL_FAULTS],
+    )
+    def test_structural_fault(self, path, value, expected):
+        assert self.violations_with(path, value) == expected
+
+
 class TestValidateRun:
     def test_demo_scenario_runs(self):
         assert validate_run(*presets.demo_scenario()) == []
