@@ -129,7 +129,8 @@ class SetupError(RuntimeError):
 
 
 class SyncTimeoutError(RuntimeError):
-    """No continue message arrived in time; protocol error 101."""
+    """A message the session waits for did not arrive in time, or a continue
+    was not what arrived; protocol error 101."""
 
 
 # --------------------------------------------------------------------------
@@ -537,8 +538,12 @@ _ERROR_CODES = {
 
 
 def _receive(conn: socket.socket, expected: type, name: str):
-    """The next message, which must be of the expected type."""
-    msg = wire.recv_message(conn)
+    """The next message, which must be of the expected type and arrive within
+    the connection's timeout."""
+    try:
+        msg = wire.recv_message(conn)
+    except socket.timeout:
+        raise SyncTimeoutError(f"no {name} received within {conn.gettimeout()} s") from None
     if not isinstance(msg, expected):
         raise _UnexpectedMessage(f"expected {name}, got {type(msg).__name__}")
     return msg

@@ -510,6 +510,24 @@ class TestClientSession:
         finally:
             srv.stop()
 
+    def test_silent_client_gets_error_101_and_nothing_is_logged(self, caplog):
+        import socket as socket_module
+
+        srv = supervisor.SupervisorServer(host="127.0.0.1", port=0, sync_timeout_s=0.3)
+        srv.start()
+        try:
+            sock = socket_module.create_connection(("127.0.0.1", srv.port), timeout=5.0)
+            try:
+                assert wire.recv_message(sock) == wire.ProtocolErrorMsg(
+                    wire.ERR_SYNC_TIMEOUT, "no hello received within 0.3 s"
+                )
+                assert sock.recv(1) == b""
+            finally:
+                sock.close()
+        finally:
+            srv.stop()
+        assert not [r for r in caplog.records if r.getMessage() == "supervisor session failed"]
+
     def test_silent_server_times_out_the_session(self):
         import socket as socket_module
 
