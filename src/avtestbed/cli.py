@@ -152,15 +152,7 @@ def cmd_run_ca(args: argparse.Namespace) -> CommandOutcome:
     binding = _load("bindings file", scenario.load_json, args.bindings, dict[str, str])
     env, config = _load("scenario", scenario.load_scenario, args.scenario)
     table = _load("test CSV", covering.load_experiment_data, args.csv, args.header_lines)
-    # A binding sets only float fields, which validate_run never reads and an
-    # environment rule reads only under the path it reports; so a violation
-    # at no bound path nor any ancestor of one holds for every row.
-    bound = [path.removeprefix("environment.") for path in binding.values()]
-    problems = [
-        v
-        for v in scenario.validate_environment(env)
-        if not any(p == v.path or p.startswith((v.path + ".", v.path + "[")) for p in bound)
-    ] + scenario.validate_run(env, config)
+    problems = scenario.template_violations(env, config, binding.values())
     if problems:
         raise CommandError(f"scenario cannot run: {problems[0]}")
 

@@ -349,9 +349,7 @@ def make_study_system(study: Study) -> tuple[System, MtlFormula, list[LinearPred
     env, config = copy.deepcopy((study.env, study.sim_config))
     config.sim_duration_ms = int(round(1000.0 * study.config.sim_duration_s))
     env.data_log_period_ms = int(round(1000.0 * study.config.samp_time_s))
-    # a binding sets only float fields, which validate_run never reads, so
-    # what it checks holds for every sample once it holds here
-    problems = scenario.validate_run(env, config)
+    problems = scenario.template_violations(env, config, [dim.binding for dim in study.space.dims])
     if problems:
         raise ValueError(f"study cannot run: {problems[0]}")
     setters = []

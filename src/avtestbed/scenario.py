@@ -17,15 +17,17 @@ parse errors and validation violations all use the same names.
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import itertools
 import json
 import math
 import re
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum, EnumMeta, IntEnum
-from typing import Any, Callable, NewType, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, NewType, Optional, Union
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -163,6 +165,26 @@ class SimulationConfig:
     run_config_arr: list[RunConfig] = field(default_factory=list)
 
 
+# The rule of every float field of the model (a float, a Vec3 or a list of
+# floats): each number finite, and under a sign rule also >= 0 or > 0.  A
+# binding sets one number of one of these fields, a position's height
+# excepted, so their rules are all that a bound value can mend.
+FLOAT_RULES: dict[tuple[type, str], str] = {
+    (Vehicle, "current_position"): "finite",
+    (Vehicle, "current_orientation"): "finite",
+    (Pedestrian, "current_position"): "finite",
+    (Pedestrian, "target_speed"): ">= 0",
+    (Pedestrian, "trajectory"): "finite",
+    (RoadDisturbance, "position"): "finite",
+    (RoadDisturbance, "length"): "> 0",
+    (RoadDisturbance, "width"): "> 0",
+    (RoadDisturbance, "height"): "> 0",
+    (RoadDisturbance, "inter_object_spacing"): "> 0",
+    (ControllerParameter, "parameter_data"): "finite",
+    (InitialStateConfig, "value"): "finite",
+}
+
+
 @dataclass
 class Trajectory:
     """Time-indexed log of entity states; column 0 is time in milliseconds."""
@@ -205,19 +227,9 @@ class ScenarioFormatError(ValueError):
 # Validation
 
 
-def _check_vec3(report: list[Violation], path: str, vec: list[float]) -> None:
-    if len(vec) != 3:
-        report.append(Violation(path, f"expected 3 components, got {len(vec)}"))
-    _check_finite(report, path, vec)
-
-
-def _check_finite(report: list[Violation], path: str, values: list[float]) -> None:
-    if not all(math.isfinite(v) for v in values):
-        report.append(Violation(path, f"must be finite, got {values}"))
-
-
 def validate_environment(env: SimEnvironment) -> list[Violation]:
-    """Collect every invariant violation in env; an empty list means valid."""
+    """Collect every invariant violation in env; an empty list means valid:
+    the structural rules, then the FLOAT_RULES rule of each float field."""
     report: list[Violation] = []
     vehicles = env.all_vehicles()
 
@@ -240,20 +252,6 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
             report.append(Violation(path, f"unknown pedestrian controller {ped.controller!r}"))
         if len(ped.trajectory) % 2 != 0:
             report.append(Violation(path, "trajectory must list x,y pairs (even length)"))
-        if ped.target_speed < 0:
-            report.append(Violation(path, "target_speed must be >= 0"))
-        _check_finite(report, path + ".target_speed", [ped.target_speed])
-        _check_finite(report, path + ".trajectory", ped.trajectory)
-        _check_vec3(report, path + ".current_position", ped.current_position)
-
-    for i, dist in enumerate(env.road_disturbances_list):
-        path = f"road_disturbances_list[{i}]"
-        for attr in ("length", "width", "inter_object_spacing", "height"):
-            value = getattr(dist, attr)
-            if value <= 0:
-                report.append(Violation(path, f"{attr} must be > 0"))
-            _check_finite(report, f"{path}.{attr}", [value])
-        _check_vec3(report, path + ".position", dist.position)
 
     if env.heart_beat_config is not None and env.heart_beat_config.period_ms < 1:
         report.append(Violation("heart_beat_config", "period_ms must be >= 1"))
@@ -268,7 +266,6 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
             report.append(Violation(path, message))
         if par.vehicle_id is not None and par.vehicle_id not in seen_vhc:
             report.append(Violation(path, f"vehicle_id {par.vehicle_id} names no vehicle"))
-        _check_finite(report, path + ".parameter_data", par.parameter_data)
 
     n_vhc = len(vehicles)
     n_ped = len(env.pedestrians_list)
@@ -296,7 +293,6 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
             # a walking pedestrian faces its next waypoint; nothing stores a heading
             message = "initial state cannot target a pedestrian's ORIENTATION"
             report.append(Violation(path, message))
-        _check_finite(report, path + ".value", [isc.value])
 
     for i, desc in enumerate(env.data_log_description_list):
         if desc.item_type is not ItemType.TIME:
@@ -305,6 +301,7 @@ def validate_environment(env: SimEnvironment) -> list[Violation]:
     if env.data_log_period_ms is not None and env.data_log_period_ms < 1:
         report.append(Violation("data_log_period_ms", "must be a positive integer"))
 
+    _check_float_fields(report, env, "")
     return report
 
 
@@ -315,8 +312,6 @@ def _validate_vehicle(
         report.append(Violation(path, f"duplicate vehicle id {vhc.vhc_id} (also {seen[vhc.vhc_id]})"))
     else:
         seen[vhc.vhc_id] = path
-    _check_vec3(report, path + ".current_position", vhc.current_position)
-    _check_finite(report, path + ".current_orientation", [vhc.current_orientation])
     if vhc.controller not in registered_vehicle_controllers():
         report.append(Violation(path, f"unknown vehicle controller {vhc.controller!r}"))
         return
@@ -324,6 +319,39 @@ def _validate_vehicle(
         make_vehicle_controller(vhc.controller, list(vhc.controller_arguments), [])
     except ControllerConfigError as exc:
         report.append(Violation(path + ".controller_arguments", str(exc)))
+
+
+@functools.cache
+def _float_fields(cls: type) -> tuple[tuple[str, Any, Optional[str]], ...]:
+    """(name, kind, rule) of each field of a model class that FLOAT_RULES
+    names, or that holds model objects with such fields (rule None)."""
+    found = []
+    for name, kind in _spec(cls)[0].items():
+        inner = get_args(kind)[0] if get_origin(kind) in (list, Union) else kind
+        if (cls, name) in FLOAT_RULES or is_dataclass(inner) and _float_fields(inner):
+            found.append((name, kind, FLOAT_RULES.get((cls, name))))
+    return tuple(found)
+
+
+def _check_float_fields(report: list[Violation], obj: Any, path: str) -> None:
+    """Report the rule of each float field under the model object at path."""
+    for name, kind, rule in _float_fields(type(obj)):
+        value = getattr(obj, name)
+        where = f"{path}.{name}" if path else name
+        if rule is None:
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    _check_float_fields(report, item, f"{where}[{i}]")
+            elif value is not None:
+                _check_float_fields(report, value, where)
+            continue
+        if kind is Vec3 and len(value) != 3:
+            report.append(Violation(where, f"expected 3 components, got {len(value)}"))
+        if rule == ">= 0" and value < 0 or rule == "> 0" and value <= 0:  # not NaN
+            report.append(Violation(path, f"{name} must be {rule}"))
+        numbers = value if isinstance(value, list) else [value]
+        if not all(map(math.isfinite, numbers)):
+            report.append(Violation(where, f"must be finite, got {numbers}"))
 
 
 def validate_config(config: SimulationConfig) -> list[Violation]:
@@ -361,6 +389,20 @@ def validate_run(env: SimEnvironment, config: SimulationConfig) -> list[Violatio
         message = f"log period {period} ms is not a positive multiple of the step size {step} ms"
         report.append(Violation("data_log_period_ms", message))
     return report
+
+
+def template_violations(
+    env: SimEnvironment, config: SimulationConfig, paths: Iterable[str]
+) -> list[Violation]:
+    """The violations of running env under config that hold whatever values
+    the binding paths set: validate_run's, which reads no float field, then
+    validate_environment's with 1.0, which every FLOAT_RULES rule accepts, at
+    each path that resolves."""
+    env = copy.deepcopy(env)
+    for path in paths:
+        with contextlib.suppress(ValueError):  # rejected where the binding is used
+            resolve_binding(env, path)[0](1.0)
+    return validate_run(env, config) + validate_environment(env)
 
 
 # --------------------------------------------------------------------------
@@ -690,12 +732,12 @@ def _path_tokens(path: str) -> list:
 
 
 def resolve_binding(env: SimEnvironment, path: str) -> tuple[Callable[[float], None], float]:
-    """A setter for the float field of env that path names, and its value now.
+    """A setter for the float that path names in env, and its value now.
 
     Only model fields, named by their document keys, and in-range list
-    indices resolve.  A bound value is a float, so a path to an integer,
-    enum, string or config field is rejected here rather than on every run,
-    and so is a position's height [1], which no run reads.
+    indices resolve.  A bound value is one float of a FLOAT_RULES field, so a
+    path to an integer, enum, string or config field is rejected here rather
+    than on every run, and so is a position's height [1], which no run reads.
     """
     tokens = _path_tokens(path)
     if tokens[0] == "config":
@@ -704,7 +746,7 @@ def resolve_binding(env: SimEnvironment, path: str) -> tuple[Callable[[float], N
         )
     if tokens[0] != "environment":
         raise ValueError(f"path {path!r} does not resolve at segment {tokens[0]!r}")
-    owner, key, kind, value = None, None, SimEnvironment, env
+    owner, key, kind, value, named = None, None, SimEnvironment, env, None
     for token in tokens[1:]:
         if isinstance(token, int):
             is_list = get_origin(kind) is list
@@ -723,9 +765,9 @@ def resolve_binding(env: SimEnvironment, path: str) -> tuple[Callable[[float], N
             spec = _SPECS.get(kind) if value is not None else None
             if spec is None or token not in spec:
                 raise ValueError(f"path {path!r} does not resolve at segment {token!r}")
-            owner, key, kind = value, token, spec[token]
+            owner, key, kind, named = value, token, spec[token], (type(value), token)
             value = getattr(value, token)
-    if kind is not float:
+    if named not in FLOAT_RULES or kind is not float:  # not one number of such a field
         what = "an integer" if kind in (int, Optional[int]) else "a non-numeric"
         raise ValueError(f"path {path!r} is bound to {what} field")
     setter = owner.__setitem__ if isinstance(owner, list) else functools.partial(setattr, owner)

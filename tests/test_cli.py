@@ -55,6 +55,21 @@ CONTROLLER_ARGUMENT_CASES = [
      "automated_driving_with_fusion2 vehicle id 'one' is not an integer"),
 ]
 CONTROLLER_ARGUMENT_IDS = ["follower-without-speed", "fusion-speed-fast", "fusion-id-one"]
+# (document keys, value, the one violation) of templates that break a rule
+# of an entity one of whose float fields the demo bindings set: no row mends it
+BOUND_ENTITY_CASES = [
+    (("environment", "ego_vehicles_list", 0, "controller"), "nope",
+     "ego_vehicles_list[0]: unknown vehicle controller 'nope'"),
+    (("environment", "pedestrians_list", 0, "controller"), "nope",
+     "pedestrians_list[0]: unknown pedestrian controller 'nope'"),
+    (("environment", "pedestrians_list", 0, "trajectory"), [50.0, 0.0, 80.0],
+     "pedestrians_list[0]: trajectory must list x,y pairs (even length)"),
+    (("environment", "initial_state_config_list", 0, "item", "item_type"), "TIME",
+     "initial_state_config_list[0]: initial state cannot target TIME"),
+]
+BOUND_ENTITY_IDS = [
+    "ego-controller", "pedestrian-controller", "odd-trajectory", "time-initial-state"
+]
 
 
 class TestHelp:
@@ -501,8 +516,8 @@ class TestRunCa:
         assert sorted(os.listdir(out_dir)) == ["summary.json", "trace_000.csv"]
 
     @pytest.mark.parametrize(
-        "keys, value, violation", RUN_RULE_CASES + CONTROLLER_ARGUMENT_CASES,
-        ids=RUN_RULE_IDS + CONTROLLER_ARGUMENT_IDS,
+        "keys, value, violation", RUN_RULE_CASES + CONTROLLER_ARGUMENT_CASES + BOUND_ENTITY_CASES,
+        ids=RUN_RULE_IDS + CONTROLLER_ARGUMENT_IDS + BOUND_ENTITY_IDS,
     )
     def test_template_no_row_can_run_exits_2_before_any_row(
         self, tmp_path, capsys, monkeypatch, keys, value, violation
@@ -756,6 +771,28 @@ class TestFalsifyCommand:
         assert err == (
             "error: study cannot run: config.sim_duration_ms: "
             "duration 15 not a multiple of step 10\n"
+        )
+        assert not out.exists()
+
+    def test_scenario_no_sample_can_mend_exits_2_before_simulating(
+        self, tmp_path, fixtures_dir, capsys, monkeypatch
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a study that cannot run")
+
+        monkeypatch.setattr(supervisor, "run_embedded", no_simulation)
+        study_path = self.make_study(tmp_path, fixtures_dir, n_tests=100)
+        study = json.loads(open(study_path).read())
+        # pedestrian 0's target speed is bound, but no speed mends its controller
+        study["scenario"] = write_edited_demo_scenario(
+            tmp_path / "scn.json", ("environment", "pedestrians_list", 0, "controller"), "nope"
+        )
+        with open(study_path, "w") as fh:
+            json.dump(study, fh)
+        out = tmp_path / "results.json"
+        assert main(["falsify", study_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: study cannot run: pedestrians_list[0]: unknown pedestrian controller 'nope'\n"
         )
         assert not out.exists()
 

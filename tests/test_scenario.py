@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import random
 import re
+from typing import Union, get_args, get_origin
 
 import pytest
 
@@ -560,6 +562,114 @@ class TestViolationsPinned:
     )
     def test_structural_fault(self, path, value, expected):
         assert self.violations_with(path, value) == expected
+
+
+def schema_float_fields(cls) -> set:
+    """(dataclass, field) of every float, Vec3 or list-of-floats field under
+    the model class cls, found by walking the schema that scenario._spec reads."""
+    found = set()
+    for name, kind in scenario._spec(cls)[0].items():
+        while get_origin(kind) in (list, Union):  # list[X] and Optional[X] hold X
+            kind = get_args(kind)[0]
+        if kind is float or kind is scenario.Vec3:
+            found.add((cls, name))
+        elif dataclasses.is_dataclass(kind):
+            found |= schema_float_fields(kind)
+    return found
+
+
+class TestFloatRules:
+    def test_every_float_field_of_the_schema_has_exactly_one_rule(self):
+        assert schema_float_fields(SimEnvironment) == set(scenario.FLOAT_RULES)
+        assert schema_float_fields(SimulationConfig) == set()
+
+    def test_rules_are_finiteness_and_a_sign(self):
+        assert set(scenario.FLOAT_RULES.values()) == {"finite", ">= 0", "> 0"}
+
+
+class TestTemplateViolations:
+    BINDINGS = [
+        "environment.initial_state_config_list[0].value",
+        "environment.ego_vehicles_list[0].current_position[0]",
+        "environment.pedestrians_list[0].target_speed",
+    ]
+
+    def violations(self, env, config, bindings=BINDINGS):
+        return [str(v) for v in scenario.template_violations(env, config, bindings)]
+
+    def test_a_bound_number_is_exempt_from_its_float_rule(self):
+        env, config = presets.demo_scenario()
+        env.pedestrians_list[0].target_speed = -1.0
+        env.ego_vehicles_list[0].current_position[0] = math.nan
+        env.initial_state_config_list[0].value = math.inf
+        assert len(validate_environment(env)) == 3
+        assert self.violations(env, config) == []
+
+    def test_an_unbound_number_of_a_bound_field_keeps_its_rule(self):
+        env, config = presets.demo_scenario()
+        env.ego_vehicles_list[0].current_position[2] = math.nan  # [0] is bound
+        assert self.violations(env, config) == [
+            "ego_vehicles_list[0].current_position: must be finite, got [1.0, 0.35, nan]"
+        ]
+
+    def test_unbound_float_fields_keep_their_rules(self):
+        env, config = presets.demo_scenario()
+        env.pedestrians_list[0].trajectory[0] = math.nan
+        env.agent_vehicles_list[0].current_orientation = math.inf
+        env.road_disturbances_list[0].width = 0.0
+        assert self.violations(env, config) == [
+            "agent_vehicles_list[0].current_orientation: must be finite, got [inf]",
+            "pedestrians_list[0].trajectory: must be finite, "
+            "got [nan, 0.0, 80.0, -3.0, 200.0, 0.0]",
+            "road_disturbances_list[0]: width must be > 0",
+        ]
+
+    def test_structural_rules_of_a_bound_entity_hold(self):
+        env, config = presets.demo_scenario()
+        env.pedestrians_list[0].controller = "nope"
+        env.ego_vehicles_list[0].current_position = [20.0, 0.35]
+        assert self.violations(env, config) == [
+            "pedestrians_list[0]: unknown pedestrian controller 'nope'",
+            "ego_vehicles_list[0].current_position: expected 3 components, got 2",
+        ]
+
+    def test_run_rules_come_first(self):
+        env, config = presets.demo_scenario()
+        env.pedestrians_list[0].controller = "nope"
+        env.data_log_period_ms = 0
+        config.run_config_arr = []
+        assert self.violations(env, config) == [
+            "config.run_config_arr: must contain at least one entry",
+            "data_log_period_ms: log period 0 ms is not a positive multiple of the step size "
+            "10 ms",
+            "pedestrians_list[0]: unknown pedestrian controller 'nope'",
+            "data_log_period_ms: must be a positive integer",
+        ]
+
+    @pytest.mark.parametrize(
+        "binding",
+        ["environment.pedestrians_list[0]", "environment.pedestrians_list[0]..target_speed",
+         "config.pedestrians_list[0].target_speed", "pedestrians_list[0].target_speed", None],
+    )
+    def test_a_path_that_names_no_float_field_exempts_nothing(self, binding):
+        env, config = presets.demo_scenario()
+        env.pedestrians_list[0].target_speed = -1.0
+        assert self.violations(env, config, [binding]) == [
+            "pedestrians_list[0]: target_speed must be >= 0"
+        ]
+
+
+class TestDemoDocuments:
+    def test_demo_scene_is_the_committed_document(self, fixtures_dir):
+        built = parse_scenario(serialize_scenario(*presets.demo_scenario()))
+        assert built == scenario.load_scenario(os.path.join(fixtures_dir, "demo_scenario.json"))
+
+    def test_collision_requirement_is_the_committed_document(self, fixtures_dir):
+        from avtestbed import robustness
+
+        built = robustness.requirement_from_json(presets.collision_requirement_json())
+        path = os.path.join(fixtures_dir, "collision_requirement.json")
+        assert built == robustness.load_requirement(path)
 
 
 class TestValidateRun:
