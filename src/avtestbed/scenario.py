@@ -347,7 +347,7 @@ def _check_float_fields(report: list[Violation], obj: Any, path: str) -> None:
             continue
         if kind is Vec3 and len(value) != 3:
             report.append(Violation(where, f"expected 3 components, got {len(value)}"))
-        if rule == ">= 0" and value < 0 or rule == "> 0" and value <= 0:  # not NaN
+        if rule == ">= 0" and value < 0 or rule == "> 0" and value <= 0:  # NaN breaks neither
             report.append(Violation(path, f"{name} must be {rule}"))
         numbers = value if isinstance(value, list) else [value]
         if not all(map(math.isfinite, numbers)):
